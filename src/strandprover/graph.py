@@ -10,8 +10,8 @@ rewrite E only.  Rule names follow the trace vocabulary GB (bind), GU
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
@@ -144,8 +144,21 @@ def is_anchored(e: Edge, edges: Iterable[Edge]) -> bool:
     return bool(edge_adjacent(e, set(edges) - {e}))
 
 
+class _Index(NamedTuple):
+    """Lookups derived once from a validated shape and shared by its states."""
+
+    by_site: dict[Site, dict[Site, Edge]]  # site -> other endpoint -> admissible edge
+    anchors: dict[Edge, frozenset[Edge]]  # admissible antiparallel neighbours
+    toeholds: frozenset[Edge]
+    rank: dict[Edge, int]  # position in sorted order, so moves sort on integers
+
+
 @dataclass(frozen=True)
 class StrandGraph:
+    """A shape (lengths, colours, labels, admissible edges) and a state, the
+    current edges.  The shape is validated and indexed once; with_current
+    reuses both and checks only the new edge set, in O(|E|)."""
+
     lengths: tuple[int, ...]
     colours: tuple[int, ...]
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
@@ -167,25 +180,18 @@ class StrandGraph:
             prior = by_colour.setdefault(self.colours[v], self.domains[v])
             if prior != self.domains[v]:
                 raise GraphError(f"colour {self.colours[v]} is used for two different strand types")
-        if self.admissible != self._complementary_pairs():
+        if self.admissible != _complementary_pairs(self.domains):
             raise GraphError("admissible edges must be exactly the complementary site pairs")
-        occupied: set[Site] = set()
-        for e in self.current:
-            if e not in self.admissible:
-                raise GraphError(f"current edge {e} is not admissible")
-            for s in (e.a, e.b):
-                if s in occupied:
-                    raise GraphError(f"site {s} is bound twice")
-                occupied.add(s)
+        object.__setattr__(self, "_index", _build_index(self))
+        self._check_current()
 
-    def _complementary_pairs(self) -> frozenset[Edge]:
-        sites = self.sites()
-        out = set()
-        for i, s1 in enumerate(sites):
-            for s2 in sites[i + 1 :]:
-                if self.label(s1).matches(self.label(s2)):
-                    out.add(Edge(s1, s2))
-        return frozenset(out)
+    def _check_current(self) -> None:
+        for e in self.current - self.admissible:
+            raise GraphError(f"current edge {e} is not admissible")
+        ends = [s for e in self.current for s in (e.a, e.b)]
+        if len(set(ends)) < len(ends):
+            twice = next(s for s, k in Counter(ends).items() if k > 1)
+            raise GraphError(f"site {twice} is bound twice")
 
     def vertex_count(self) -> int:
         return len(self.lengths)
@@ -207,7 +213,36 @@ class StrandGraph:
         return self.label(e.a).toehold
 
     def with_current(self, current: Iterable[Edge]) -> "StrandGraph":
-        return replace(self, current=frozenset(current))
+        g = object.__new__(type(self))
+        g.__dict__.update(self.__dict__, current=frozenset(current))
+        g._check_current()
+        return g
+
+
+def _complementary_pairs(domains: tuple[tuple[Domain, ...], ...]) -> frozenset[Edge]:
+    """Every pair of sites whose labels could bond: same name and toehold
+    flag, exactly one of the two starred."""
+    ends: dict[tuple[str, bool], tuple[list[Site], list[Site]]] = {}
+    for v, row in enumerate(domains, start=1):
+        for n, d in enumerate(row, start=1):
+            ends.setdefault((d.name, d.toehold), ([], []))[d.complemented].append(Site(v, n))
+    return frozenset(Edge(s, t) for plain, starred in ends.values() for s in plain for t in starred)
+
+
+def _build_index(g: StrandGraph) -> _Index:
+    ranked = sorted(g.admissible)
+    by_site: dict[Site, dict[Site, Edge]] = {}
+    for e in ranked:
+        by_site.setdefault(e.a, {})[e.b] = e
+        by_site.setdefault(e.b, {})[e.a] = e
+    # the antiparallel neighbours of (v1,n1)-(v2,n2) can only be (v1,n1+d)-(v2,n2-d)
+    anchors = {}
+    for e in ranked:
+        (v1, n1), (v2, n2) = e.a, e.b
+        near = (by_site.get(Site(v1, n1 + d), {}).get(Site(v2, n2 - d)) for d in (1, -1))
+        anchors[e] = frozenset(f for f in near if f not in (None, e))
+    toeholds = frozenset(e for e in ranked if g.toehold(e))
+    return _Index(by_site, anchors, toeholds, {e: k for k, e in enumerate(ranked)})
 
 
 def from_process(p: Process) -> StrandGraph:
@@ -226,13 +261,7 @@ def from_process(p: Process) -> StrandGraph:
         if d.bond is not None:
             ends.setdefault(d.bond, []).append(Site(s, n))
     current = frozenset(Edge(*pair) for pair in ends.values())
-    sites = [Site(v, n) for v in range(1, len(lengths) + 1) for n in range(1, lengths[v - 1] + 1)]
-    admissible = set()
-    for i, s1 in enumerate(sites):
-        for s2 in sites[i + 1 :]:
-            if labels[s1.vertex - 1][s1.position - 1].matches(labels[s2.vertex - 1][s2.position - 1]):
-                admissible.add(Edge(s1, s2))
-    return StrandGraph(lengths, tuple(colours), labels, frozenset(admissible), current)
+    return StrandGraph(lengths, tuple(colours), labels, _complementary_pairs(labels), current)
 
 
 def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
@@ -368,79 +397,62 @@ def moves(
     Migration rings are searched up to max_ring edges.
     """
     hidden = hidden or _never_hidden
-    out: set[Move] = set()
-    occupied = sites_of(g.current)
-    free_edges = sorted(g.admissible - g.current)
-    for x in free_edges:
-        if x.a not in occupied and x.b not in occupied and not hidden(x, g.current):
-            out.add(Move("GB", frozenset(), frozenset([x])))
-    for e in sorted(g.current):
-        if g.toehold(e) and not is_anchored(e, g.current):
-            out.add(Move("GU", frozenset([e]), frozenset()))
-    for e in sorted(g.current):
-        for x in free_edges:
-            shared = e.sites & x.sites
-            if len(shared) != 1:
-                continue
-            if x.other(next(iter(shared))) in occupied:
-                continue
-            result = (g.current - {e}) | {x}
-            if is_anchored(x, result):
-                out.add(Move("G3", frozenset([e]), frozenset([x])))
-    out.update(_ring_moves(g, free_edges, max_ring))
-    return sorted(out, key=Move.sort_key)
+    ix: _Index = g._index
+    current = g.current
+    owner = {s: e for e in current for s in (e.a, e.b)}
+    out = []
+    for s, partners in ix.by_site.items():
+        if s not in owner:
+            for t, x in partners.items():
+                if s == x.a and t not in owner and not hidden(x, current):
+                    out.append(Move("GB", frozenset(), frozenset([x])))
+    for e in current:
+        if e in ix.toeholds and ix.anchors[e].isdisjoint(current):
+            out.append(Move("GU", frozenset([e]), frozenset()))
+    for e in current:
+        # x shares the site s with e and its other end t must be free; e
+        # itself never anchors x, as no neighbour of x shares a site with it
+        for s in (e.a, e.b):
+            for t, x in ix.by_site[s].items():
+                if t not in owner and not ix.anchors[x].isdisjoint(current):
+                    out.append(Move("G3", frozenset([e]), frozenset([x])))
+    out += _ring_moves(g, owner, max_ring)
+    rank = ix.rank.__getitem__
+    return sorted(out, key=lambda m: (_RULE_ORDER[m.rule], sorted(map(rank, m.removed)), sorted(map(rank, m.added))))
 
 
-def _ring_moves(g: StrandGraph, free_edges: list[Edge], max_ring: int) -> set[Move]:
+def _ring_moves(g: StrandGraph, owner: dict[Site, Edge], max_ring: int) -> set[Move]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges."""
-    occupied = sites_of(g.current)
-    linkers = [x for x in free_edges if x.a in occupied and x.b in occupied]
-    if not linkers:
-        return set()
-    owner: dict[Site, Edge] = {}
-    for e in g.current:
-        owner[e.a] = e
-        owner[e.b] = e
-    by_site: dict[Site, list[Edge]] = {}
-    for x in linkers:
-        by_site.setdefault(x.a, []).append(x)
-        by_site.setdefault(x.b, []).append(x)
+    ix: _Index = g._index
     found: set[Move] = set()
 
     def extend(start: Edge, ring: list[Edge], links: list[Edge], exit_site: Site, entry_site: Site):
         # exit_site: the still-unlinked endpoint of ring[-1]
         if len(ring) >= 2:
-            closing = Edge(exit_site, entry_site) if exit_site != entry_site else None
-            if closing is not None and closing in set(linkers) and closing not in links:
-                candidate = frozenset(links + [closing])
+            closing = ix.by_site[exit_site].get(entry_site)
+            if closing is not None:
+                added = frozenset(links + [closing])
                 removed = frozenset(ring)
-                result = (g.current - removed) | candidate
-                if all(is_anchored(x, result) for x in candidate):
-                    found.add(Move("GM", removed, candidate))
+                result = (g.current - removed) | added
+                if all(not ix.anchors[x].isdisjoint(result) for x in added):
+                    found.add(Move("GM", removed, added))
         if len(ring) >= max_ring:
             return
-        for x in by_site.get(exit_site, ()):
-            if x in links:
-                continue
-            landing = x.other(exit_site)
-            nxt = owner[landing]
-            if nxt in ring or nxt < start:
+        for landing, x in ix.by_site[exit_site].items():
+            nxt = owner.get(landing)
+            if nxt is None or nxt in ring or ix.rank[nxt] < ix.rank[start]:
                 continue
             extend(start, ring + [nxt], links + [x], nxt.other(landing), entry_site)
 
-    for start in sorted(g.current):
-        # fix the smallest ring edge as the start; try both orientations
+    for start in g.current:
+        # fix the lowest-ranked ring edge as the start; try both orientations
         for entry_site, exit_site in ((start.a, start.b), (start.b, start.a)):
             extend(start, [start], [], exit_site, entry_site)
     return found
 
 
 # --- exploration -------------------------------------------------------------
-
-
-def _canon(edges: frozenset[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(edges))
 
 
 @dataclass
@@ -473,7 +485,7 @@ def explore(
 ) -> ExploreReport:
     """Breadth-first closure of the move relation from g's current state.
 
-    States are edge sets keyed canonically; the report lists them in
+    States are keyed by their edge sets; the report lists them in
     discovery order with their depths, the terminal states, and a shortest
     trace to any state on request.  If the closure cannot finish within
     max_states or max_depth, ExplorationLimitError is raised; no partial
@@ -484,7 +496,7 @@ def explore(
     states = [g.current]
     depths = [0]
     parents: list[tuple[int, Move] | None] = [None]
-    index = {_canon(g.current): 0}
+    index = {g.current: 0}
     terminals: list[int] = []
     queue: deque[int] = deque([0])
     while queue:
@@ -496,8 +508,7 @@ def explore(
             continue
         for move in available:
             nxt = (states[i] - move.removed) | move.added
-            key = _canon(nxt)
-            if key in index:
+            if nxt in index:
                 continue
             if depths[i] >= max_depth:
                 raise ExplorationLimitError(f"new states beyond depth {max_depth}")
@@ -505,11 +516,11 @@ def explore(
                 raise ExplorationLimitError(f"more than {max_states} states")
             # construct the successor through the validating constructor
             g.with_current(nxt)
-            index[key] = len(states)
+            index[nxt] = len(states)
             states.append(nxt)
             depths.append(depths[i] + 1)
             parents.append((i, move))
-            queue.append(index[key])
+            queue.append(index[nxt])
     return ExploreReport(g, states, depths, parents, terminals)
 
 

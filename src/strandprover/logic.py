@@ -370,7 +370,7 @@ class ClauseSet:
     stages use when a stable reading of the input matters; equality ignores it.
     """
 
-    __slots__ = ("clauses",)
+    __slots__ = ("clauses", "_set")
 
     def __init__(self, clauses: Iterable[Clause] = ()):
         seen: list[Clause] = []
@@ -382,12 +382,13 @@ class ClauseSet:
                 seen.append(clause)
                 sset.add(clause)
         self.clauses: tuple[Clause, ...] = tuple(seen)
+        self._set = frozenset(sset)
 
     def __eq__(self, other):
-        return isinstance(other, ClauseSet) and frozenset(self.clauses) == frozenset(other.clauses)
+        return isinstance(other, ClauseSet) and self._set == other._set
 
     def __hash__(self):
-        return hash(frozenset(self.clauses))
+        return hash(self._set)
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
@@ -396,7 +397,7 @@ class ClauseSet:
         return len(self.clauses)
 
     def __contains__(self, clause: Clause) -> bool:
-        return clause in set(self.clauses)
+        return clause in self._set
 
     def union(self, other: "ClauseSet") -> "ClauseSet":
         return ClauseSet(self.clauses + other.clauses)

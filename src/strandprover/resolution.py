@@ -175,18 +175,17 @@ def render_deduction(result: RefutationResult) -> str:
         raise ValueError("deduction tree exists only for an unsat result")
     steps = result.steps
     lines: list[str] = []
-
-    def visit(index: int, depth: int) -> None:
+    # depth-first, first parent before second, on an explicit stack so that
+    # deep proofs do not hit the recursion limit
+    stack = [(result.empty_step, 0)]
+    while stack:
+        index, depth = stack.pop()
         step = steps[index]
         if step.is_input:
             note = "[input]"
         else:
             i, j = step.parents
             note = f"[{i} ⊗ {j} on {step.pivot}]"
+            stack += ((j, depth + 1), (i, depth + 1))
         lines.append("  " * depth + f"{step.clause}  {note}")
-        if step.parents is not None:
-            visit(step.parents[0], depth + 1)
-            visit(step.parents[1], depth + 1)
-
-    visit(result.empty_step, 0)
     return "\n".join(lines)

@@ -1,6 +1,8 @@
 """Strand graphs: structure, moves, exploration, and interchange formats."""
 
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -369,6 +371,100 @@ class TestEnumerateMoves:
                 assert result.current <= g.admissible
                 delta = {"GB": 1, "GU": -1, "G3": 0, "GM": 0}[move.rule]
                 assert len(result.current) == len(g.current) + delta
+
+
+def brute_force_moves(g: StrandGraph, max_ring: int = 4) -> set[Move]:
+    """Every candidate move the rule appliers accept: single GB, GU and G3
+    edges, and GM rings of up to max_ring current edges with every
+    admissible repartition of their endpoints."""
+    free = g.admissible - g.current
+    candidates = [Move("GB", frozenset(), frozenset([x])) for x in free]
+    for e in g.current:
+        candidates.append(Move("GU", frozenset([e]), frozenset()))
+        candidates += [Move("G3", frozenset([e]), frozenset([x])) for x in g.admissible]
+    for k in range(2, max_ring + 1):
+        for ring in combinations(g.current, k):
+            ends = sites_of(ring)
+            linkers = [x for x in free if x.a in ends and x.b in ends]
+            for added in combinations(linkers, k):
+                if sites_of(added) == ends:
+                    candidates.append(Move("GM", frozenset(ring), frozenset(added)))
+    accepted = set()
+    for move in candidates:
+        try:
+            apply_move(g, move)
+        except MoveError:
+            continue
+        accepted.add(move)
+    return accepted
+
+
+# renamed copies of the hairpin and four-way fixtures in one system
+HAIRPIN_AND_FOURWAY = (
+    "<t_1^ p_1> | <r_1* q_1* p_1*> | <p_1!y1_1 q_1!z1_1 r_1 q_1*!z1_1 p_1*!y1_1 t_1^*> | "
+    "<a_2^!i_2 b_2!j1_2 c_2^*> | <d_2^* b_2*!j1_2 a_2^*!i_2> | "
+    "<c_2^ b_2*!j2_2 e_2^!k_2> | <e_2^*!k_2 b_2!j2_2 d_2^>"
+)
+
+# two hairpins and a four-way junction, renamed per copy and interleaved
+HAIRPINS_AND_FOURWAY = (
+    "<p_2!y1_2 q_2!z1_2 r_2 q_2*!z1_2 p_2*!y1_2 t_2^*> | <e_3^*!k_3 b_3!j2_3 d_3^> | <t_2^ p_2> | "
+    "<r_2* q_2* p_2*> | <a_3^!i_3 b_3!j1_3 c_3^*> | <d_3^* b_3*!j1_3 a_3^*!i_3> | "
+    "<p_1!y1_1 q_1!z1_1 r_1 q_1*!z1_1 p_1*!y1_1 t_1^*> | <c_3^ b_3*!j2_3 e_3^!k_3> | "
+    "<r_1* q_1* p_1*> | <t_1^ p_1>"
+)
+
+
+def report_digest(report) -> str:
+    h = hashlib.sha256()
+    for i, state in enumerate(report.states):
+        parent = report.parents[i]
+        link = "-" if parent is None else f"{parent[0]} {parent[1].describe()}"
+        h.update(f"{i} {report.depths[i]} {','.join(map(str, sorted(state)))} {link}\n".encode())
+    h.update(" ".join(map(str, report.terminals)).encode())
+    return h.hexdigest()
+
+
+class TestIndexedEnumeration:
+    """moves() reads per-site and anchor indices; the rule appliers re-check
+    every premise from scratch.  Both must accept exactly the same moves."""
+
+    def assert_matches_appliers(self, g: StrandGraph):
+        report = explore(g)
+        for state in report.states:
+            here = g.with_current(state)
+            found = moves(here)
+            assert len(set(found)) == len(found)
+            assert set(found) == brute_force_moves(here)
+
+    def test_fixtures(self):
+        for g in (hairpin_graph(), fourway_graph(), theorem_graph()):
+            self.assert_matches_appliers(g)
+
+    def test_rings_of_every_length(self):
+        # four parallel bonds of one repeated domain: rings of 2, 3 and 4 edges
+        g = from_process(pr.parse_process("<c!r0 c!r1 c!r2 c!r3> | <c*!r0 c*!r1 c*!r2 c*!r3>"))
+        states = explore(g).states
+        assert {len(m.removed) for s in states for m in moves(g.with_current(s)) if m.rule == "GM"} == {2, 3, 4}
+        self.assert_matches_appliers(g)
+
+    def test_renamed_hairpin_and_fourway(self):
+        g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
+        report = explore(g)
+        assert len(report.states) == 22 * 8
+        self.assert_matches_appliers(g)
+
+    def test_random_processes(self):
+        rng = random.Random(17)
+        for _ in range(150):
+            p = oracles.random_process(rng, strands=3, max_len=6, bond_fraction=0.8)
+            self.assert_matches_appliers(from_process(p))
+
+    def test_discovery_order_is_pinned(self):
+        # a change to enumeration or state keys must not reorder exploration
+        report = explore(from_process(pr.parse_process(HAIRPINS_AND_FOURWAY)))
+        assert len(report.states) == 22 * 22 * 8
+        assert report_digest(report) == "e77e1d917707f29b57f6b04edcee6b193bc386bd6a98282baca8cb3c9de8ba90"
 
 
 # --- exploration -------------------------------------------------------------

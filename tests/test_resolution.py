@@ -186,6 +186,26 @@ class TestRenderDeduction:
         with pytest.raises(ValueError):
             render_deduction(refute(ClauseSet.parse("P\n")))
 
+    def test_deep_chain_renders_without_recursion(self):
+        # {} resolves {x1} against {~x1}; each {xk} resolves {x(k+1)}
+        # against {~x(k+1) xk}, down to the input {x5000}
+        depth = 5000
+        steps = [DeductionStep(0, C(f"x{depth}"))]
+        for k in range(depth - 1, -1, -1):
+            side = C(f"~x{k + 1} x{k}") if k else C("~x1")
+            steps.append(DeductionStep(len(steps), side))
+            steps.append(DeductionStep(len(steps), C(f"x{k}") if k else Clause(),
+                                       (len(steps) - 2, len(steps) - 1), Literal(f"x{k + 1}")))
+        result = RefutationResult(UNSAT, tuple(steps), empty_step=len(steps) - 1)
+        lines = render_deduction(result).splitlines()
+        assert len(lines) == 2 * depth + 1
+        assert lines[0] == f"{{}}  [{2 * depth - 2} ⊗ {2 * depth - 1} on x1]"
+        assert lines[1] == "  {x1}  " + f"[{2 * depth - 4} ⊗ {2 * depth - 3} on x2]"
+        # the chain of first parents comes first, then the side inputs bottom-up
+        assert lines[depth] == "  " * depth + f"{{x{depth}}}  [input]"
+        assert lines[depth + 1] == "  " * depth + f"{{~x{depth}, x{depth - 1}}}  [input]"
+        assert lines[-1] == "  {~x1}  [input]"
+
 
 class TestTextbookReplay:
     """The fixture's refutation replayed pair-by-pair in its classical
