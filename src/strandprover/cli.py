@@ -180,11 +180,7 @@ def _bounds(args) -> tuple[int, int]:
 def cmd_prove(args) -> int:
     s = _load_clauses(args)
     goal = logic.parse_formula(args.goal) if args.goal else None
-    try:
-        result = resolution.refute(s, goal)
-    except resolution.ResourceLimitError as exc:
-        print(f"INDETERMINATE: {exc}")
-        return EXIT_INDETERMINATE
+    result = resolution.refute(s, goal)
     if args.format == "json":
         payload = {
             "verdict": result.verdict,

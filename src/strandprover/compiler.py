@@ -236,7 +236,6 @@ def hybridization_verdict(
     *,
     max_states: int = 50_000,
     max_depth: int = 200,
-    max_ring: int = 4,
 ) -> Verdict:
     """Explore the strand graph of p and judge it by reachable saturation.
 
@@ -251,7 +250,7 @@ def hybridization_verdict(
     all_sites = frozenset(g.sites())
     if not all_sites:
         raise ValueError("empty strand system has no hybridization behaviour")
-    report = explore(g, max_states=max_states, max_depth=max_depth, max_ring=max_ring)
+    report = explore(g, max_states=max_states, max_depth=max_depth)
     for i, edges in enumerate(report.states):  # discovery order: shortest first
         if sites_of(edges) == all_sites:
             return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(i), frozenset(), g)

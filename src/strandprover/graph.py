@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
 
@@ -57,9 +57,6 @@ class Edge:
     @property
     def sites(self) -> frozenset[Site]:
         return frozenset((self.a, self.b))
-
-    def touches(self, site: Site) -> bool:
-        return site == self.a or site == self.b
 
     def other(self, site: Site) -> Site:
         if site == self.a:
@@ -141,7 +138,7 @@ def edge_adjacent(e: Edge, edges: Iterable[Edge]) -> frozenset[Edge]:
 
 
 def is_anchored(e: Edge, edges: Iterable[Edge]) -> bool:
-    return bool(edge_adjacent(e, set(edges) - {e}))
+    return bool(edge_adjacent(e, edges))
 
 
 class _Index(NamedTuple):
@@ -269,25 +266,18 @@ def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
     return frozenset(g.sites()) - sites_of(g.admissible)
 
 
-HiddenEdgePredicate = Callable[[Edge, frozenset[Edge]], bool]
-
-
-def _never_hidden(edge: Edge, current: frozenset[Edge]) -> bool:
-    return False
-
-
 # --- moves -------------------------------------------------------------------
 
+MAX_RING = 4  # longest migration ring, in current edges, that moves() searches
 
-def bind(g: StrandGraph, x: Edge, hidden: HiddenEdgePredicate | None = None) -> StrandGraph:
+
+def bind(g: StrandGraph, x: Edge) -> StrandGraph:
     """GB: add an admissible edge between two unbound sites."""
     if x not in g.admissible or x in g.current:
         raise MoveError(f"{x} is not an admissible free edge")
     occupied = sites_of(g.current)
     if x.a in occupied or x.b in occupied:
         raise MoveError(f"an endpoint of {x} is already bound")
-    if (hidden or _never_hidden)(x, g.current):
-        raise MoveError(f"{x} is hidden")
     return g.with_current(g.current | {x})
 
 
@@ -372,11 +362,11 @@ def migrate(g: StrandGraph, removed: Iterable[Edge], added: Iterable[Edge]) -> S
     return g.with_current(result)
 
 
-def apply_move(g: StrandGraph, move: Move, hidden: HiddenEdgePredicate | None = None) -> StrandGraph:
+def apply_move(g: StrandGraph, move: Move) -> StrandGraph:
     """Apply a Move through the rule-specific applier, re-checking premises."""
     if move.rule == "GB":
         (x,) = move.added
-        return bind(g, x, hidden)
+        return bind(g, x)
     if move.rule == "GU":
         (e,) = move.removed
         return unbind(g, e)
@@ -387,16 +377,11 @@ def apply_move(g: StrandGraph, move: Move, hidden: HiddenEdgePredicate | None = 
     return migrate(g, move.removed, move.added)
 
 
-def moves(
-    g: StrandGraph,
-    max_ring: int = 4,
-    hidden: HiddenEdgePredicate | None = None,
-) -> list[Move]:
+def moves(g: StrandGraph) -> list[Move]:
     """Every move whose premises hold in g, in a deterministic order.
 
-    Migration rings are searched up to max_ring edges.
+    Migration rings are searched up to MAX_RING edges.
     """
-    hidden = hidden or _never_hidden
     ix: _Index = g._index
     current = g.current
     owner = {s: e for e in current for s in (e.a, e.b)}
@@ -404,7 +389,7 @@ def moves(
     for s, partners in ix.by_site.items():
         if s not in owner:
             for t, x in partners.items():
-                if s == x.a and t not in owner and not hidden(x, current):
+                if s == x.a and t not in owner:
                     out.append(Move("GB", frozenset(), frozenset([x])))
     for e in current:
         if e in ix.toeholds and ix.anchors[e].isdisjoint(current):
@@ -416,12 +401,12 @@ def moves(
             for t, x in ix.by_site[s].items():
                 if t not in owner and not ix.anchors[x].isdisjoint(current):
                     out.append(Move("G3", frozenset([e]), frozenset([x])))
-    out += _ring_moves(g, owner, max_ring)
+    out += _ring_moves(g, owner)
     rank = ix.rank.__getitem__
     return sorted(out, key=lambda m: (_RULE_ORDER[m.rule], sorted(map(rank, m.removed)), sorted(map(rank, m.added))))
 
 
-def _ring_moves(g: StrandGraph, owner: dict[Site, Edge], max_ring: int) -> set[Move]:
+def _ring_moves(g: StrandGraph, owner: dict[Site, Edge]) -> set[Move]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges."""
     ix: _Index = g._index
@@ -437,7 +422,7 @@ def _ring_moves(g: StrandGraph, owner: dict[Site, Edge], max_ring: int) -> set[M
                 result = (g.current - removed) | added
                 if all(not ix.anchors[x].isdisjoint(result) for x in added):
                     found.add(Move("GM", removed, added))
-        if len(ring) >= max_ring:
+        if len(ring) >= MAX_RING:
             return
         for landing, x in ix.by_site[exit_site].items():
             nxt = owner.get(landing)
@@ -472,24 +457,15 @@ class ExploreReport:
             k = parent
         return Trace(self.states[0], tuple(reversed(moves_back)), self.states[index])
 
-    def terminal_traces(self) -> list[Trace]:
-        return [self.trace_to(i) for i in self.terminals]
 
-
-def explore(
-    g: StrandGraph,
-    max_states: int = 50_000,
-    max_depth: int = 200,
-    max_ring: int = 4,
-    hidden: HiddenEdgePredicate | None = None,
-) -> ExploreReport:
+def explore(g: StrandGraph, max_states: int = 50_000, max_depth: int = 200) -> ExploreReport:
     """Breadth-first closure of the move relation from g's current state.
 
     States are keyed by their edge sets; the report lists them in
     discovery order with their depths, the terminal states, and a shortest
     trace to any state on request.  If the closure cannot finish within
     max_states or max_depth, ExplorationLimitError is raised; no partial
-    verdicts are produced.
+    verdicts are produced.  Each state is checked once, when it is dequeued.
     """
     if max_states <= 0 or max_depth <= 0:
         raise ValueError("exploration bounds must be positive")
@@ -502,7 +478,7 @@ def explore(
     while queue:
         i = queue.popleft()
         here = g.with_current(states[i])
-        available = moves(here, max_ring=max_ring, hidden=hidden)
+        available = moves(here)
         if not available:
             terminals.append(i)
             continue
@@ -514,8 +490,6 @@ def explore(
                 raise ExplorationLimitError(f"new states beyond depth {max_depth}")
             if len(states) >= max_states:
                 raise ExplorationLimitError(f"more than {max_states} states")
-            # construct the successor through the validating constructor
-            g.with_current(nxt)
             index[nxt] = len(states)
             states.append(nxt)
             depths.append(depths[i] + 1)
@@ -553,12 +527,15 @@ def _edge_from_json(pair) -> Edge:
     try:
         (v1, n1), (v2, n2) = pair
         return Edge(Site(int(v1), int(n1)), Site(int(v2), int(n2)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GraphError(f"bad edge entry {pair!r}: {exc}") from None
 
 
 def from_json(text: str | dict) -> StrandGraph:
-    data = json.loads(text) if isinstance(text, str) else text
+    try:
+        data = json.loads(text) if isinstance(text, str) else text
+    except RecursionError:
+        raise GraphError("graph JSON nests too deeply") from None
     try:
         vertices = data["vertices"]
         admissible_rows = data["admissible"]
@@ -566,15 +543,23 @@ def from_json(text: str | dict) -> StrandGraph:
         current_rows = data["current"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"missing graph field: {exc}") from None
+    if not all(isinstance(rows, list) for rows in (vertices, admissible_rows, toehold_rows, current_rows)):
+        raise GraphError("graph fields vertices, admissible, toehold and current must be lists")
     lengths, colours, domains = [], [], []
     for k, row in enumerate(vertices, start=1):
+        if not isinstance(row, dict):
+            raise GraphError(f"vertex entry {row!r} is not an object")
         if row.get("id") != k:
             raise GraphError(f"vertex ids must run 1..n, found {row.get('id')!r}")
-        labels = tuple(parse_domain(tok) for tok in row["domains"])
+        try:
+            labels = tuple(parse_domain(tok) for tok in row["domains"])
+            colour = int(row["colour"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise GraphError(f"vertex {k}: missing or malformed field ({exc})") from None
         if row.get("length") != len(labels):
             raise GraphError(f"vertex {k} length disagrees with its domain list")
         lengths.append(len(labels))
-        colours.append(int(row["colour"]))
+        colours.append(colour)
         domains.append(labels)
     admissible = [_edge_from_json(pair) for pair in admissible_rows]
     current = frozenset(_edge_from_json(pair) for pair in current_rows)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -130,6 +130,11 @@ class Iff(_Arrow):
 
 _ARROWS = {"->": Implies, "<-": ImpliedBy, "<->": Iff}
 
+# Deepest run of nested negations and parentheses the parser accepts.  Parsing,
+# clausal form and printing all recurse on nesting, so the bound keeps every
+# one of them well inside Python's default recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -164,6 +169,7 @@ class _FormulaParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -214,7 +220,7 @@ class _FormulaParser:
         tok = self._peek()
         if tok is not None and tok[1] == "~":
             self._take()
-            return Not(self._neg())
+            return Not(self._nested(self._neg, tok))
         return self._atom()
 
     def _atom(self) -> Formula:
@@ -223,12 +229,20 @@ class _FormulaParser:
         if kind == "atom":
             return Var(value)
         if value == "(":
-            f = self._arrow()
+            f = self._nested(self._arrow, tok)
             closing = self._take()
             if closing[1] != ")":
                 raise ParseError(f"expected ')', found {closing[1]!r}", closing[2])
             return f
         raise ParseError(f"unexpected {value!r}", pos)
+
+    def _nested(self, parse: Callable[[], Formula], opener: tuple[str, str, int]) -> Formula:
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", opener[2])
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
 
 def parse_formula(text: str) -> Formula:

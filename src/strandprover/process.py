@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from itertools import permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Locator = tuple[int, int]
 
@@ -52,9 +52,6 @@ class Domain:
 
     def free(self) -> "Domain":
         return replace(self, bond=None)
-
-    def bound(self, bond: str) -> "Domain":
-        return replace(self, bond=bond)
 
     def __str__(self) -> str:
         return format_domain(self)
@@ -285,18 +282,6 @@ def is_anchored(p: Process, bond: str) -> bool:
     return bool(adjacent_bonds(p, bond))
 
 
-def is_hidden(p: Process, bond: str) -> bool:
-    """Conservative default structural check: nothing is ever hidden.
-
-    Rule functions accept a hidden predicate so a stricter notion (say, one
-    that accounts for loop geometry) can be plugged in without touching them.
-    """
-    return False
-
-
-HiddenPredicate = Callable[[Process, str], bool]
-
-
 # --- reduction rules ---------------------------------------------------------
 
 
@@ -320,7 +305,7 @@ def _rebind(p: Process, changes: dict[Locator, str | None]) -> Process:
     return Process(tuple(strands))
 
 
-def bind(p: Process, a: Locator, b: Locator, hidden: HiddenPredicate | None = None) -> Process:
+def bind(p: Process, a: Locator, b: Locator) -> Process:
     """Form a new bond between two free complementary occurrences."""
     da, db = p.domain_at(a), p.domain_at(b)
     if a == b:
@@ -330,10 +315,7 @@ def bind(p: Process, a: Locator, b: Locator, hidden: HiddenPredicate | None = No
     if not da.matches(db):
         raise RuleError(f"{format_domain(da)} and {format_domain(db)} are not complementary")
     name = fresh_bond(p)
-    q = _rebind(p, {a: name, b: name})
-    if (hidden or is_hidden)(q, name):
-        raise RuleError("the new bond would be hidden")
-    return q
+    return _rebind(p, {a: name, b: name})
 
 
 def unbind(p: Process, bond: str) -> Process:

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from strandprover import cli
-from strandprover.graph import from_json
-from strandprover.fixtures import CLAUSES_S, THEOREM
+from strandprover import cli, logic, resolution
+from strandprover.graph import from_json, to_json_dict
+from strandprover.fixtures import CLAUSES_S, THEOREM, theorem_graph
 
 DIVERGENT = "P\n~P\nQ\n"
 
@@ -85,6 +85,33 @@ class TestProve:
         code, _, err = run(capsys, "prove", "--input", str(path))
         assert code == cli.EXIT_INDETERMINATE
         assert err.strip()
+
+    def test_resource_limit_is_reported_on_stderr(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise resolution.ResourceLimitError("clause budget exhausted")
+
+        monkeypatch.setattr(cli.resolution, "refute", exhausted)
+        code, out, err = run(capsys, "prove", "--fixture", "S")
+        assert code == cli.EXIT_INDETERMINATE
+        assert err.startswith("INDETERMINATE: clause budget exhausted")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "text", ["~" * 3000 + "P | Q", "(" * 3000 + "P" + ")" * 3000], ids=["negations", "parentheses"]
+    )
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.txt"
+        path.write_text(text + "\n")
+        code, _, err = run(capsys, "prove", "--input", str(path))
+        assert code == cli.EXIT_INDETERMINATE
+        assert err.startswith("error: formula nests deeper than")
+
+    def test_nesting_up_to_the_bound_is_proved(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text("~" * (logic.MAX_NESTING - 2) + "(P & ~P)\n")
+        code, out, _ = run(capsys, "prove", "--input", str(path))
+        assert code == cli.EXIT_OK
+        assert out.startswith("UNSAT")
 
     def test_missing_file_exits_indeterminate(self, capsys):
         code, _, err = run(capsys, "prove", "--input", "/no/such/file")
@@ -292,6 +319,35 @@ class TestExport:
         code, out, _ = run(capsys, "export", "--input", str(path))
         assert code == cli.EXIT_OK
         assert "vertices: 6" in out
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda d: d["vertices"][0].pop("domains"),
+            lambda d: d.update(vertices=[5]),
+            lambda d: d.update(toehold=5),
+            lambda d: d.update(vertices=3),
+            lambda d: d["vertices"][0].update(colour=float("inf")),
+            lambda d: d.update(current=[[[1, float("inf")], [2, 1]]]),
+        ],
+        ids=["no-domains", "vertex-not-object", "toehold-not-list", "vertices-not-list",
+             "infinite-colour", "infinite-site"],
+    )
+    def test_malformed_graph_json_is_an_error(self, tmp_path, capsys, spoil):
+        data = to_json_dict(theorem_graph())
+        spoil(data)
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "export", "--input", str(path))
+        assert code == cli.EXIT_INDETERMINATE
+        assert err.startswith("error:")
+
+    def test_deeply_nested_graph_json_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, _, err = run(capsys, "export", "--input", str(path))
+        assert code == cli.EXIT_INDETERMINATE
+        assert err.startswith("error: graph JSON nests too deeply")
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "export", "--fixture", "fourway", "--format", "dot")

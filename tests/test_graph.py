@@ -194,10 +194,6 @@ class TestBindMove:
         with pytest.raises(MoveError):
             bind(theorem_graph(), E(1, 1, 1, 2))
 
-    def test_hidden_edge_rejected(self):
-        with pytest.raises(MoveError):
-            bind(theorem_graph(), E(1, 2, 3, 1), hidden=lambda e, cur: True)
-
 
 class TestUnbindMove:
     def test_anchored_toehold_rejected(self):
@@ -358,10 +354,6 @@ class TestEnumerateMoves:
         assert moves(g) == moves(g)
         assert moves(g) == sorted(moves(g), key=Move.sort_key)
 
-    def test_hidden_predicate_filters_binds(self):
-        out = moves(theorem_graph(), hidden=lambda e, cur: e == E(1, 2, 3, 1))
-        assert len(out) == 4
-
     def test_every_enumerated_move_applies(self):
         rng = random.Random(41)
         for _ in range(150):
@@ -518,6 +510,19 @@ class TestExplore:
     def test_nonpositive_bounds_rejected(self):
         with pytest.raises(ValueError):
             explore(theorem_graph(), max_states=0)
+
+    def test_each_state_is_checked_once(self, monkeypatch):
+        g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
+        checked = []
+        with_current = StrandGraph.with_current
+
+        def counted(self, current):
+            checked.append(current)
+            return with_current(self, current)
+
+        monkeypatch.setattr(StrandGraph, "with_current", counted)
+        report = explore(g)
+        assert checked == report.states
 
     def test_traces_replay_for_every_state(self):
         report = explore(hairpin_graph())

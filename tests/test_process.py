@@ -20,7 +20,6 @@ from strandprover.process import (
     format_domain,
     fresh_bond,
     is_anchored,
-    is_hidden,
     migrate_ring,
     parse_domain,
     parse_process,
@@ -201,11 +200,6 @@ class TestGeometry:
     def test_hairpin_stem_is_anchored(self):
         assert is_anchored(hairpin(), "y1")
         assert is_anchored(hairpin(), "z1")
-
-    def test_nothing_is_hidden_by_default(self):
-        for p in (hairpin(), fourway()):
-            for b in p.bonds():
-                assert not is_hidden(p, b)
 
     def test_fresh_bond_skips_used_names(self):
         assert fresh_bond(parse_process("<a>")) == "b1"
