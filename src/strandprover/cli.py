@@ -104,9 +104,9 @@ def _parse_clause_text(text: str) -> logic.ClauseSet:
     ]
     if any(line.split()[:2] == ["p", "cnf"] for line in meaningful):
         return logic.ClauseSet.from_dimacs(text)
-    if any(ch in text for ch in "&|()<>-"):
-        formula = logic.parse_formula(" ".join(meaningful))
-        return logic.to_clausal_form(formula)
+    joined = " ".join(meaningful)
+    if any(ch in joined for ch in "&|()<>-"):
+        return logic.to_clausal_form(logic.parse_formula(joined))
     return logic.ClauseSet.parse(text)
 
 

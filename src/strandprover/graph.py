@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
@@ -152,33 +152,26 @@ class _Index(NamedTuple):
 
 @dataclass(frozen=True)
 class StrandGraph:
-    """A shape (lengths, colours, labels, admissible edges) and a state, the
-    current edges.  The shape is validated and indexed once; with_current
-    reuses both and checks only the new edge set, in O(|E|)."""
+    """A shape, the bond-free site labels, and a state, the current edges.
 
-    lengths: tuple[int, ...]
-    colours: tuple[int, ...]
+    The labels fix the rest of the shape: each vertex's length, its colour
+    (strand types numbered by first appearance) and the admissible edges,
+    every complementary site pair.  These are derived and indexed once;
+    with_current reuses them and checks only the new edge set, in O(|E|)."""
+
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
-    admissible: frozenset[Edge]
     current: frozenset[Edge]
+    lengths: tuple[int, ...] = field(init=False)
+    colours: tuple[int, ...] = field(init=False)
+    admissible: frozenset[Edge] = field(init=False)
 
     def __post_init__(self):
-        n = len(self.lengths)
-        if not (len(self.colours) == len(self.domains) == n):
-            raise GraphError("lengths, colours and domains must align")
-        for v in range(n):
-            if self.lengths[v] != len(self.domains[v]):
-                raise GraphError(f"vertex {v + 1} length disagrees with its domain list")
-            for d in self.domains[v]:
-                if d.bond is not None:
-                    raise GraphError("graph site labels carry no bonds")
-        by_colour: dict[int, tuple[Domain, ...]] = {}
-        for v in range(n):
-            prior = by_colour.setdefault(self.colours[v], self.domains[v])
-            if prior != self.domains[v]:
-                raise GraphError(f"colour {self.colours[v]} is used for two different strand types")
-        if self.admissible != _complementary_pairs(self.domains):
-            raise GraphError("admissible edges must be exactly the complementary site pairs")
+        if any(d.bond is not None for row in self.domains for d in row):
+            raise GraphError("graph site labels carry no bonds")
+        types: dict[tuple[Domain, ...], int] = {}
+        object.__setattr__(self, "lengths", tuple(len(row) for row in self.domains))
+        object.__setattr__(self, "colours", tuple(types.setdefault(row, len(types) + 1) for row in self.domains))
+        object.__setattr__(self, "admissible", _complementary_pairs(self.domains))
         object.__setattr__(self, "_index", _build_index(self))
         self._check_current()
 
@@ -243,22 +236,14 @@ def _build_index(g: StrandGraph) -> _Index:
 
 
 def from_process(p: Process) -> StrandGraph:
-    """Strand graph of a process: one vertex per strand in order, colour by
-    first appearance of the strand type, admissible edges from complementary
-    site labels, current edges from bonds."""
-    lengths = tuple(len(s) for s in p.strands)
-    labels = tuple(tuple(d.free() for d in s.domains) for s in p.strands)
-    type_index: dict[tuple, int] = {}
-    colours = []
-    for row in labels:
-        key = tuple((d.name, d.complemented, d.toehold) for d in row)
-        colours.append(type_index.setdefault(key, len(type_index) + 1))
+    """Strand graph of a process: one vertex per strand in order, the
+    strands' bond-free labels, current edges from bonds."""
     ends: dict[str, list[Site]] = {}
     for (s, n), d in p.occurrences():
         if d.bond is not None:
             ends.setdefault(d.bond, []).append(Site(s, n))
-    current = frozenset(Edge(*pair) for pair in ends.values())
-    return StrandGraph(lengths, tuple(colours), labels, _complementary_pairs(labels), current)
+    labels = tuple(tuple(d.free() for d in s.domains) for s in p.strands)
+    return StrandGraph(labels, frozenset(Edge(*pair) for pair in ends.values()))
 
 
 def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
@@ -545,25 +530,28 @@ def from_json(text: str | dict) -> StrandGraph:
         raise GraphError(f"missing graph field: {exc}") from None
     if not all(isinstance(rows, list) for rows in (vertices, admissible_rows, toehold_rows, current_rows)):
         raise GraphError("graph fields vertices, admissible, toehold and current must be lists")
-    lengths, colours, domains = [], [], []
+    domains = []
     for k, row in enumerate(vertices, start=1):
         if not isinstance(row, dict):
             raise GraphError(f"vertex entry {row!r} is not an object")
         if row.get("id") != k:
             raise GraphError(f"vertex ids must run 1..n, found {row.get('id')!r}")
+        if not isinstance(row.get("domains"), list):
+            raise GraphError(f"vertex {k}: domains must be a list of domain tokens")
         try:
-            labels = tuple(parse_domain(tok) for tok in row["domains"])
-            colour = int(row["colour"])
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise GraphError(f"vertex {k}: missing or malformed field ({exc})") from None
-        if row.get("length") != len(labels):
-            raise GraphError(f"vertex {k} length disagrees with its domain list")
-        lengths.append(len(labels))
-        colours.append(colour)
-        domains.append(labels)
+            domains.append(tuple(parse_domain(tok) for tok in row["domains"]))
+        except TypeError as exc:
+            raise GraphError(f"vertex {k}: malformed domain token ({exc})") from None
     admissible = [_edge_from_json(pair) for pair in admissible_rows]
-    current = frozenset(_edge_from_json(pair) for pair in current_rows)
-    g = StrandGraph(tuple(lengths), tuple(colours), tuple(domains), frozenset(admissible), current)
+    g = StrandGraph(tuple(domains), frozenset(_edge_from_json(pair) for pair in current_rows))
+    # every field but the labels and the current edges is derived: check it agrees
+    for k, row in enumerate(vertices):
+        if row.get("length") != g.lengths[k]:
+            raise GraphError(f"vertex {k + 1} length disagrees with its domain list")
+        if row.get("colour") != g.colours[k]:
+            raise GraphError(f"vertex {k + 1} colour must be {g.colours[k]}: colours number strand types by first appearance")
+    if frozenset(admissible) != g.admissible:
+        raise GraphError("admissible edges must be exactly the complementary site pairs")
     if len(toehold_rows) != len(admissible):
         raise GraphError("toehold flags must align with the admissible list")
     for e, flag in zip(admissible, toehold_rows):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -475,68 +476,60 @@ class ClauseSet:
 
 # --- clausal form ------------------------------------------------------------
 
-
-def _expand_conditionals(f: Formula) -> Formula:
-    match f:
-        case Var():
-            return f
-        case Not(arg=arg):
-            return Not(_expand_conditionals(arg))
-        case And(args=args):
-            return And(*(_expand_conditionals(a) for a in args))
-        case Or(args=args):
-            return Or(*(_expand_conditionals(a) for a in args))
-        case Implies(lhs=lhs, rhs=rhs):
-            return Or(Not(_expand_conditionals(lhs)), _expand_conditionals(rhs))
-        case ImpliedBy(lhs=lhs, rhs=rhs):
-            return Or(_expand_conditionals(lhs), Not(_expand_conditionals(rhs)))
-        case Iff(lhs=lhs, rhs=rhs):
-            left = _expand_conditionals(lhs)
-            right = _expand_conditionals(rhs)
-            return And(Or(Not(left), right), Or(left, Not(right)))
-    raise TypeError(f"not a formula: {f!r}")
+# Most clauses that clausal form may build, the same number as refute's default
+# max_clauses.  Distribution multiplies the clause count with every disjunct,
+# so each join checks its result's size before building it.
+MAX_CLAUSES = 100_000
 
 
-def _push_negations(f: Formula) -> Formula:
-    """Drive negations down to variables; input must be conditional-free."""
-    match f:
-        case Var():
-            return f
-        case And(args=args):
-            return And(*(_push_negations(a) for a in args))
-        case Or(args=args):
-            return Or(*(_push_negations(a) for a in args))
-        case Not(arg=Var()):
-            return f
-        case Not(arg=Not(arg=inner)):
-            return _push_negations(inner)
-        case Not(arg=And(args=args)):
-            return Or(*(_push_negations(Not(a)) for a in args))
-        case Not(arg=Or(args=args)):
-            return And(*(_push_negations(Not(a)) for a in args))
-    raise TypeError(f"unexpected node in negation phase: {f!r}")
+def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[Literal]]:
+    """Clause bodies of f, or of ~f when positive is false, in one walk.
 
-
-def _distribute(f: Formula) -> list[frozenset[Literal]]:
-    """Distribute disjunction over conjunction; input must be in negation
-    normal form.  Returns the clause bodies of the resulting conjunction."""
+    A conditional is read as its definition, Not flips the polarity, and the
+    operands of a connective that acts as a conjunction are concatenated,
+    those of one that acts as a disjunction distributed.  An equivalence
+    needs both polarities of its sides; memo, keyed by node identity and
+    polarity, keeps nested equivalences from walking a subtree more than
+    twice."""
+    key = (id(f), positive)
+    if key in memo:
+        return memo[key]
     match f:
         case Var(name=name):
-            return [frozenset([Literal(name)])]
-        case Not(arg=Var(name=name)):
-            return [frozenset([Literal(name, True)])]
-        case And(args=args):
-            out: list[frozenset[Literal]] = []
-            for arg in args:
-                out.extend(_distribute(arg))
-            return out
-        case Or(args=args):
-            acc: list[frozenset[Literal]] = [frozenset()]
-            for arg in args:
-                part = _distribute(arg)
-                acc = [a | b for a in acc for b in part]
-            return acc
-    raise TypeError(f"unexpected node in distribution phase: {f!r}")
+            out = {frozenset([Literal(name, not positive)])}
+        case Not(arg=arg):
+            out = _bodies(arg, not positive, memo)
+        case And(args=args) | Or(args=args):
+            out = _join(isinstance(f, And) == positive, [_bodies(a, positive, memo) for a in args])
+        case Implies(lhs=lhs, rhs=rhs):  # ~lhs | rhs
+            out = _join(not positive, [_bodies(lhs, not positive, memo), _bodies(rhs, positive, memo)])
+        case ImpliedBy(lhs=lhs, rhs=rhs):  # lhs | ~rhs
+            out = _join(not positive, [_bodies(lhs, positive, memo), _bodies(rhs, not positive, memo)])
+        case Iff(lhs=lhs, rhs=rhs):  # (~lhs | rhs) & (lhs | ~rhs)
+            l_pos, l_neg = _bodies(lhs, True, memo), _bodies(lhs, False, memo)
+            r_pos, r_neg = _bodies(rhs, True, memo), _bodies(rhs, False, memo)
+            if positive:
+                out = _join(True, [_join(False, [l_neg, r_pos]), _join(False, [l_pos, r_neg])])
+            else:
+                out = _join(False, [_join(True, [l_pos, r_neg]), _join(True, [l_neg, r_pos])])
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    memo[key] = out
+    return out
+
+
+def _join(conjunction: bool, parts: list[set[frozenset[Literal]]]) -> set[frozenset[Literal]]:
+    """Concatenate the parts of a conjunction, or distribute a disjunction
+    over them, once their sizes show the result stays within MAX_CLAUSES."""
+    size = sum(map(len, parts)) if conjunction else math.prod(map(len, parts))
+    if size > MAX_CLAUSES:
+        raise ParseError(f"clausal form would exceed {MAX_CLAUSES} clauses")
+    if conjunction:
+        return set().union(*parts)
+    acc = {frozenset()}
+    for part in parts:
+        acc = {a | b for a in acc for b in part}
+    return acc
 
 
 def to_clausal_form(f: Formula) -> ClauseSet:
@@ -545,10 +538,10 @@ def to_clausal_form(f: Formula) -> ClauseSet:
     Conditionals are rewritten away, negations pushed to the variables, and
     disjunction distributed over conjunction; each resulting disjunction
     becomes one clause.  Tautologies are kept; drop them separately with
-    normalize_clause_set if unwanted.
+    normalize_clause_set if unwanted.  Raises ParseError rather than build
+    more than MAX_CLAUSES clauses.
     """
-    bodies = _distribute(_push_negations(_expand_conditionals(f)))
-    unique = sorted(set(bodies), key=lambda body: tuple(sorted(body)))
+    unique = sorted(_bodies(f, True, {}), key=lambda body: tuple(sorted(body)))
     return ClauseSet(Clause(sorted(body)) for body in unique)
 
 

@@ -113,6 +113,23 @@ class TestProve:
         assert code == cli.EXIT_OK
         assert out.startswith("UNSAT")
 
+    def test_operators_in_comments_do_not_make_a_formula(self, tmp_path, capsys):
+        path = tmp_path / "clauses.txt"
+        path.write_text("# example 1 - see text\nP Q\n~P\n~Q\n")
+        code, out, _ = run(capsys, "prove", "--input", str(path))
+        assert code == cli.EXIT_OK
+        assert out.startswith("UNSAT")
+
+    def test_clausal_form_blow_up_is_an_error(self, tmp_path, capsys):
+        # 17 two-literal conjunctions distribute to 2**17 clauses
+        assert 2**16 <= logic.MAX_CLAUSES < 2**17
+        path = tmp_path / "dnf.txt"
+        path.write_text(" | ".join(f"(A{k} & B{k})" for k in range(17)) + "\n")
+        code, out, err = run(capsys, "prove", "--input", str(path))
+        assert code == cli.EXIT_INDETERMINATE
+        assert err.startswith(f"error: clausal form would exceed {logic.MAX_CLAUSES} clauses")
+        assert out == ""
+
     def test_missing_file_exits_indeterminate(self, capsys):
         code, _, err = run(capsys, "prove", "--input", "/no/such/file")
         assert code == cli.EXIT_INDETERMINATE
@@ -329,9 +346,10 @@ class TestExport:
             lambda d: d.update(vertices=3),
             lambda d: d["vertices"][0].update(colour=float("inf")),
             lambda d: d.update(current=[[[1, float("inf")], [2, 1]]]),
+            lambda d: d["vertices"][2].update(domains="Q"),  # a string, read char by char
         ],
         ids=["no-domains", "vertex-not-object", "toehold-not-list", "vertices-not-list",
-             "infinite-colour", "infinite-site"],
+             "infinite-colour", "infinite-site", "domains-string"],
     )
     def test_malformed_graph_json_is_an_error(self, tmp_path, capsys, spoil):
         data = to_json_dict(theorem_graph())

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+from strandprover import graph as graph_module
 from strandprover import process as pr
 from strandprover.fixtures import fourway, hairpin, theorem_graph, theorem_process
 from strandprover.graph import (
@@ -143,10 +144,11 @@ class TestFromProcess:
 
 class TestStrandGraphValidation:
     def test_admissible_must_match_complementary_pairs(self):
-        g = theorem_graph()
-        smaller = frozenset(list(g.admissible)[1:])
-        with pytest.raises(GraphError):
-            StrandGraph(g.lengths, g.colours, g.domains, smaller, g.current)
+        data = to_json_dict(theorem_graph())
+        data["admissible"].append([[1, 1], [1, 2]])  # P and Q* do not pair
+        data["toehold"].append(False)
+        with pytest.raises(GraphError, match="complementary site pairs"):
+            from_json(data)
 
     def test_current_must_be_admissible(self):
         g = theorem_graph()
@@ -159,9 +161,31 @@ class TestStrandGraphValidation:
             g.with_current({E(3, 1, 3, 5), E(1, 2, 3, 5)})
 
     def test_colour_type_consistency(self):
-        g = from_process(pr.parse_process("<a> | <a*>"))
-        with pytest.raises(GraphError):
-            StrandGraph(g.lengths, (1, 1), g.domains, g.admissible, g.current)
+        # two strand types sharing a colour, and one type with two colours
+        for system, colours in (("<a> | <a*>", [1, 1]), ("<a> | <a>", [1, 2])):
+            data = to_json_dict(from_process(pr.parse_process(system)))
+            for vertex, colour in zip(data["vertices"], colours):
+                vertex["colour"] = colour
+            with pytest.raises(GraphError, match="first appearance"):
+                from_json(data)
+
+    def test_labels_fix_lengths_colours_and_admissible_edges(self):
+        g = StrandGraph(fourway_graph().domains, frozenset())
+        assert g.lengths == (3, 3, 3, 3)
+        assert g.colours == (1, 2, 3, 4)
+        assert g.admissible == frozenset(FOURWAY_A)
+
+    def test_from_process_derives_admissible_edges_once(self, monkeypatch):
+        calls = []
+        complementary_pairs = graph_module._complementary_pairs
+
+        def counted(domains):
+            calls.append(domains)
+            return complementary_pairs(domains)
+
+        monkeypatch.setattr(graph_module, "_complementary_pairs", counted)
+        from_process(fourway())
+        assert len(calls) == 1
 
     def test_position_bounds(self):
         g = theorem_graph()
