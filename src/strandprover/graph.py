@@ -549,7 +549,9 @@ def from_json(text: str | dict) -> StrandGraph:
         if row.get("length") != g.lengths[k]:
             raise GraphError(f"vertex {k + 1} length disagrees with its domain list")
         if row.get("colour") != g.colours[k]:
-            raise GraphError(f"vertex {k + 1} colour must be {g.colours[k]}: colours number strand types by first appearance")
+            raise GraphError(
+                f"vertex {k + 1} colour must be {g.colours[k]}: colours number strand types by first appearance"
+            )
     if frozenset(admissible) != g.admissible:
         raise GraphError("admissible edges must be exactly the complementary site pairs")
     if len(toehold_rows) != len(admissible):
