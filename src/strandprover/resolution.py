@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 from .logic import Clause, ClauseSet, Formula, Literal, Not, normalize_clause_set, to_clausal_form
 
@@ -78,7 +77,8 @@ def refute(
     discards tautologies and forward-subsumed clauses, and admits the rest in a
     fixed lexicographic order, so two runs on the same input produce identical
     step lists.  Exceeding max_clauses or max_seconds raises
-    ResourceLimitError rather than guessing a verdict.
+    ResourceLimitError rather than guessing a verdict; its message names the
+    level reached (0 for the input clauses) and the clauses retained.
     """
     if goal is not None:
         s = s.union(to_clausal_form(Not(goal)))
@@ -86,56 +86,109 @@ def refute(
         raise ValueError("clause set is empty")
 
     working = normalize_clause_set(s, drop_tautologies=True)
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    monotonic = time.monotonic
+    deadline = None if max_seconds is None else monotonic() + max_seconds
+
+    # A literal is coded 2 * (rank of its variable in name order) + negated:
+    # integer order is Literal order and l ^ 1 is the complement of l.  A
+    # clause is also a bitmask with bit l set for each of its literals.
+    names = sorted({lit.variable for clause in working for lit in clause})
+    code = {Literal(name, negated): 2 * k + negated for k, name in enumerate(names) for negated in (False, True)}
+    literal = list(code)  # code -> Literal
+    positive = sum(1 << 2 * k for k in range(len(names)))  # the bits of the unnegated literals
 
     steps: list[DeductionStep] = []
-    known: dict[Clause, int] = {}
+    lits: list[tuple[int, ...]] = []  # per step: literal codes in stored order
+    masks: list[int] = []  # per step: bitmask
+    occurs: list[list[int]] = [[] for _ in literal]  # per literal: the steps holding it, ascending
+    known: set[int] = set()  # the bitmasks of the steps
+    level = 0
 
-    def admit(clause: Clause, parents: tuple[int, int] | None, pivot: Literal | None) -> int | None:
-        if clause in known:
+    def check_time() -> None:
+        if deadline is not None and monotonic() > deadline:
+            raise ResourceLimitError(f"time budget exhausted at level {level} with {len(steps)} clauses retained")
+
+    def admit(clause_lits: tuple[int, ...], mask: int, parents: tuple[int, int] | None,
+              pivot: int | None, clause: Clause | None = None) -> int | None:
+        if mask in known:
             return None
-        if any(existing.subsumes(clause) for existing in known):
-            return None  # forward subsumption
+        # forward subsumption: D subsumes C when D's bits are all in C's; a
+        # non-empty D then holds a literal of C (the empty clause ends the search)
+        outside = ~mask
+        for lit in clause_lits:
+            for d in occurs[lit]:
+                if not masks[d] & outside:
+                    return None
         index = len(steps)
         if index >= max_clauses:
-            raise ResourceLimitError(f"clause budget of {max_clauses} exhausted")
-        steps.append(DeductionStep(index, clause, parents, pivot))
-        known[clause] = index
+            raise ResourceLimitError(
+                f"clause budget of {max_clauses} exhausted at level {level} with {index} clauses retained")
+        if clause is None:
+            clause = Clause([literal[lit] for lit in clause_lits])
+        steps.append(DeductionStep(index, clause, parents, None if pivot is None else literal[pivot]))
+        lits.append(clause_lits)
+        masks.append(mask)
+        known.add(mask)
+        for lit in clause_lits:
+            occurs[lit].append(index)
         return index
 
-    empty_index: int | None = None
     for clause in sorted(working, key=Clause.sorted_literals):
-        index = admit(clause, None, None)
-        if index is not None and clause.is_empty() and empty_index is None:
-            empty_index = index
-    if empty_index is not None:
-        return _backtrace(steps, empty_index)
+        clause_lits = tuple(code[lit] for lit in clause)
+        index = admit(clause_lits, sum(1 << lit for lit in clause_lits), None, None, clause)
+        if index is not None and not clause_lits:
+            return _backtrace(steps, index)  # {} sorts first and subsumes every later input
     if not steps:
         # every input clause was a tautology
         return RefutationResult(SATURATED, (), None)
 
     level_start = 0
     while True:
+        level += 1
         level_end = len(steps)
-        candidates: list[tuple[tuple[Literal, ...], tuple[int, int], Clause, Literal]] = []
-        # pair every clause of the newest level against everything before it;
-        # older pairs were already resolved when their younger member was new
+        # resolvent bitmask -> its least (i, j, pivot): a later candidate for
+        # the same clause sorts after it and is never admitted
+        first: dict[int, tuple[int, int, int]] = {}
+        # pair every clause of the newest level with the older clauses that
+        # hold the complement of one of its literals; older pairs were already
+        # resolved when their younger member was new
         for j in range(max(level_start, 1), level_end):
-            if deadline is not None and time.monotonic() > deadline:
-                raise ResourceLimitError("time budget exhausted")
-            for i in range(j):
-                for resolvent, pivot in resolve_pair(steps[i].clause, steps[j].clause):
-                    if resolvent.is_tautology():
-                        continue
-                    candidates.append((resolvent.sorted_literals(), (i, j), resolvent, pivot))
-        candidates.sort(key=lambda item: (item[0], item[1], item[3]))
+            check_time()
+            mask_j = masks[j]
+            for lit in lits[j]:
+                pivot = lit ^ 1  # the literal resolved away, as it occurs in clause i
+                clash = (1 << lit) | (1 << pivot)
+                for i in occurs[pivot]:
+                    if i >= j:
+                        break
+                    if deadline is not None and monotonic() > deadline:  # inlined: the hottest loop
+                        check_time()
+                    mask = (masks[i] | mask_j) & ~clash
+                    if mask & (mask >> 1) & positive or mask in known:
+                        continue  # a tautology, or a clause already retained
+                    candidate = (i, j, pivot)
+                    best = first.get(mask)
+                    if best is None or candidate < best:
+                        first[mask] = candidate
+        # candidates in the order of (sorted literals, parents, pivot); each
+        # literal tuple is the one Clause.union builds: clause i without the
+        # pivot, then the literals of clause j it does not already hold
+        candidates = []
+        for mask, (i, j, pivot) in first.items():
+            mask_i = masks[i]
+            complement = pivot ^ 1
+            clause_lits = tuple([lit for lit in lits[i] if lit != pivot]
+                                + [lit for lit in lits[j] if lit != complement and not mask_i >> lit & 1])
+            candidates.append((sorted(clause_lits), i, j, pivot, clause_lits, mask))
+        candidates.sort()
         admitted = 0
-        for _, parents, resolvent, pivot in candidates:
-            index = admit(resolvent, parents, pivot)
+        for _, i, j, pivot, clause_lits, mask in candidates:
+            check_time()
+            index = admit(clause_lits, mask, (i, j), pivot)
             if index is None:
                 continue
             admitted += 1
-            if resolvent.is_empty():
+            if not clause_lits:
                 return _backtrace(steps, index)
         if admitted == 0:
             return RefutationResult(SATURATED, tuple(steps), None)

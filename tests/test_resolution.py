@@ -1,7 +1,9 @@
 """Binary resolution, the saturation loop, and deduction rendering."""
 
+import hashlib
 import random
 import time
+import types
 
 import pytest
 
@@ -21,6 +23,31 @@ from strandprover.resolution import (
 
 def C(text: str) -> Clause:
     return Clause.parse(text)
+
+
+def random_3cnf(rng: random.Random, variables: int, ratio: float) -> ClauseSet:
+    """round(variables * ratio) clauses over three distinct variables each."""
+    names = [f"x{v}" for v in range(1, variables + 1)]
+    return ClauseSet(
+        Clause(Literal(name, rng.random() < 0.5) for name in rng.sample(names, 3))
+        for _ in range(round(variables * ratio))
+    )
+
+
+def pinned_corpus():
+    """(clause set, goal) pairs whose refutations are pinned by a digest."""
+    from strandprover.fixtures import clause_set_s
+
+    rng = random.Random(2024)
+    for variables in range(1, 7):
+        for _ in range(150):
+            yield oracles.random_clause_set(rng, variables=variables, clauses=9, max_len=4), None
+    for variables in (5, 6):
+        for ratio in (4.3, 6.0):
+            for _ in range(3):
+                yield random_3cnf(rng, variables, ratio), None
+    for goal in (None, "P", "~U | R", "Q -> V", "P & ~P"):
+        yield clause_set_s(), None if goal is None else parse_formula(goal)
 
 
 class TestResolvePair:
@@ -156,6 +183,64 @@ class TestRefute:
     def test_time_budget_is_enforced(self):
         with pytest.raises(ResourceLimitError):
             refute(ClauseSet.parse("P Q\n~P Q\nP ~Q\n~P ~Q\n"), max_seconds=0.0)
+
+    def test_clause_budget_message_says_how_far_it_got(self):
+        wide = ClauseSet.parse("P Q R\n~P Q R\nP ~Q R\nP Q ~R\n")
+        with pytest.raises(ResourceLimitError) as info:
+            refute(wide, max_clauses=5)
+        assert str(info.value) == "clause budget of 5 exhausted at level 1 with 5 clauses retained"
+
+    def test_time_budget_is_checked_during_admission(self, monkeypatch):
+        # the clock passes the deadline as soon as the first resolvent is
+        # retained: the search stops there, in the middle of level 1
+        from strandprover import resolution
+        from strandprover.fixtures import clause_set_s
+
+        resolvents = []
+
+        def counting_step(index, clause, parents=None, pivot=None):
+            if parents is not None:
+                resolvents.append(index)
+            return DeductionStep(index, clause, parents, pivot)
+
+        monkeypatch.setattr(resolution, "DeductionStep", counting_step)
+        clock = types.SimpleNamespace(monotonic=lambda: 1e9 if resolvents else 0.0)
+        monkeypatch.setattr(resolution, "time", clock)
+        with pytest.raises(ResourceLimitError) as info:
+            refute(clause_set_s(), max_seconds=10.0)
+        assert str(info.value) == "time budget exhausted at level 1 with 7 clauses retained"
+        assert resolvents == [6]
+        monkeypatch.undo()
+        steps = refute(clause_set_s()).steps
+        # on its own clock, level 1 (resolvents of two inputs) retains more
+        assert sum(not s.is_input and all(steps[k].is_input for k in s.parents) for s in steps) > 1
+
+    def test_step_lists_are_pinned_on_a_seeded_corpus(self):
+        # trace lines, stored literal order and the empty step reach the CLI's
+        # output, so they must not drift; the digest was recorded from the
+        # saturation loop that called resolve_pair on every pair
+        digest = hashlib.sha256()
+        for s, goal in pinned_corpus():
+            result = refute(s, goal)
+            digest.update(repr((
+                result.verdict,
+                result.trace_lines(),
+                [[(lit.variable, lit.negated) for lit in step.clause.literals] for step in result.steps],
+                result.empty_step,
+            )).encode() + b"\n")
+        assert digest.hexdigest() == "91a162004a30906d7e2a768cbf516ac28b06edbd20f9aeb93776a35d42af99cd"
+
+    def test_resolvents_are_those_of_resolve_pair(self):
+        for s, goal in pinned_corpus():
+            steps = refute(s, goal).steps
+            for step in steps:
+                if step.parents is None:
+                    continue
+                i, j = step.parents
+                assert i < j < step.index
+                assert (step.clause.literals, step.pivot) in {
+                    (clause.literals, pivot) for clause, pivot in resolve_pair(steps[i].clause, steps[j].clause)
+                }
 
     def test_agrees_with_truth_table_oracle(self):
         rng = random.Random(17)
