@@ -476,8 +476,8 @@ class ClauseSet:
 
 # --- clausal form ------------------------------------------------------------
 
-# Most clauses that clausal form may build, the same number as refute's default
-# max_clauses.  Distribution multiplies the clause count with every disjunct,
+# Most clauses that clausal form may build; refute's default max_clauses reads
+# it too.  Distribution multiplies the clause count with every disjunct,
 # so each join checks its result's size before building it.
 MAX_CLAUSES = 100_000
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .logic import Clause, ClauseSet, Formula, Literal, Not, normalize_clause_set, to_clausal_form
+from .logic import MAX_CLAUSES, Clause, ClauseSet, Formula, Literal, Not, normalize_clause_set, to_clausal_form
 
 UNSAT = "unsat"
 SATURATED = "saturated"
 
 
 class ResourceLimitError(RuntimeError):
-    """Saturation gave up (clause or time budget) before reaching a verdict."""
+    """Resolution gave up (clause or time budget) before reaching a verdict."""
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,22 @@ def refute(
     s: ClauseSet,
     goal: Formula | None = None,
     *,
-    max_clauses: int = 100_000,
+    max_clauses: int = MAX_CLAUSES,
     max_seconds: float | None = 10.0,
 ) -> RefutationResult:
-    """Decide unsatisfiability of s by saturation.
+    """Decide unsatisfiability of s by ordered (Davis-Putnam bucket) resolution.
 
     If a goal formula is given, its negation is converted to clauses and added
-    first, so an UNSAT verdict means s entails the goal.  Search is level by
-    level: every level resolves the newest clauses against everything retained,
-    discards tautologies and forward-subsumed clauses, and admits the rest in a
-    fixed lexicographic order, so two runs on the same input produce identical
-    step lists.  Exceeding max_clauses or max_seconds raises
-    ResourceLimitError rather than guessing a verdict; its message names the
-    level reached (0 for the input clauses) and the clauses retained.
+    first, so an UNSAT verdict means s entails the goal.  Each clause sits in
+    the bucket of its largest variable in name order, and the variables are
+    eliminated from the largest to the smallest: every positive clause of a
+    bucket is resolved with every negative one, so each resolvent falls into a
+    lower bucket.  Tautologies and forward-subsumed clauses are discarded and
+    the rest admitted in a fixed lexicographic order, so two runs on the same
+    input produce identical step lists.  Exceeding max_clauses or max_seconds
+    raises ResourceLimitError rather than guessing a verdict; its message
+    names the variable being eliminated (the largest while the inputs are
+    admitted) and the clauses retained.
     """
     if goal is not None:
         s = s.union(to_clausal_form(Not(goal)))
@@ -102,11 +105,15 @@ def refute(
     masks: list[int] = []  # per step: bitmask
     occurs: list[list[int]] = [[] for _ in literal]  # per literal: the steps holding it, ascending
     known: set[int] = set()  # the bitmasks of the steps
-    level = 0
+    v = len(names) - 1  # the variable being eliminated
+
+    def reached() -> str:
+        variable = names[v] if names else "{}"  # only {} has no variable
+        return f"at variable {variable} with {len(steps)} clauses retained"
 
     def check_time() -> None:
         if deadline is not None and monotonic() > deadline:
-            raise ResourceLimitError(f"time budget exhausted at level {level} with {len(steps)} clauses retained")
+            raise ResourceLimitError(f"time budget exhausted {reached()}")
 
     def admit(clause_lits: tuple[int, ...], mask: int, parents: tuple[int, int] | None,
               pivot: int | None, clause: Clause | None = None) -> int | None:
@@ -121,8 +128,7 @@ def refute(
                     return None
         index = len(steps)
         if index >= max_clauses:
-            raise ResourceLimitError(
-                f"clause budget of {max_clauses} exhausted at level {level} with {index} clauses retained")
+            raise ResourceLimitError(f"clause budget of {max_clauses} exhausted {reached()}")
         if clause is None:
             clause = Clause([literal[lit] for lit in clause_lits])
         steps.append(DeductionStep(index, clause, parents, None if pivot is None else literal[pivot]))
@@ -138,38 +144,31 @@ def refute(
         index = admit(clause_lits, sum(1 << lit for lit in clause_lits), None, None, clause)
         if index is not None and not clause_lits:
             return _backtrace(steps, index)  # {} sorts first and subsumes every later input
-    if not steps:
-        # every input clause was a tautology
-        return RefutationResult(SATURATED, (), None)
 
-    level_start = 0
-    while True:
-        level += 1
-        level_end = len(steps)
+    for v in range(len(names) - 1, -1, -1):
+        # bucket v: the retained clauses on v with no bit above v's two literals;
+        # its resolvents lack v and so fall into lower buckets, never this one
+        above = 2 * v + 2
+        clash = 3 << 2 * v
+        positives = [k for k in occurs[2 * v] if not masks[k] >> above]
+        negatives = [k for k in occurs[2 * v + 1] if not masks[k] >> above]
         # resolvent bitmask -> its least (i, j, pivot): a later candidate for
         # the same clause sorts after it and is never admitted
         first: dict[int, tuple[int, int, int]] = {}
-        # pair every clause of the newest level with the older clauses that
-        # hold the complement of one of its literals; older pairs were already
-        # resolved when their younger member was new
-        for j in range(max(level_start, 1), level_end):
+        for p in positives:
             check_time()
-            mask_j = masks[j]
-            for lit in lits[j]:
-                pivot = lit ^ 1  # the literal resolved away, as it occurs in clause i
-                clash = (1 << lit) | (1 << pivot)
-                for i in occurs[pivot]:
-                    if i >= j:
-                        break
-                    if deadline is not None and monotonic() > deadline:  # inlined: the hottest loop
-                        check_time()
-                    mask = (masks[i] | mask_j) & ~clash
-                    if mask & (mask >> 1) & positive or mask in known:
-                        continue  # a tautology, or a clause already retained
-                    candidate = (i, j, pivot)
-                    best = first.get(mask)
-                    if best is None or candidate < best:
-                        first[mask] = candidate
+            mask_p = masks[p]
+            for n in negatives:
+                if deadline is not None and monotonic() > deadline:  # inlined: the hottest loop
+                    check_time()
+                mask = (mask_p | masks[n]) & ~clash
+                if mask & (mask >> 1) & positive or mask in known:
+                    continue  # a tautology, or a clause already retained
+                # i < j, and the pivot is v's literal as it occurs in clause i
+                candidate = (p, n, 2 * v) if p < n else (n, p, 2 * v + 1)
+                best = first.get(mask)
+                if best is None or candidate < best:
+                    first[mask] = candidate
         # candidates in the order of (sorted literals, parents, pivot); each
         # literal tuple is the one Clause.union builds: clause i without the
         # pivot, then the literals of clause j it does not already hold
@@ -181,18 +180,12 @@ def refute(
                                 + [lit for lit in lits[j] if lit != complement and not mask_i >> lit & 1])
             candidates.append((sorted(clause_lits), i, j, pivot, clause_lits, mask))
         candidates.sort()
-        admitted = 0
         for _, i, j, pivot, clause_lits, mask in candidates:
             check_time()
             index = admit(clause_lits, mask, (i, j), pivot)
-            if index is None:
-                continue
-            admitted += 1
-            if not clause_lits:
+            if index is not None and not clause_lits:
                 return _backtrace(steps, index)
-        if admitted == 0:
-            return RefutationResult(SATURATED, tuple(steps), None)
-        level_start = level_end
+    return RefutationResult(SATURATED, tuple(steps), None)
 
 
 def _backtrace(steps: list[DeductionStep], empty_index: int) -> RefutationResult:

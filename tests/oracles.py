@@ -193,3 +193,65 @@ def random_process(
                 rows[i][j].name, rows[i][j].complemented, rows[i][j].toehold, name
             )
     return Process(tuple(Strand(tuple(row)) for row in rows))
+
+
+# --- certificates --------------------------------------------------------------
+#
+# A refutation or a model checked here is checked on plain (variable, negated)
+# pairs and truth values: nothing below calls the resolution engine's code.
+
+
+def _pairs(clause: Clause) -> set[tuple[str, bool]]:
+    return {(lit.variable, lit.negated) for lit in clause}
+
+
+def check_refutation(inputs: ClauseSet, result) -> None:
+    """Fail unless result's steps refute inputs: each input step is a clause
+    of inputs, each resolvent is its two earlier parents minus the pivot and
+    its complement, and the chain ends in {}."""
+    allowed = {frozenset(_pairs(c)) for c in inputs}
+    steps = result.steps
+    for index, step in enumerate(steps):
+        assert step.index == index
+        body = _pairs(step.clause)
+        if step.parents is None:
+            assert frozenset(body) in allowed, f"step {index}: {step.clause} is not an input"
+            continue
+        i, j = step.parents
+        assert i < index and j < index, f"step {index}: parents {i}, {j} are not earlier"
+        name, negated = step.pivot.variable, step.pivot.negated
+        left, right = _pairs(steps[i].clause), _pairs(steps[j].clause)
+        assert (name, negated) in left and (name, not negated) in right, f"step {index}: no pivot pair"
+        assert body == (left - {(name, negated)}) | (right - {(name, not negated)}), (
+            f"step {index}: {step.clause} is not the resolvent of steps {i} and {j}")
+    assert result.empty_step == len(steps) - 1 and not steps[-1].clause.literals
+
+
+def saturation_model(retained: Iterable[Clause], variables: Iterable[str]) -> Assignment:
+    """A model of a clause set saturated under ordered resolution, read off
+    bucket by bucket with no backtracking.  Every variable starts False; from
+    the smallest name up, each takes the first of False, True that satisfies
+    every retained clause whose largest variable it is."""
+    model = dict.fromkeys(sorted(variables), False)
+    buckets: dict[str, list[Clause]] = {}
+    for clause in retained:
+        assert clause.literals, "a saturated set holds no {}"
+        buckets.setdefault(max(lit.variable for lit in clause), []).append(clause)
+    for name in sorted(buckets):
+        for value in (False, True):
+            model[name] = value
+            if all(eval_clause(c, model) for c in buckets[name]):
+                break
+        else:
+            raise AssertionError(f"no value of {name} satisfies its bucket")
+    return model
+
+
+def check_certificate(inputs: ClauseSet, result) -> None:
+    """An UNSAT result must refute inputs step by step; a saturated one must
+    yield a model of inputs."""
+    if result.is_unsat:
+        check_refutation(inputs, result)
+    else:
+        model = saturation_model((step.clause for step in result.steps), inputs.variables())
+        assert eval_clause_set(inputs, model), "the saturation model falsifies an input clause"

@@ -1,4 +1,4 @@
-"""Binary resolution, the saturation loop, and deduction rendering."""
+"""Binary resolution, the bucket elimination loop, its certificates, and deduction rendering."""
 
 import hashlib
 import random
@@ -8,7 +8,7 @@ import types
 import pytest
 
 import oracles
-from strandprover.logic import Clause, ClauseSet, Literal, Var, parse_formula
+from strandprover.logic import Clause, ClauseSet, Literal, Not, Var, parse_formula, to_clausal_form
 from strandprover.resolution import (
     SATURATED,
     UNSAT,
@@ -185,14 +185,16 @@ class TestRefute:
             refute(ClauseSet.parse("P Q\n~P Q\nP ~Q\n~P ~Q\n"), max_seconds=0.0)
 
     def test_clause_budget_message_says_how_far_it_got(self):
+        # the inputs fill the budget; the first resolvent, {P, Q} on R, overflows it
         wide = ClauseSet.parse("P Q R\n~P Q R\nP ~Q R\nP Q ~R\n")
+        assert refute(wide).verdict == SATURATED
         with pytest.raises(ResourceLimitError) as info:
-            refute(wide, max_clauses=5)
-        assert str(info.value) == "clause budget of 5 exhausted at level 1 with 5 clauses retained"
+            refute(wide, max_clauses=4)
+        assert str(info.value) == "clause budget of 4 exhausted at variable R with 4 clauses retained"
 
     def test_time_budget_is_checked_during_admission(self, monkeypatch):
-        # the clock passes the deadline as soon as the first resolvent is
-        # retained: the search stops there, in the middle of level 1
+        # the clock passes the deadline as soon as the first resolvent, {~U, ~R}
+        # from bucket V, is retained: the search stops there, before bucket U
         from strandprover import resolution
         from strandprover.fixtures import clause_set_s
 
@@ -208,17 +210,17 @@ class TestRefute:
         monkeypatch.setattr(resolution, "time", clock)
         with pytest.raises(ResourceLimitError) as info:
             refute(clause_set_s(), max_seconds=10.0)
-        assert str(info.value) == "time budget exhausted at level 1 with 7 clauses retained"
+        assert str(info.value) == "time budget exhausted at variable U with 7 clauses retained"
         assert resolvents == [6]
         monkeypatch.undo()
         steps = refute(clause_set_s()).steps
-        # on its own clock, level 1 (resolvents of two inputs) retains more
-        assert sum(not s.is_input and all(steps[k].is_input for k in s.parents) for s in steps) > 1
+        # on its own clock, the search goes on through buckets U, R, Q and P
+        assert [s.pivot.variable for s in steps if not s.is_input] == ["V", "U", "R", "Q", "P"]
 
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
         # trace lines, stored literal order and the empty step reach the CLI's
         # output, so they must not drift; the digest was recorded from the
-        # saturation loop that called resolve_pair on every pair
+        # bucket elimination loop
         digest = hashlib.sha256()
         for s, goal in pinned_corpus():
             result = refute(s, goal)
@@ -228,7 +230,7 @@ class TestRefute:
                 [[(lit.variable, lit.negated) for lit in step.clause.literals] for step in result.steps],
                 result.empty_step,
             )).encode() + b"\n")
-        assert digest.hexdigest() == "91a162004a30906d7e2a768cbf516ac28b06edbd20f9aeb93776a35d42af99cd"
+        assert digest.hexdigest() == "28d609c0568684521b3ba7ec4933794cc7ad36627291992443e94e8420e12413"
 
     def test_resolvents_are_those_of_resolve_pair(self):
         for s, goal in pinned_corpus():
@@ -248,6 +250,46 @@ class TestRefute:
             s = oracles.random_clause_set(rng, variables=4, clauses=8)
             result = refute(s)
             assert result.is_unsat == (not oracles.clause_set_satisfiable(s))
+
+
+class TestCertificates:
+    """Every verdict checked by the oracles' step checker and model builder,
+    which share no code with refute."""
+
+    @staticmethod
+    def inputs(s, goal):
+        return s if goal is None else s.union(to_clausal_form(Not(goal)))
+
+    def test_every_pinned_verdict_carries_a_certificate(self):
+        verdicts = {UNSAT: 0, SATURATED: 0}
+        for s, goal in pinned_corpus():
+            result = refute(s, goal)
+            oracles.check_certificate(self.inputs(s, goal), result)
+            verdicts[result.verdict] += 1
+        assert verdicts == {UNSAT: 207, SATURATED: 710}
+
+    def test_random_3cnf_at_14_variables_is_decided(self):
+        # near the 3-CNF satisfiability threshold; each must be decided within
+        # the default budgets
+        rng = random.Random(14)
+        for _ in range(5):
+            s = random_3cnf(rng, 14, 4.3)
+            oracles.check_certificate(s, refute(s))
+
+    def test_checkers_reject_a_broken_certificate(self):
+        from strandprover.fixtures import clause_set_s
+
+        s = clause_set_s()
+        result = refute(s)
+        last = result.steps[-1]
+        wrong = DeductionStep(last.index, C("P"), last.parents, last.pivot)
+        broken = RefutationResult(UNSAT, result.steps[:-1] + (wrong,), last.index)
+        with pytest.raises(AssertionError):
+            oracles.check_refutation(s, broken)
+        with pytest.raises(AssertionError):
+            oracles.check_refutation(ClauseSet(s.clauses[1:]), result)
+        with pytest.raises(AssertionError):
+            oracles.saturation_model([C("P"), C("~P")], ["P"])
 
 
 class TestRenderDeduction:
