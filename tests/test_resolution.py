@@ -193,29 +193,33 @@ class TestRefute:
         assert str(info.value) == "clause budget of 4 exhausted at variable R with 4 clauses retained"
 
     def test_time_budget_is_checked_during_admission(self, monkeypatch):
-        # the clock passes the deadline as soon as the first resolvent, {~U, ~R}
-        # from bucket V, is retained: the search stops there, before bucket U
+        # bucket R, the first one eliminated, yields two resolvents, {P} and
+        # {Q}; the clock passes the deadline as soon as {P} is retained, so the
+        # search stops before admitting {Q}, in the middle of bucket R
         from strandprover import resolution
-        from strandprover.fixtures import clause_set_s
 
-        resolvents = []
+        s = ClauseSet.parse("P R\nQ R\n~R\n~P ~Q\n~P Q\nP ~Q\n")
+        resolvents, pivots = [], []
 
         def counting_step(index, clause, parents=None, pivot=None):
             if parents is not None:
                 resolvents.append(index)
+                pivots.append(pivot.variable)
             return DeductionStep(index, clause, parents, pivot)
 
         monkeypatch.setattr(resolution, "DeductionStep", counting_step)
         clock = types.SimpleNamespace(monotonic=lambda: 1e9 if resolvents else 0.0)
         monkeypatch.setattr(resolution, "time", clock)
         with pytest.raises(ResourceLimitError) as info:
-            refute(clause_set_s(), max_seconds=10.0)
-        assert str(info.value) == "time budget exhausted at variable U with 7 clauses retained"
+            refute(s, max_seconds=10.0)
+        assert str(info.value) == "time budget exhausted at variable R with 7 clauses retained"
         assert resolvents == [6]
-        monkeypatch.undo()
-        steps = refute(clause_set_s()).steps
-        # on its own clock, the search goes on through buckets U, R, Q and P
-        assert [s.pivot.variable for s in steps if not s.is_input] == ["V", "U", "R", "Q", "P"]
+        # on its own clock, the search retains {Q} from bucket R as step 7
+        monkeypatch.setattr(resolution, "time", time)
+        resolvents.clear()
+        pivots.clear()
+        assert refute(s).is_unsat
+        assert resolvents[:2] == [6, 7] and pivots[:2] == ["R", "R"]
 
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
         # trace lines, stored literal order and the empty step reach the CLI's
@@ -275,6 +279,16 @@ class TestCertificates:
         for _ in range(5):
             s = random_3cnf(rng, 14, 4.3)
             oracles.check_certificate(s, refute(s))
+
+    def test_goal_eliminated_last_is_decided_past_a_14_variable_3cnf(self):
+        # A sorts before every x, so its bucket is eliminated last, after the
+        # whole 3-CNF, although {A} and {~A} alone give {}
+        rng = random.Random(1960)
+        for _ in range(3):
+            s = random_3cnf(rng, 14, 4.3).union(ClauseSet([C("A")]))
+            result = refute(s, Var("A"))
+            assert result.is_unsat
+            oracles.check_certificate(self.inputs(s, Var("A")), result)
 
     def test_checkers_reject_a_broken_certificate(self):
         from strandprover.fixtures import clause_set_s
