@@ -1,10 +1,14 @@
 """Compile clause sets into strand systems and decide them by hybridization.
 
 Each clause becomes one strand with one long domain per literal; negative
-literals are the complemented domains.  No toeholds are emitted, so compiled
-systems evolve by binding alone.  A clause set is refuted when the closure of
-the compiled system reaches a state with every site bound, the strand-level
-image of the empty clause.
+literals are the complemented domains.  No toeholds are emitted, so no edge
+ever unbinds (GU).  A clause set is refuted when the closure of the compiled
+system reaches a state with every site bound, the strand-level image of the
+empty clause.  Unless a strand reads X Y and a strand, the same or another,
+reads Y* X* (an anchored pair, which could start a displacement), binding is
+the only move and every maximal binding is a largest one.  The question then
+has a closed-form answer, each variable occurs as often positive as
+negative, and hybridization_verdict decides it without exploring.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import Edge, ExploreReport, Site, StrandGraph, Trace, explore, from_process, sites_of
+from .graph import Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
 from .logic import Clause, ClauseSet, Literal
 from .process import Domain, Process, Strand
 
@@ -237,7 +241,7 @@ def hybridization_verdict(
     max_states: int = 50_000,
     max_depth: int = 200,
 ) -> Verdict:
-    """Explore the strand graph of p and judge it by reachable saturation.
+    """Judge the strand graph of p by reachable saturation.
 
     Reaching a state with every site bound yields the unsatisfiable verdict
     with a shortest witness trace.  Otherwise the verdict is satisfiable,
@@ -245,11 +249,27 @@ def hybridization_verdict(
     this is a statement about hybridization, not propositional truth: a
     literal occurrence with no complementary occurrence anywhere keeps its
     site free forever, whatever a resolution prover would say.
+
+    When GB is the only move that can ever fire (no bonds, no toeholds, no
+    admissible edge with an antiparallel admissible neighbour, see
+    graph.bind_chain), the verdict is built in closed form from the chain
+    that exploration would find first, in O(admissible edges); it equals the
+    explored one.  Otherwise the graph is explored breadth first, and
+    max_states and max_depth bound that exploration; they must be positive
+    whichever path runs.
     """
     g = from_process(p)
     all_sites = frozenset(g.sites())
     if not all_sites:
         raise ValueError("empty strand system has no hybridization behaviour")
+    if max_states <= 0 or max_depth <= 0:
+        raise ValueError("exploration bounds must be positive")
+    chain = bind_chain(g)
+    if chain is not None:
+        final = frozenset(chain)
+        witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in chain), final)
+        free = all_sites - sites_of(final)
+        return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)
     report = explore(g, max_states=max_states, max_depth=max_depth)
     for i, edges in enumerate(report.states):  # discovery order: shortest first
         if sites_of(edges) == all_sites:

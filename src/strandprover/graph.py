@@ -251,6 +251,29 @@ def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
     return frozenset(g.sites()) - sites_of(g.admissible)
 
 
+def bind_chain(g: StrandGraph) -> list[Edge] | None:
+    """The edges explore() binds first, in order, when GB is the only move
+    that can ever fire from g; None when another rule might fire.
+
+    GB alone fires when no edge is current, no admissible edge is a toehold
+    edge (no GU) and no admissible edge has an admissible antiparallel
+    neighbour (nothing can anchor a G3 or GM).  The reachable states are then
+    the matchings of the admissible graph, which is complete bipartite per
+    domain name, so every maximal matching is maximum.  Breadth-first search
+    with rank-sorted moves meets first the greedy chain: at each step the
+    least-ranked admissible edge with two free ends.  O(admissible edges)."""
+    ix: _Index = g._index
+    if g.current or ix.toeholds or any(ix.anchors.values()):
+        return None
+    bound: set[Site] = set()
+    chain = []
+    for x in ix.rank:  # keys in rank order
+        if x.a not in bound and x.b not in bound:
+            bound.update((x.a, x.b))
+            chain.append(x)
+    return chain
+
+
 # --- moves -------------------------------------------------------------------
 
 MAX_RING = 4  # longest migration ring, in current edges, that moves() searches

@@ -9,6 +9,7 @@ from strandprover.graph import from_json, to_json_dict
 from strandprover.fixtures import CLAUSES_S, THEOREM, theorem_graph
 
 DIVERGENT = "P\n~P\nQ\n"
+ANCHORED = "P Q\n~Q ~P\nP\n~P\nQ\n"
 
 
 def run(capsys, *argv):
@@ -291,11 +292,29 @@ class TestCompare:
     def test_tight_bounds_are_indeterminate(self, monkeypatch, capsys):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(CLAUSES_S))
+        # P-P* next to Q-Q* on strands 1 and 2 is an anchored pair, so this
+        # set is explored, and the state budget binds
+        monkeypatch.setattr("sys.stdin", io.StringIO(ANCHORED))
         code, out, _ = run(capsys, "compare", "--input", "-", "--max-states", "4")
         assert code == cli.EXIT_INDETERMINATE
         assert "hybridization: INDETERMINATE" in out
         assert "INDETERMINATE" in out.splitlines()[-1]
+
+    def test_bind_only_sets_decide_under_any_budget(self, capsys):
+        code, out, _ = run(capsys, "compare", "--fixture", "S", "--max-states", "1", "--max-depth", "1")
+        assert code == cli.EXIT_OK
+        assert "hybridization: UNSAT" in out
+
+    @pytest.mark.parametrize("flag", ["--max-states", "--max-depth"])
+    @pytest.mark.parametrize("source", [["--fixture", "S"], ["--input", "-"]], ids=["bind-only", "anchored"])
+    def test_non_positive_bounds_are_an_error(self, monkeypatch, capsys, flag, source):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(ANCHORED))
+        code, out, err = run(capsys, "compare", *source, flag, "0")
+        assert code == cli.EXIT_INDETERMINATE
+        assert out == ""
+        assert err.strip() == "error: exploration bounds must be positive"
 
 
 # --- export ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Clause-to-strand compilation, DNA codebooks, and hybridization verdicts."""
 
 import random
+from collections import Counter
+from math import comb, factorial
 
 import pytest
 
@@ -11,6 +13,7 @@ from strandprover.compiler import (
     Codebook,
     CodebookError,
     CompileError,
+    Verdict,
     compile_clauses,
     default_codebook,
     format_fasta,
@@ -19,8 +22,9 @@ from strandprover.compiler import (
     hybridization_verdict,
     reverse_complement,
 )
-from strandprover.graph import ExplorationLimitError, Site
-from strandprover.logic import Clause, ClauseSet, Literal
+from strandprover.fixtures import CLAUSES_S, clause_set_s, hairpin
+from strandprover.graph import ExplorationLimitError, Site, explore, from_process, sites_of
+from strandprover.logic import Clause, ClauseSet, Literal, parse_formula, to_clausal_form
 from strandprover.process import Process
 
 ROW_1 = "ACGTAGTCACGAATTGACTGTCAGTCGAAT"   # P ~Q R
@@ -262,8 +266,132 @@ class TestHybridizationVerdict:
             hybridization_verdict(Process(()))
 
     def test_exploration_limits_propagate(self):
-        from strandprover.fixtures import clause_set_s
-
-        p, _ = compile_clauses(clause_set_s(), default_codebook())
+        # toeholds and bonds: the hairpin cascade is explored, under the budget
         with pytest.raises(ExplorationLimitError):
-            hybridization_verdict(p, max_states=2)
+            hybridization_verdict(hairpin(), max_states=2)
+
+    def test_bind_only_fixture_decides_under_any_budget(self):
+        p, _ = compile_clauses(clause_set_s(), default_codebook())
+        assert hybridization_verdict(p, max_states=2) == hybridization_verdict(p)
+
+    @pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_depth": 0}, {"max_states": -1}])
+    def test_non_positive_bounds_are_rejected_on_both_paths(self, bounds):
+        compiled, _ = compile_clauses(clause_set_s(), default_codebook())
+        for p in (compiled, hairpin()):
+            with pytest.raises(ValueError, match="exploration bounds must be positive"):
+                hybridization_verdict(p, **bounds)
+
+
+def explored_verdict(p: Process, max_states: int) -> Verdict:
+    """The verdict by breadth-first exploration: the first fully bound state,
+    else the earliest terminal of largest |E|.  Reference for the closed form."""
+    g = from_process(p)
+    all_sites = frozenset(g.sites())
+    report = explore(g, max_states=max_states)
+    for i, edges in enumerate(report.states):
+        if sites_of(edges) == all_sites:
+            return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(i), frozenset(), g)
+    pool = report.terminals if report.terminals else range(len(report.states))
+    best = max(pool, key=lambda i: (len(report.states[i]), -i))
+    free = all_sites - sites_of(report.states[best])
+    return Verdict(SAT_BY_HYBRIDIZATION, report.trace_to(best), free, g)
+
+
+def _literal_text(lit: Literal) -> str:
+    return ("~" if lit.negated else "") + lit.variable
+
+
+def renderings(rng: random.Random, s: ClauseSet) -> list[ClauseSet]:
+    """s read back from clause lines, from DIMACS and from a formula mixing
+    disjunctions and implications, as the CLI reads each kind of input."""
+    number = {var: k for k, var in enumerate(s.variables(), start=1)}
+    dimacs = f"p cnf {len(number)} {len(s)}\n" + "".join(
+        " ".join(str(-number[lit.variable] if lit.negated else number[lit.variable]) for lit in c) + " 0\n"
+        for c in s
+    )
+    conjuncts = []
+    for c in s:
+        lits = list(c)
+        if len(lits) > 1 and rng.random() < 0.5:
+            premise = " & ".join(_literal_text(lit.complement()) for lit in lits[:-1])
+            conjuncts.append(f"(({premise}) -> {_literal_text(lits[-1])})")
+        else:
+            conjuncts.append("(" + " | ".join(map(_literal_text, lits)) + ")")
+    formula = to_clausal_form(parse_formula(" & ".join(conjuncts)))
+    return [ClauseSet.parse(str(s)), ClauseSet.from_dimacs(dimacs), formula]
+
+
+def codebook_for(s: ClauseSet) -> Codebook:
+    base = default_codebook()
+    missing = [var for var in s.variables() if var not in base]
+    return generate_codebook(missing, base=base) if missing else base
+
+
+def reachable_states(s: ClauseSet) -> int:
+    """Matchings of the compiled admissible graph: complete bipartite per name."""
+    counts = Counter((lit.variable, lit.negated) for c in s for lit in c)
+    total = 1
+    for var in s.variables():
+        plain, starred = counts[var, False], counts[var, True]
+        total *= sum(comb(plain, k) * comb(starred, k) * factorial(k) for k in range(min(plain, starred) + 1))
+    return total
+
+
+def largest_matching(s: ClauseSet) -> int:
+    counts = Counter((lit.variable, lit.negated) for c in s for lit in c)
+    return sum(min(counts[var, False], counts[var, True]) for var in s.variables())
+
+
+class TestClosedForm:
+    def test_equals_exploration_on_a_seeded_corpus(self):
+        rng = random.Random(7)
+        books: dict[tuple[str, ...], Codebook] = {}
+        compared = 0
+        while compared < 1500:
+            s = oracles.random_clause_set(rng, variables=rng.randint(1, 4), clauses=5, max_len=3)
+            for r in renderings(rng, s):
+                if not len(r) or any(c.is_empty() for c in r):
+                    continue  # a formula can reduce to no clause at all
+                if r.variables() not in books:
+                    books[r.variables()] = codebook_for(r)
+                p, _ = compile_clauses(r, books[r.variables()])
+                assert hybridization_verdict(p) == explored_verdict(p, max_states=2000), str(r)
+                compared += 1
+
+    def test_only_anchored_sets_explore(self, monkeypatch):
+        def no_exploring(*args, **kwargs):
+            raise AssertionError("explored")
+
+        monkeypatch.setattr("strandprover.compiler.explore", no_exploring)
+        for text in (CLAUSES_S, "P\n", "P\n~P\nQ\n", "P ~Q R\n~P Q ~R\n"):
+            p, _ = compile_clauses(ClauseSet.parse(text), default_codebook())
+            hybridization_verdict(p)
+        # P-P* beside Q-Q* on strands 1 and 2 anchors each other: G3 could fire
+        p, _ = compile_clauses(ClauseSet.parse("P Q\n~Q ~P\n"), default_codebook())
+        with pytest.raises(AssertionError, match="explored"):
+            hybridization_verdict(p)
+
+    @pytest.mark.parametrize("size", [12, 15, 23])
+    def test_sets_beyond_the_state_budget_are_decided(self, size):
+        rng = random.Random(0)
+        names = ("P", "Q", "R", "U", "V")
+        clauses: dict[Clause, None] = {}
+        while len(clauses) < size:
+            # literals in name order, as in the bench's inputs: no anchored pair
+            picked = sorted(rng.sample(names, rng.randint(1, 3)))
+            clauses[Clause(Literal(var, rng.random() < 0.5) for var in picked)] = None
+        s = ClauseSet(clauses)
+        assert reachable_states(s) > 50_000
+        p, _ = compile_clauses(s, default_codebook())
+        verdict = hybridization_verdict(p)
+        assert len(verdict.witness.replay()) == largest_matching(s)
+        assert len(verdict.free_sites) == sum(map(len, s)) - 2 * largest_matching(s)
+
+    def test_more_binds_than_the_depth_budget(self):
+        names = [f"x{k}" for k in range(1, 202)]
+        s = ClauseSet(Clause([Literal(var, negated)]) for var in names for negated in (False, True))
+        p, _ = compile_clauses(s, generate_codebook(names))
+        verdict = hybridization_verdict(p, max_depth=200)
+        assert verdict.is_unsat
+        assert len(verdict.witness.moves) == 201 > 200
+        assert len(verdict.witness.replay()) == largest_matching(s) == 201
