@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -16,11 +15,6 @@ EXIT_SAT = 1
 EXIT_INDETERMINATE = 2
 EXIT_DISAGREE = 3
 
-ENV_MAX_STATES = "STRANDPROVER_MAX_STATES"
-ENV_MAX_DEPTH = "STRANDPROVER_MAX_DEPTH"
-DEFAULT_MAX_STATES = 50_000
-DEFAULT_MAX_DEPTH = 200
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -31,19 +25,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_bounds: bool = True):
+    def add_common(
+        p: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "dot"), with_bounds: bool = True
+    ):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", metavar="PATH", help="input file ('-' for stdin)")
         src.add_argument("--fixture", choices=sorted(fixtures.FIXTURES), help="built-in example")
-        p.add_argument(
-            "--format", choices=("text", "json", "dot"), default="text", help="output format"
-        )
+        if formats:
+            p.add_argument("--format", choices=formats, default="text", help="output format")
         if with_bounds:
-            p.add_argument("--max-states", type=int, metavar="N", help="state budget for exploration")
-            p.add_argument("--max-depth", type=int, metavar="N", help="depth budget for exploration")
+            p.add_argument(
+                "--max-states",
+                type=int,
+                default=graph.MAX_STATES,
+                metavar="N",
+                help="state budget for exploration (default %(default)s)",
+            )
 
     p_prove = sub.add_parser("prove", help="resolution refutation of a formula or clause set")
-    add_common(p_prove, with_bounds=False)
+    add_common(p_prove, formats=("text", "json"), with_bounds=False)
     p_prove.add_argument("--goal", metavar="FORMULA", help="prove that the input entails this formula")
     p_prove.add_argument("--trace", action="store_true", help="print every retained deduction step")
     p_prove.set_defaults(func=cmd_prove)
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run both engines and flag disagreement")
-    add_common(p_cmp)
+    add_common(p_cmp, formats=())
     p_cmp.add_argument("--codebook", metavar="PATH", help="variable-to-sequence table")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -102,12 +102,16 @@ def _parse_clause_text(text: str) -> logic.ClauseSet:
     meaningful = [
         line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line
     ]
-    if any(line.split()[:2] == ["p", "cnf"] for line in meaningful):
-        return logic.ClauseSet.from_dimacs(text)
     joined = " ".join(meaningful)
-    if any(ch in joined for ch in "&|()<>-"):
-        return logic.to_clausal_form(logic.parse_formula(joined))
-    return logic.ClauseSet.parse(text)
+    if any(line.split()[:2] == ["p", "cnf"] for line in meaningful):
+        s = logic.ClauseSet.from_dimacs(text)
+    elif any(ch in joined for ch in "&|()<>-"):
+        s = logic.to_clausal_form(logic.parse_formula(joined))
+    else:
+        s = logic.ClauseSet.parse(text)
+    if len(s) == 0:
+        raise ValueError("input contains no clauses")
+    return s
 
 
 def _load_clauses(args) -> logic.ClauseSet:
@@ -116,10 +120,7 @@ def _load_clauses(args) -> logic.ClauseSet:
         if kind != "clauses":
             raise ValueError(f"fixture {args.fixture!r} is a strand system, not a clause set")
         return loader()
-    s = _parse_clause_text(_read_input(args.input))
-    if len(s) == 0:
-        raise ValueError("input contains no clauses")
-    return s
+    return _parse_clause_text(_read_input(args.input))
 
 
 def _load_codebook_for(args, s: logic.ClauseSet) -> compiler.Codebook:
@@ -142,36 +143,16 @@ def _load_graph(args) -> graph.StrandGraph:
         if kind == "process":
             return graph.from_process(loader())
         s = loader()
-        p, _ = compiler.compile_clauses(s, _load_codebook_for(args, s))
-        return graph.from_process(p)
-    text = _read_input(args.input)
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return graph.from_json(stripped)
-    if stripped.startswith("<") or stripped.startswith("⟨"):
-        return graph.from_process(proc.parse_process(stripped))
-    s = _parse_clause_text(text)
+    else:
+        text = _read_input(args.input)
+        stripped = text.strip()
+        if stripped.startswith("{"):
+            return graph.from_json(stripped)
+        if stripped.startswith("<") or stripped.startswith("⟨"):
+            return graph.from_process(proc.parse_process(stripped))
+        s = _parse_clause_text(text)
     p, _ = compiler.compile_clauses(s, _load_codebook_for(args, s))
     return graph.from_process(p)
-
-
-def _bound(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(env_name)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{env_name} must be an integer, not {env!r}") from None
-    return default
-
-
-def _bounds(args) -> tuple[int, int]:
-    return (
-        _bound(getattr(args, "max_states", None), ENV_MAX_STATES, DEFAULT_MAX_STATES),
-        _bound(getattr(args, "max_depth", None), ENV_MAX_DEPTH, DEFAULT_MAX_DEPTH),
-    )
 
 
 # --- commands ----------------------------------------------------------------
@@ -237,8 +218,7 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args)
-    max_states, max_depth = _bounds(args)
-    report = graph.explore(g, max_states=max_states, max_depth=max_depth)
+    report = graph.explore(g, max_states=args.max_states)
     if args.format == "json":
         payload = {
             "states": len(report.states),
@@ -280,7 +260,6 @@ def _print_dot_trace(g: graph.StrandGraph, report: graph.ExploreReport) -> None:
 
 def cmd_compare(args) -> int:
     s = _load_clauses(args)
-    max_states, max_depth = _bounds(args)
     res_unsat: bool | None = None
     hyb_unsat: bool | None = None
     notes: list[str] = []
@@ -291,7 +270,7 @@ def cmd_compare(args) -> int:
     verdict = None
     try:
         p, _ = compiler.compile_clauses(s, _load_codebook_for(args, s))
-        verdict = compiler.hybridization_verdict(p, max_states=max_states, max_depth=max_depth)
+        verdict = compiler.hybridization_verdict(p, max_states=args.max_states)
         hyb_unsat = verdict.is_unsat
     except graph.ExplorationLimitError as exc:
         notes.append(f"hybridization indeterminate: {exc}")

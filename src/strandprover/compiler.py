@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
+from .graph import MAX_STATES, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
 from .logic import Clause, ClauseSet, Literal
 from .process import Domain, Process, Strand
 
@@ -235,12 +235,7 @@ class Verdict:
         return self.outcome == UNSAT_BY_HYBRIDIZATION
 
 
-def hybridization_verdict(
-    p: Process,
-    *,
-    max_states: int = 50_000,
-    max_depth: int = 200,
-) -> Verdict:
+def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdict:
     """Judge the strand graph of p by reachable saturation.
 
     Reaching a state with every site bound yields the unsatisfiable verdict
@@ -255,14 +250,14 @@ def hybridization_verdict(
     graph.bind_chain), the verdict is built in closed form from the chain
     that exploration would find first, in O(admissible edges); it equals the
     explored one.  Otherwise the graph is explored breadth first, and
-    max_states and max_depth bound that exploration; they must be positive
-    whichever path runs.
+    max_states bounds that exploration; it must be positive whichever path
+    runs.
     """
     g = from_process(p)
     all_sites = frozenset(g.sites())
     if not all_sites:
         raise ValueError("empty strand system has no hybridization behaviour")
-    if max_states <= 0 or max_depth <= 0:
+    if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
     chain = bind_chain(g)
     if chain is not None:
@@ -270,7 +265,7 @@ def hybridization_verdict(
         witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in chain), final)
         free = all_sites - sites_of(final)
         return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)
-    report = explore(g, max_states=max_states, max_depth=max_depth)
+    report = explore(g, max_states=max_states)
     for i, edges in enumerate(report.states):  # discovery order: shortest first
         if sites_of(edges) == all_sites:
             return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(i), frozenset(), g)

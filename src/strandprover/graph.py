@@ -91,9 +91,6 @@ class Move:
         elif not (len(self.removed) == len(self.added) >= 2):
             raise MoveError("GM swaps N>=2 edges for N edges")
 
-    def sort_key(self):
-        return (_RULE_ORDER[self.rule], tuple(sorted(self.removed)), tuple(sorted(self.added)))
-
     def describe(self) -> str:
         rm = ",".join(str(e) for e in sorted(self.removed))
         ad = ",".join(str(e) for e in sorted(self.added))
@@ -447,6 +444,8 @@ def _ring_moves(g: StrandGraph, owner: dict[Site, Edge]) -> set[Move]:
 
 # --- exploration -------------------------------------------------------------
 
+MAX_STATES = 50_000  # default state budget of explore() and hybridization_verdict()
+
 
 @dataclass
 class ExploreReport:
@@ -466,16 +465,17 @@ class ExploreReport:
         return Trace(self.states[0], tuple(reversed(moves_back)), self.states[index])
 
 
-def explore(g: StrandGraph, max_states: int = 50_000, max_depth: int = 200) -> ExploreReport:
+def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     """Breadth-first closure of the move relation from g's current state.
 
     States are keyed by their edge sets; the report lists them in
     discovery order with their depths, the terminal states, and a shortest
-    trace to any state on request.  If the closure cannot finish within
-    max_states or max_depth, ExplorationLimitError is raised; no partial
-    verdicts are produced.  Each state is checked once, when it is dequeued.
+    trace to any state on request.  If the closure has more than max_states
+    states, ExplorationLimitError is raised; no partial verdicts are
+    produced.  A state at depth d has d ancestors, so max_states bounds the
+    depth too.  Each state is checked once, when it is dequeued.
     """
-    if max_states <= 0 or max_depth <= 0:
+    if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
     states = [g.current]
     depths = [0]
@@ -494,8 +494,6 @@ def explore(g: StrandGraph, max_states: int = 50_000, max_depth: int = 200) -> E
             nxt = (states[i] - move.removed) | move.added
             if nxt in index:
                 continue
-            if depths[i] >= max_depth:
-                raise ExplorationLimitError(f"new states beyond depth {max_depth}")
             if len(states) >= max_states:
                 raise ExplorationLimitError(f"more than {max_states} states")
             index[nxt] = len(states)

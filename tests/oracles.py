@@ -195,6 +195,18 @@ def random_process(
     return Process(tuple(Strand(tuple(row)) for row in rows))
 
 
+def branch_migration(n: int) -> str:
+    """Process text of a toehold-mediated branch migration along n domains.
+
+    Strand 3 is held on strand 2 by the toehold t and displaces strand 1 one
+    domain at a time: a chain of n + 1 states, of depth n, plus the state
+    with the toehold unbound.  Small, but deeper than any fixed depth bound."""
+    a = " ".join(f"x{k}!b{k}" for k in range(1, n + 1))
+    b = " ".join(f"x{k}*!b{k}" for k in range(n, 0, -1))
+    c = " ".join(f"x{k}" for k in range(1, n + 1))
+    return f"<{a}> | <{b} t^*!h> | <t^!h {c}>"
+
+
 # --- certificates --------------------------------------------------------------
 #
 # A refutation or a model checked here is checked on plain (variable, negated)

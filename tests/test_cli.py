@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from strandprover import cli, logic, resolution
 from strandprover.graph import from_json, to_json_dict
 from strandprover.fixtures import CLAUSES_S, THEOREM, theorem_graph
@@ -229,24 +230,21 @@ class TestSimulate:
         assert code == cli.EXIT_INDETERMINATE
         assert "INDETERMINATE" in err
 
-    def test_depth_bound_flag(self, capsys):
-        code, _, err = run(capsys, "simulate", "--fixture", "theorem", "--max-depth", "2")
-        assert code == cli.EXIT_INDETERMINATE
+    @pytest.mark.parametrize("budget, expected", [("8", cli.EXIT_OK), ("7", cli.EXIT_INDETERMINATE)])
+    def test_state_budget_is_exact(self, capsys, budget, expected):
+        # fourway has exactly 8 states
+        code, _, _ = run(capsys, "simulate", "--fixture", "fourway", "--max-states", budget)
+        assert code == expected
 
-    def test_env_bound_applies(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.ENV_MAX_STATES, "4")
-        code, _, _ = run(capsys, "simulate", "--fixture", "theorem")
-        assert code == cli.EXIT_INDETERMINATE
+    def test_deep_chain_is_explored(self, monkeypatch, capsys):
+        import io
 
-    def test_flag_overrides_env(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.ENV_MAX_STATES, "4")
-        code, _, _ = run(capsys, "simulate", "--fixture", "theorem", "--max-states", "100")
+        monkeypatch.setattr("sys.stdin", io.StringIO(oracles.branch_migration(210)))
+        code, out, _ = run(capsys, "simulate", "--input", "-")
         assert code == cli.EXIT_OK
-
-    def test_bad_env_value_is_an_error(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.ENV_MAX_STATES, "many")
-        code, _, err = run(capsys, "simulate", "--fixture", "theorem")
-        assert code == cli.EXIT_INDETERMINATE
+        lines = out.splitlines()
+        assert lines[:2] == ["states explored: 212", "terminal states: 1"]
+        assert lines[2].startswith("terminal at depth 210:")
 
     def test_process_input_from_stdin(self, monkeypatch, capsys):
         import io
@@ -301,11 +299,11 @@ class TestCompare:
         assert "INDETERMINATE" in out.splitlines()[-1]
 
     def test_bind_only_sets_decide_under_any_budget(self, capsys):
-        code, out, _ = run(capsys, "compare", "--fixture", "S", "--max-states", "1", "--max-depth", "1")
+        code, out, _ = run(capsys, "compare", "--fixture", "S", "--max-states", "1")
         assert code == cli.EXIT_OK
         assert "hybridization: UNSAT" in out
 
-    @pytest.mark.parametrize("flag", ["--max-states", "--max-depth"])
+    @pytest.mark.parametrize("flag", ["--max-states"])
     @pytest.mark.parametrize("source", [["--fixture", "S"], ["--input", "-"]], ids=["bind-only", "anchored"])
     def test_non_positive_bounds_are_an_error(self, monkeypatch, capsys, flag, source):
         import io
@@ -400,6 +398,25 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "--fixture", "S", "--format", "json"], ["prove", "--fixture", "S", "--format", "dot"]],
+        ids=["compare-json", "prove-dot"],
+    )
+    def test_unimplemented_formats_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["prove", "compile", "simulate", "compare", "export"])
+    def test_comment_only_input_is_an_error(self, tmp_path, capsys, command):
+        path = tmp_path / "comments.txt"
+        path.write_text("# no clauses here\n\n")
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == cli.EXIT_INDETERMINATE
+        assert out == ""
+        assert err == "error: input contains no clauses\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

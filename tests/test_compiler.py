@@ -274,7 +274,7 @@ class TestHybridizationVerdict:
         p, _ = compile_clauses(clause_set_s(), default_codebook())
         assert hybridization_verdict(p, max_states=2) == hybridization_verdict(p)
 
-    @pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_depth": 0}, {"max_states": -1}])
+    @pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_states": -1}])
     def test_non_positive_bounds_are_rejected_on_both_paths(self, bounds):
         compiled, _ = compile_clauses(clause_set_s(), default_codebook())
         for p in (compiled, hairpin()):
@@ -391,7 +391,7 @@ class TestClosedForm:
         names = [f"x{k}" for k in range(1, 202)]
         s = ClauseSet(Clause([Literal(var, negated)]) for var in names for negated in (False, True))
         p, _ = compile_clauses(s, generate_codebook(names))
-        verdict = hybridization_verdict(p, max_depth=200)
+        verdict = hybridization_verdict(p)
         assert verdict.is_unsat
         assert len(verdict.witness.moves) == 201 > 200
         assert len(verdict.witness.replay()) == largest_matching(s) == 201

@@ -376,7 +376,8 @@ class TestEnumerateMoves:
     def test_enumeration_is_deterministic_and_sorted(self):
         g = fourway_graph()
         assert moves(g) == moves(g)
-        assert moves(g) == sorted(moves(g), key=Move.sort_key)
+        rule_order = graph_module.RULES.index
+        assert moves(g) == sorted(moves(g), key=lambda m: (rule_order(m.rule), sorted(m.removed), sorted(m.added)))
 
     def test_every_enumerated_move_applies(self):
         rng = random.Random(41)
@@ -523,13 +524,15 @@ class TestExplore:
         b = explore(fourway_graph())
         assert a.states == b.states and a.depths == b.depths
 
-    def test_depth_limit_raises(self):
-        with pytest.raises(ExplorationLimitError):
-            explore(theorem_graph(), max_depth=2)
-
     def test_state_limit_raises(self):
         with pytest.raises(ExplorationLimitError):
             explore(theorem_graph(), max_states=4)
+
+    def test_a_deep_chain_needs_only_its_states(self):
+        report = explore(from_process(pr.parse_process(oracles.branch_migration(210))))
+        assert len(report.states) == 212
+        assert max(report.depths) == 210
+        assert len(report.terminals) == 1
 
     def test_nonpositive_bounds_rejected(self):
         with pytest.raises(ValueError):
