@@ -5,6 +5,13 @@ one site per domain position) apart from its dynamic state, the current edge
 set E.  Admissible edges connect every pair of complementary sites; moves
 rewrite E only.  Rule names follow the trace vocabulary GB (bind), GU
 (unbind), G3 (displace), GM (ring migration).
+
+The rule appliers (bind, unbind, displace, migrate) check their premises on
+edge sets.  Enumeration and exploration run on integer edge ranks instead: a
+state is a bitmask over the ranked admissible edges, and explore() caches
+move lists per vertex-connected component, as no move touches two of them.
+explore() still checks each state it reaches once, with with_current, and
+reports states as edge sets and moves as Move objects.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
 
@@ -141,7 +148,6 @@ def is_anchored(e: Edge, edges: Iterable[Edge]) -> bool:
 class _Index(NamedTuple):
     """Lookups derived once from a validated shape and shared by its states."""
 
-    by_site: dict[Site, dict[Site, Edge]]  # site -> other endpoint -> admissible edge
     anchors: dict[Edge, frozenset[Edge]]  # admissible antiparallel neighbours
     toeholds: frozenset[Edge]
     rank: dict[Edge, int]  # position in sorted order, so moves sort on integers
@@ -229,7 +235,7 @@ def _build_index(g: StrandGraph) -> _Index:
         near = (by_site.get(Site(v1, n1 + d), {}).get(Site(v2, n2 - d)) for d in (1, -1))
         anchors[e] = frozenset(f for f in near if f not in (None, e))
     toeholds = frozenset(e for e in ranked if g.toehold(e))
-    return _Index(by_site, anchors, toeholds, {e: k for k, e in enumerate(ranked)})
+    return _Index(anchors, toeholds, {e: k for k, e in enumerate(ranked)})
 
 
 def from_process(p: Process) -> StrandGraph:
@@ -383,62 +389,152 @@ def apply_move(g: StrandGraph, move: Move) -> StrandGraph:
 
 
 def moves(g: StrandGraph) -> list[Move]:
-    """Every move whose premises hold in g, in a deterministic order.
+    """Every move whose premises hold in g, in a deterministic order: by rule
+    (GB, GU, G3, GM), then by the sorted ranks of the removed edges, then of
+    the added ones.  Migration rings are searched up to MAX_RING edges.
 
-    Migration rings are searched up to MAX_RING edges.
-    """
+    This decodes the integer enumerator that explore() runs on edge ranks."""
+    t = _rank_tables(g)
+    state = sum(1 << g._index.rank[e] for e in g.current)
+    return [_decode(t, m) for m in _enumerator(t)(state)]
+
+
+# A move on edge ranks: (rule order, sorted removed ranks, sorted added ranks,
+# flip mask).  The successor of a bitmask state is state ^ flip.
+_RankMove = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+
+class _RankTables(NamedTuple):
+    """A graph's admissible edges by rank, for enumerating moves on bitmask
+    states.  Sites are numbered in order of first appearance in rank order."""
+
+    edges: list[Edge]  # rank -> edge
+    ends: list[tuple[int, int]]  # rank -> its two site ids
+    anchors: list[int]  # rank -> bitmask of its admissible antiparallel neighbours
+    toeholds: list[bool]  # rank -> toehold edge
+    partners: list[dict[int, int]]  # site id -> other site id -> edge rank, in rank order
+    components: list[tuple[int, list[int]]]  # per vertex-connected component: rank mask, ranks
+
+
+def _rank_tables(g: StrandGraph) -> _RankTables:
     ix: _Index = g._index
-    current = g.current
-    owner = {s: e for e in current for s in (e.a, e.b)}
-    out = []
-    for s, partners in ix.by_site.items():
-        if s not in owner:
-            for t, x in partners.items():
-                if s == x.a and t not in owner:
-                    out.append(Move("GB", frozenset(), frozenset([x])))
+    edges = list(ix.rank)  # keys in rank order
+    site_id: dict[Site, int] = {}
+    ends = [(site_id.setdefault(e.a, len(site_id)), site_id.setdefault(e.b, len(site_id))) for e in edges]
+    partners: list[dict[int, int]] = [{} for _ in site_id]
+    for r, (s, t) in enumerate(ends):
+        partners[s][t] = r
+        partners[t][s] = r
+    anchors = [sum(1 << ix.rank[f] for f in ix.anchors[e]) for e in edges]
+    # anchors join edges on one vertex pair and every other premise joins
+    # edges that share a site, so no move touches two components
+    root = list(range(len(g.lengths) + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in edges:
+        root[find(e.a.vertex)] = find(e.b.vertex)
+    groups: dict[int, list[int]] = {}
+    for r, e in enumerate(edges):
+        groups.setdefault(find(e.a.vertex), []).append(r)
+    components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
+    return _RankTables(edges, ends, anchors, [e in ix.toeholds for e in edges], partners, components)
+
+
+def _decode(t: _RankTables, move: _RankMove) -> Move:
+    rule, removed, added, _ = move
+    return Move(RULES[rule], frozenset([t.edges[r] for r in removed]), frozenset([t.edges[r] for r in added]))
+
+
+def _enumerator(t: _RankTables) -> Callable[[int], list[_RankMove]]:
+    """state -> its moves, sorted: the merge of each component's moves on its
+    part of the state.  Each (component, part) is enumerated once per
+    enumerator; with a single component nothing is cached, as no part could
+    come back without its whole state coming back."""
+    if len(t.components) == 1:
+        ((_, ranks),) = t.components
+        return lambda state: _component_moves(t, ranks, state)
+    parts = [(mask, ranks, {}) for mask, ranks in t.components]
+
+    def merged(state: int) -> list[_RankMove]:
+        out: list[_RankMove] = []
+        for mask, ranks, cache in parts:
+            part = state & mask
+            found = cache.get(part)
+            if found is None:
+                found = cache[part] = _component_moves(t, ranks, part)
+            out += found
+        out.sort()  # a merge of sorted runs
+        return out
+
+    return merged
+
+
+def _component_moves(t: _RankTables, ranks: list[int], state: int) -> list[_RankMove]:
+    """The sorted moves of the component whose edges are ranks, in a state
+    with no current edge outside it."""
+    ends, anchors, partners = t.ends, t.anchors, t.partners
+    current = []
+    owner: dict[int, int] = {}  # bound site id -> its current edge
+    bits = state
+    while bits:
+        e = (bits & -bits).bit_length() - 1
+        bits ^= 1 << e
+        current.append(e)
+        s, u = ends[e]
+        owner[s] = owner[u] = e
+    out: list[_RankMove] = []
+    for x in ranks:
+        s, u = ends[x]
+        if s not in owner and u not in owner:
+            out.append((0, (), (x,), 1 << x))
     for e in current:
-        if e in ix.toeholds and ix.anchors[e].isdisjoint(current):
-            out.append(Move("GU", frozenset([e]), frozenset()))
+        if t.toeholds[e] and not anchors[e] & state:
+            out.append((1, (e,), (), 1 << e))
     for e in current:
-        # x shares the site s with e and its other end t must be free; e
+        # x shares the site s with e and its other end u must be free; e
         # itself never anchors x, as no neighbour of x shares a site with it
-        for s in (e.a, e.b):
-            for t, x in ix.by_site[s].items():
-                if t not in owner and not ix.anchors[x].isdisjoint(current):
-                    out.append(Move("G3", frozenset([e]), frozenset([x])))
-    out += _ring_moves(g, owner)
-    rank = ix.rank.__getitem__
-    return sorted(out, key=lambda m: (_RULE_ORDER[m.rule], sorted(map(rank, m.removed)), sorted(map(rank, m.added))))
+        for s in ends[e]:
+            for u, x in partners[s].items():
+                if u not in owner and anchors[x] & state:
+                    out.append((2, (e,), (x,), 1 << e | 1 << x))
+    out += _ring_moves(t, owner, current, state)
+    out.sort()
+    return out
 
 
-def _ring_moves(g: StrandGraph, owner: dict[Site, Edge]) -> set[Move]:
+def _ring_moves(t: _RankTables, owner: dict[int, int], current: list[int], state: int) -> set[_RankMove]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges."""
-    ix: _Index = g._index
-    found: set[Move] = set()
+    ends, anchors, partners = t.ends, t.anchors, t.partners
+    found: set[_RankMove] = set()
 
-    def extend(start: Edge, ring: list[Edge], links: list[Edge], exit_site: Site, entry_site: Site):
+    def extend(start: int, ring: list[int], links: list[int], exit_site: int, entry_site: int):
         # exit_site: the still-unlinked endpoint of ring[-1]
         if len(ring) >= 2:
-            closing = ix.by_site[exit_site].get(entry_site)
+            closing = partners[exit_site].get(entry_site)
             if closing is not None:
-                added = frozenset(links + [closing])
-                removed = frozenset(ring)
-                result = (g.current - removed) | added
-                if all(not ix.anchors[x].isdisjoint(result) for x in added):
-                    found.add(Move("GM", removed, added))
+                added = links + [closing]
+                flip = sum(1 << r for r in ring + added)
+                if all(anchors[x] & (state ^ flip) for x in added):
+                    found.add((3, tuple(sorted(ring)), tuple(sorted(added)), flip))
         if len(ring) >= MAX_RING:
             return
-        for landing, x in ix.by_site[exit_site].items():
+        for landing, x in partners[exit_site].items():
             nxt = owner.get(landing)
-            if nxt is None or nxt in ring or ix.rank[nxt] < ix.rank[start]:
+            if nxt is None or nxt in ring or nxt < start:
                 continue
-            extend(start, ring + [nxt], links + [x], nxt.other(landing), entry_site)
+            s, u = ends[nxt]
+            extend(start, ring + [nxt], links + [x], s + u - landing, entry_site)
 
-    for start in g.current:
+    for start in current:
         # fix the lowest-ranked ring edge as the start; try both orientations
-        for entry_site, exit_site in ((start.a, start.b), (start.b, start.a)):
-            extend(start, [start], [], exit_site, entry_site)
+        s, u = ends[start]
+        extend(start, [start], [], u, s)
+        extend(start, [start], [], s, u)
     return found
 
 
@@ -468,36 +564,55 @@ class ExploreReport:
 def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     """Breadth-first closure of the move relation from g's current state.
 
-    States are keyed by their edge sets; the report lists them in
-    discovery order with their depths, the terminal states, and a shortest
-    trace to any state on request.  If the closure has more than max_states
-    states, ExplorationLimitError is raised; no partial verdicts are
-    produced.  A state at depth d has d ancestors, so max_states bounds the
-    depth too.  Each state is checked once, when it is dequeued.
+    The report lists the states in discovery order as edge sets, with their
+    depths, the terminal states, and a shortest trace to any state on
+    request.  If the closure has more than max_states states,
+    ExplorationLimitError is raised; no partial verdicts are produced.  A
+    state at depth d has d ancestors, so max_states bounds the depth too.
+
+    The search runs on edge ranks: a state is a bitmask over the ranked
+    admissible edges, and a move flips the bits of the edges it removes and
+    adds.  Move lists are cached per vertex-connected component of the
+    admissible edges, since no move touches two components.  Only a new
+    state becomes an edge set, and only a move that reaches a new state
+    becomes a Move.  Each state is still checked once, by with_current, when
+    it is dequeued.
     """
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    states = [g.current]
+    t = _rank_tables(g)
+    moves_of = _enumerator(t)
+    start = sum(1 << g._index.rank[e] for e in g.current)
+    # states hold the ranked edge objects, so set operations on them find
+    # each edge by identity and never call Edge.__eq__
+    states = [frozenset(e for e in t.edges if e in g.current)]
+    masks = [start]
     depths = [0]
     parents: list[tuple[int, Move] | None] = [None]
-    index = {g.current: 0}
+    index = {start: 0}
+    decoded: dict[_RankMove, Move] = {}  # a move recurs while other components change
     terminals: list[int] = []
     queue: deque[int] = deque([0])
     while queue:
         i = queue.popleft()
-        here = g.with_current(states[i])
-        available = moves(here)
+        g.with_current(states[i])  # the check: admissible, each site bound once
+        state = masks[i]
+        available = moves_of(state)
         if not available:
             terminals.append(i)
             continue
-        for move in available:
-            nxt = (states[i] - move.removed) | move.added
+        for m in available:
+            nxt = state ^ m[3]
             if nxt in index:
                 continue
             if len(states) >= max_states:
                 raise ExplorationLimitError(f"more than {max_states} states")
+            move = decoded.get(m)
+            if move is None:
+                move = decoded[m] = _decode(t, m)
             index[nxt] = len(states)
-            states.append(nxt)
+            states.append((states[i] - move.removed) | move.added)
+            masks.append(nxt)
             depths.append(depths[i] + 1)
             parents.append((i, move))
             queue.append(index[nxt])

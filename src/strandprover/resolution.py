@@ -174,6 +174,8 @@ def refute(
         # pivot, then the literals of clause j it does not already hold
         candidates = []
         for mask, (i, j, pivot) in first.items():
+            if deadline is not None and monotonic() > deadline:  # inlined, as in the partner loop
+                check_time()
             mask_i = masks[i]
             complement = pivot ^ 1
             clause_lits = tuple([lit for lit in lits[i] if lit != pivot]

@@ -1,7 +1,9 @@
 """Strand graphs: structure, moves, exploration, and interchange formats."""
 
 import hashlib
+import math
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -482,6 +484,87 @@ class TestIndexedEnumeration:
         report = explore(from_process(pr.parse_process(HAIRPINS_AND_FOURWAY)))
         assert len(report.states) == 22 * 22 * 8
         assert report_digest(report) == "e77e1d917707f29b57f6b04edcee6b193bc386bd6a98282baca8cb3c9de8ba90"
+
+
+def reference_explore(g: StrandGraph):
+    """Breadth-first closure over frozenset states, each state's moves those
+    the rule appliers accept (brute_force_moves), sorted by rule order and
+    then by the sorted ranks of the removed and of the added edges."""
+    rank = {e: k for k, e in enumerate(sorted(g.admissible))}
+
+    def key(m: Move):
+        return graph_module.RULES.index(m.rule), sorted(map(rank.get, m.removed)), sorted(map(rank.get, m.added))
+
+    states, depths, parents, terminals = [g.current], [0], [None], []
+    index = {g.current: 0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        available = sorted(brute_force_moves(g.with_current(states[i])), key=key)
+        if not available:
+            terminals.append(i)
+        for move in available:
+            nxt = (states[i] - move.removed) | move.added
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+                depths.append(depths[i] + 1)
+                parents.append((i, move))
+                queue.append(index[nxt])
+    return states, depths, parents, terminals
+
+
+def disjoint_union(rng: random.Random, parts: list[pr.Process]) -> pr.Process:
+    """The parts side by side, domains and bonds renamed per part so that no
+    two parts pair, and the strands shuffled."""
+    strands = [
+        pr.Strand(tuple(
+            pr.Domain(f"{d.name}_{k}", d.complemented, d.toehold, None if d.bond is None else f"{d.bond}_{k}")
+            for d in strand.domains
+        ))
+        for k, part in enumerate(parts)
+        for strand in part.strands
+    ]
+    rng.shuffle(strands)
+    return pr.Process(tuple(strands))
+
+
+class TestReferenceExploration:
+    """explore() runs on edge-rank bitmasks with move lists cached per
+    connected component; a plain search over edge sets, with the moves the
+    rule appliers accept, must produce the same report."""
+
+    def assert_matches_reference(self, g: StrandGraph) -> int:
+        report = explore(g)
+        assert (report.states, report.depths, report.parents, report.terminals) == reference_explore(g)
+        return len(report.states)
+
+    def test_random_processes(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            p = oracles.random_process(rng, strands=3, max_len=5, bond_fraction=0.8)
+            self.assert_matches_reference(from_process(p))
+
+    def test_disjoint_unions_interleave_their_components(self):
+        def part(rng: random.Random) -> pr.Process:
+            # a part that moves, small enough that the product stays small
+            while True:
+                p = oracles.random_process(rng, strands=3, max_len=4, bond_fraction=0.7)
+                if 1 < len(explore(from_process(p)).states) <= 12:
+                    return p
+
+        rng = random.Random(29)
+        for _ in range(50):
+            parts = [part(rng) for _ in range(rng.randint(2, 3))]
+            count = self.assert_matches_reference(from_process(disjoint_union(rng, parts)))
+            # the parts move independently: the closure is their product
+            assert count == math.prod(len(explore(from_process(p)).states) for p in parts)
+
+    def test_budget_message_on_several_components(self):
+        g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
+        with pytest.raises(ExplorationLimitError) as info:
+            explore(g, max_states=100)
+        assert str(info.value) == "more than 100 states"
 
 
 # --- exploration -------------------------------------------------------------

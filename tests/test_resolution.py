@@ -221,6 +221,26 @@ class TestRefute:
         assert refute(s).is_unsat
         assert resolvents[:2] == [6, 7] and pivots[:2] == ["R", "R"]
 
+    def test_time_budget_is_checked_while_candidates_are_built(self, monkeypatch):
+        # bucket Z, the first one eliminated, has six resolvents, {A, D} to
+        # {C, E}, and each candidate sorts its literals once; on a clock where
+        # every sort in refute takes a second, the search must stop within a
+        # second of its deadline instead of building all six candidates first
+        from strandprover import resolution
+
+        now = [0.0]
+
+        def sort_for_a_second(*args, **kwargs):
+            now[0] += 1.0
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(resolution, "sorted", sort_for_a_second, raising=False)
+        monkeypatch.setattr(resolution, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        with pytest.raises(ResourceLimitError) as info:
+            refute(ClauseSet.parse("A Z\nB Z\nC Z\n~Z D\n~Z E\n"), max_seconds=3.5)
+        assert str(info.value) == "time budget exhausted at variable Z with 5 clauses retained"
+        assert now[0] <= 3.5 + 1.0
+
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
         # trace lines, stored literal order and the empty step reach the CLI's
         # output, so they must not drift; the digest was recorded from the
