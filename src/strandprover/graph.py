@@ -7,11 +7,12 @@ rewrite E only.  Rule names follow the trace vocabulary GB (bind), GU
 (unbind), G3 (displace), GM (ring migration).
 
 The rule appliers (bind, unbind, displace, migrate) check their premises on
-edge sets.  Enumeration and exploration run on integer edge ranks instead: a
-state is a bitmask over the ranked admissible edges, and explore() caches
-move lists per vertex-connected component, as no move touches two of them.
-explore() still checks each state it reaches once, with with_current, and
-reports states as edge sets and moves as Move objects.
+edge sets.  Enumeration and exploration run on integer edge ranks instead,
+over one integer index of the shape that the constructor builds and every
+state shares: a state is a bitmask over the ranked admissible edges, and
+explore() caches move lists per vertex-connected component, as no move
+touches two of them.  explore() still checks each state it reaches once,
+with with_current, and reports states as edge sets and moves as Move objects.
 """
 
 from __future__ import annotations
@@ -145,22 +146,16 @@ def is_anchored(e: Edge, edges: Iterable[Edge]) -> bool:
     return bool(edge_adjacent(e, edges))
 
 
-class _Index(NamedTuple):
-    """Lookups derived once from a validated shape and shared by its states."""
-
-    anchors: dict[Edge, frozenset[Edge]]  # admissible antiparallel neighbours
-    toeholds: frozenset[Edge]
-    rank: dict[Edge, int]  # position in sorted order, so moves sort on integers
-
-
 @dataclass(frozen=True)
 class StrandGraph:
     """A shape, the bond-free site labels, and a state, the current edges.
 
     The labels fix the rest of the shape: each vertex's length, its colour
     (strand types numbered by first appearance) and the admissible edges,
-    every complementary site pair.  These are derived and indexed once;
-    with_current reuses them and checks only the new edge set, in O(|E|)."""
+    every complementary site pair.  These are derived once, and indexed once
+    on integers (_Index: edges by rank, site ids, anchor bitmasks, toehold
+    flags, components); with_current shares them all and checks only the new
+    edge set, in O(|E|)."""
 
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
     current: frozenset[Edge]
@@ -222,20 +217,56 @@ def _complementary_pairs(domains: tuple[tuple[Domain, ...], ...]) -> frozenset[E
     return frozenset(Edge(s, t) for plain, starred in ends.values() for s in plain for t in starred)
 
 
+class _Index(NamedTuple):
+    """A shape's admissible edges by rank, in sorted order, and what
+    bind_chain, moves and explore read of them, on integers.  Built once by
+    the constructor and shared by every state.  Sites are numbered in order
+    of first appearance in rank order."""
+
+    edges: list[Edge]  # rank -> edge
+    rank: dict[Edge, int]
+    ends: list[tuple[int, int]]  # rank -> its two site ids
+    anchors: list[int]  # rank -> bitmask of its admissible antiparallel neighbours
+    toeholds: list[bool]  # rank -> toehold edge
+    partners: list[dict[int, int]]  # site id -> other site id -> edge rank, in rank order
+    components: list[tuple[int, list[int]]]  # per vertex-connected component: rank mask, ranks
+
+
 def _build_index(g: StrandGraph) -> _Index:
-    ranked = sorted(g.admissible)
-    by_site: dict[Site, dict[Site, Edge]] = {}
-    for e in ranked:
-        by_site.setdefault(e.a, {})[e.b] = e
-        by_site.setdefault(e.b, {})[e.a] = e
-    # the antiparallel neighbours of (v1,n1)-(v2,n2) can only be (v1,n1+d)-(v2,n2-d)
-    anchors = {}
-    for e in ranked:
+    edges = sorted(g.admissible, key=lambda e: (e.a, e.b))
+    site_id: dict[Site, int] = {}
+    ends = [(site_id.setdefault(e.a, len(site_id)), site_id.setdefault(e.b, len(site_id))) for e in edges]
+    partners: list[dict[int, int]] = [{} for _ in site_id]
+    for r, (s, t) in enumerate(ends):
+        partners[s][t] = r
+        partners[t][s] = r
+    # the antiparallel neighbours of (v1,n1)-(v2,n2) can only be (v1,n1+d)-(v2,n2-d);
+    # on a hairpin one of them may be the edge itself
+    anchors = [0] * len(edges)
+    for r, e in enumerate(edges):
         (v1, n1), (v2, n2) = e.a, e.b
-        near = (by_site.get(Site(v1, n1 + d), {}).get(Site(v2, n2 - d)) for d in (1, -1))
-        anchors[e] = frozenset(f for f in near if f not in (None, e))
-    toeholds = frozenset(e for e in ranked if g.toehold(e))
-    return _Index(anchors, toeholds, {e: k for k, e in enumerate(ranked)})
+        for d in (1, -1):
+            s, t = site_id.get((v1, n1 + d)), site_id.get((v2, n2 - d))
+            f = None if s is None else partners[s].get(t)
+            if f not in (None, r):
+                anchors[r] |= 1 << f
+    # anchors join edges on one vertex pair and every other premise joins
+    # edges that share a site, so no move touches two components
+    root = list(range(len(g.lengths) + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in edges:
+        root[find(e.a.vertex)] = find(e.b.vertex)
+    groups: dict[int, list[int]] = {}
+    for r, e in enumerate(edges):
+        groups.setdefault(find(e.a.vertex), []).append(r)
+    components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
+    rank = {e: r for r, e in enumerate(edges)}
+    return _Index(edges, rank, ends, anchors, [g.toehold(e) for e in edges], partners, components)
 
 
 def from_process(p: Process) -> StrandGraph:
@@ -266,13 +297,13 @@ def bind_chain(g: StrandGraph) -> list[Edge] | None:
     with rank-sorted moves meets first the greedy chain: at each step the
     least-ranked admissible edge with two free ends.  O(admissible edges)."""
     ix: _Index = g._index
-    if g.current or ix.toeholds or any(ix.anchors.values()):
+    if g.current or any(ix.toeholds) or any(ix.anchors):
         return None
-    bound: set[Site] = set()
+    bound: set[int] = set()
     chain = []
-    for x in ix.rank:  # keys in rank order
-        if x.a not in bound and x.b not in bound:
-            bound.update((x.a, x.b))
+    for x, (s, t) in zip(ix.edges, ix.ends):
+        if s not in bound and t not in bound:
+            bound.update((s, t))
             chain.append(x)
     return chain
 
@@ -394,9 +425,9 @@ def moves(g: StrandGraph) -> list[Move]:
     the added ones.  Migration rings are searched up to MAX_RING edges.
 
     This decodes the integer enumerator that explore() runs on edge ranks."""
-    t = _rank_tables(g)
-    state = sum(1 << g._index.rank[e] for e in g.current)
-    return [_decode(t, m) for m in _enumerator(t)(state)]
+    ix: _Index = g._index
+    state = sum(1 << ix.rank[e] for e in g.current)
+    return [_decode(ix, m) for m in _enumerator(ix)(state)]
 
 
 # A move on edge ranks: (rule order, sorted removed ranks, sorted added ranks,
@@ -404,52 +435,12 @@ def moves(g: StrandGraph) -> list[Move]:
 _RankMove = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
 
-class _RankTables(NamedTuple):
-    """A graph's admissible edges by rank, for enumerating moves on bitmask
-    states.  Sites are numbered in order of first appearance in rank order."""
-
-    edges: list[Edge]  # rank -> edge
-    ends: list[tuple[int, int]]  # rank -> its two site ids
-    anchors: list[int]  # rank -> bitmask of its admissible antiparallel neighbours
-    toeholds: list[bool]  # rank -> toehold edge
-    partners: list[dict[int, int]]  # site id -> other site id -> edge rank, in rank order
-    components: list[tuple[int, list[int]]]  # per vertex-connected component: rank mask, ranks
-
-
-def _rank_tables(g: StrandGraph) -> _RankTables:
-    ix: _Index = g._index
-    edges = list(ix.rank)  # keys in rank order
-    site_id: dict[Site, int] = {}
-    ends = [(site_id.setdefault(e.a, len(site_id)), site_id.setdefault(e.b, len(site_id))) for e in edges]
-    partners: list[dict[int, int]] = [{} for _ in site_id]
-    for r, (s, t) in enumerate(ends):
-        partners[s][t] = r
-        partners[t][s] = r
-    anchors = [sum(1 << ix.rank[f] for f in ix.anchors[e]) for e in edges]
-    # anchors join edges on one vertex pair and every other premise joins
-    # edges that share a site, so no move touches two components
-    root = list(range(len(g.lengths) + 1))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    for e in edges:
-        root[find(e.a.vertex)] = find(e.b.vertex)
-    groups: dict[int, list[int]] = {}
-    for r, e in enumerate(edges):
-        groups.setdefault(find(e.a.vertex), []).append(r)
-    components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
-    return _RankTables(edges, ends, anchors, [e in ix.toeholds for e in edges], partners, components)
-
-
-def _decode(t: _RankTables, move: _RankMove) -> Move:
+def _decode(t: _Index, move: _RankMove) -> Move:
     rule, removed, added, _ = move
     return Move(RULES[rule], frozenset([t.edges[r] for r in removed]), frozenset([t.edges[r] for r in added]))
 
 
-def _enumerator(t: _RankTables) -> Callable[[int], list[_RankMove]]:
+def _enumerator(t: _Index) -> Callable[[int], list[_RankMove]]:
     """state -> its moves, sorted: the merge of each component's moves on its
     part of the state.  Each (component, part) is enumerated once per
     enumerator; with a single component nothing is cached, as no part could
@@ -473,7 +464,7 @@ def _enumerator(t: _RankTables) -> Callable[[int], list[_RankMove]]:
     return merged
 
 
-def _component_moves(t: _RankTables, ranks: list[int], state: int) -> list[_RankMove]:
+def _component_moves(t: _Index, ranks: list[int], state: int) -> list[_RankMove]:
     """The sorted moves of the component whose edges are ranks, in a state
     with no current edge outside it."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
@@ -506,7 +497,7 @@ def _component_moves(t: _RankTables, ranks: list[int], state: int) -> list[_Rank
     return out
 
 
-def _ring_moves(t: _RankTables, owner: dict[int, int], current: list[int], state: int) -> set[_RankMove]:
+def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int) -> set[_RankMove]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
@@ -580,12 +571,12 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     """
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    t = _rank_tables(g)
-    moves_of = _enumerator(t)
-    start = sum(1 << g._index.rank[e] for e in g.current)
+    ix: _Index = g._index
+    moves_of = _enumerator(ix)
+    start = sum(1 << ix.rank[e] for e in g.current)
     # states hold the ranked edge objects, so set operations on them find
     # each edge by identity and never call Edge.__eq__
-    states = [frozenset(e for e in t.edges if e in g.current)]
+    states = [frozenset(e for e in ix.edges if e in g.current)]
     masks = [start]
     depths = [0]
     parents: list[tuple[int, Move] | None] = [None]
@@ -609,7 +600,7 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
                 raise ExplorationLimitError(f"more than {max_states} states")
             move = decoded.get(m)
             if move is None:
-                move = decoded[m] = _decode(t, m)
+                move = decoded[m] = _decode(ix, m)
             index[nxt] = len(states)
             states.append((states[i] - move.removed) | move.added)
             masks.append(nxt)
@@ -623,7 +614,7 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
 
 
 def to_json_dict(g: StrandGraph) -> dict:
-    admissible = sorted(g.admissible)
+    admissible = g._index.edges  # sorted
     return {
         "vertices": [
             {
@@ -647,9 +638,12 @@ def to_json(g: StrandGraph) -> str:
 def _edge_from_json(pair) -> Edge:
     try:
         (v1, n1), (v2, n2) = pair
-        return Edge(Site(int(v1), int(n1)), Site(int(v2), int(n2)))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise GraphError(f"bad edge entry {pair!r}: {exc}") from None
+    # JSON integers only: a bool is an int in Python, and int() would accept 1.9 and "1"
+    if not all(type(x) is int for x in (v1, n1, v2, n2)):
+        raise GraphError(f"bad edge entry {pair!r}: coordinates must be integers")
+    return Edge(Site(v1, n1), Site(v2, n2))
 
 
 def from_json(text: str | dict) -> StrandGraph:
@@ -670,7 +664,7 @@ def from_json(text: str | dict) -> StrandGraph:
     for k, row in enumerate(vertices, start=1):
         if not isinstance(row, dict):
             raise GraphError(f"vertex entry {row!r} is not an object")
-        if row.get("id") != k:
+        if type(row.get("id")) is not int or row["id"] != k:
             raise GraphError(f"vertex ids must run 1..n, found {row.get('id')!r}")
         if not isinstance(row.get("domains"), list):
             raise GraphError(f"vertex {k}: domains must be a list of domain tokens")
@@ -682,9 +676,9 @@ def from_json(text: str | dict) -> StrandGraph:
     g = StrandGraph(tuple(domains), frozenset(_edge_from_json(pair) for pair in current_rows))
     # every field but the labels and the current edges is derived: check it agrees
     for k, row in enumerate(vertices):
-        if row.get("length") != g.lengths[k]:
+        if type(row.get("length")) is not int or row["length"] != g.lengths[k]:
             raise GraphError(f"vertex {k + 1} length disagrees with its domain list")
-        if row.get("colour") != g.colours[k]:
+        if type(row.get("colour")) is not int or row["colour"] != g.colours[k]:
             raise GraphError(
                 f"vertex {k + 1} colour must be {g.colours[k]}: colours number strand types by first appearance"
             )
@@ -710,7 +704,7 @@ def _dot_lines(g: StrandGraph) -> Iterator[str]:
     for v in range(1, len(g.lengths) + 1):
         seq = " ".join(format_domain(d) for d in g.domains[v - 1])
         yield f'  v{v} [label="{v}: <{seq}>  colour {g.colours[v - 1]}"];'
-    for e in sorted(g.admissible):
+    for e in g._index.edges:  # sorted
         colour = "red" if e in g.current else "blue"
         style = "dashed" if g.toehold(e) else "solid"
         width = ", penwidth=2.0" if e in g.current else ""

@@ -442,11 +442,14 @@ class ClauseSet:
 
     @classmethod
     def from_dimacs(cls, text: str) -> "ClauseSet":
-        """DIMACS CNF; variable n becomes 'x<n>'."""
+        """DIMACS CNF; variable n becomes 'x<n>'.  A line starting with '%'
+        ends the input, as in the SATLIB benchmark files."""
         numbers: list[int] = []
         saw_header = False
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
+            if line.startswith("%"):
+                break
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):

@@ -60,6 +60,13 @@ class TestProve:
         code, _, _ = run(capsys, "prove", "--input", str(path))
         assert code == cli.EXIT_OK
 
+    def test_dimacs_percent_end_marker(self, tmp_path, capsys):
+        path = tmp_path / "uf2-01.cnf"
+        path.write_text("p cnf 2 1\n1 -2 0\n%\n0\n")
+        code, out, _ = run(capsys, "prove", "--input", str(path))
+        assert code == cli.EXIT_SAT
+        assert out.startswith("SATISFIABLE")
+
     def test_goal_is_refuted_against_the_axioms(self, tmp_path, capsys):
         path = tmp_path / "axioms.txt"
         path.write_text("P\n")

@@ -23,6 +23,7 @@ from strandprover.graph import (
     Trace,
     apply_move,
     bind,
+    bind_chain,
     displace,
     edge_adjacent,
     explore,
@@ -187,6 +188,22 @@ class TestStrandGraphValidation:
 
         monkeypatch.setattr(graph_module, "_complementary_pairs", counted)
         from_process(fourway())
+        assert len(calls) == 1
+
+    def test_the_shape_is_indexed_once(self, monkeypatch):
+        calls = []
+        build_index = graph_module._build_index
+
+        def counted(g):
+            calls.append(g)
+            return build_index(g)
+
+        monkeypatch.setattr(graph_module, "_build_index", counted)
+        g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
+        report = explore(g)
+        for state in report.states:
+            moves(g.with_current(state))
+        bind_chain(g)
         assert len(calls) == 1
 
     def test_position_bounds(self):
@@ -445,8 +462,9 @@ def report_digest(report) -> str:
 
 
 class TestIndexedEnumeration:
-    """moves() reads per-site and anchor indices; the rule appliers re-check
-    every premise from scratch.  Both must accept exactly the same moves."""
+    """moves() decodes the integer enumerator over the shape's index; the
+    rule appliers re-check every premise from scratch.  Both must accept
+    exactly the same moves."""
 
     def assert_matches_appliers(self, g: StrandGraph):
         report = explore(g)
@@ -484,6 +502,39 @@ class TestIndexedEnumeration:
         report = explore(from_process(pr.parse_process(HAIRPINS_AND_FOURWAY)))
         assert len(report.states) == 22 * 22 * 8
         assert report_digest(report) == "e77e1d917707f29b57f6b04edcee6b193bc386bd6a98282baca8cb3c9de8ba90"
+
+
+class TestShapeIndex:
+    """The constructor's integer index against the set-level definitions:
+    sorted edges, edge_adjacent, toehold and vertex connectivity."""
+
+    def assert_matches_definitions(self, g: StrandGraph) -> list[Edge]:
+        ix = g._index
+        assert ix.edges == sorted(g.admissible)
+        assert ix.rank == {e: r for r, e in enumerate(ix.edges)}
+        for r, e in enumerate(ix.edges):
+            anchors = {ix.edges[f] for f in range(len(ix.edges)) if ix.anchors[r] >> f & 1}
+            assert anchors == edge_adjacent(e, g.admissible)
+            assert ix.toeholds[r] == g.toehold(e)
+        ranks = [r for _, component in ix.components for r in component]
+        assert sorted(ranks) == list(range(len(ix.edges)))
+        seen: set[int] = set()
+        for mask, component in ix.components:
+            assert mask == sum(1 << r for r in component)
+            vertices = {s.vertex for r in component for s in ix.edges[r].sites}
+            assert not vertices & seen
+            seen |= vertices
+        return [e for r, e in enumerate(ix.edges) if ix.anchors[r]]
+
+    def test_fixtures_and_random_processes(self):
+        graphs = [hairpin_graph(), fourway_graph(), theorem_graph()]
+        graphs.append(from_process(pr.parse_process(HAIRPIN_AND_FOURWAY)))
+        rng = random.Random(31)
+        for _ in range(150):
+            graphs.append(from_process(oracles.random_process(rng, strands=4, max_len=8, bond_fraction=0.8)))
+        anchored = [e for g in graphs for e in self.assert_matches_definitions(g)]
+        # hairpin loops, where both ends of an anchored edge lie on one vertex, are covered
+        assert any(e.a.vertex == e.b.vertex for e in anchored)
 
 
 def reference_explore(g: StrandGraph):
@@ -735,6 +786,36 @@ class TestJson:
     def test_missing_field_rejected(self):
         with pytest.raises(GraphError):
             from_json({"vertices": []})
+
+    def test_vertex_id_must_be_an_integer(self):
+        data = to_json_dict(theorem_graph())
+        data["vertices"][0]["id"] = True
+        with pytest.raises(GraphError, match="vertex ids"):
+            from_json(data)
+
+    def test_length_must_be_an_integer(self):
+        data = to_json_dict(theorem_graph())
+        data["vertices"][0]["length"] = float(data["vertices"][0]["length"])
+        with pytest.raises(GraphError, match="length"):
+            from_json(data)
+
+    def test_colour_must_be_an_integer(self):
+        data = to_json_dict(theorem_graph())
+        data["vertices"][0]["colour"] = True
+        with pytest.raises(GraphError, match="colour"):
+            from_json(data)
+
+    def test_admissible_coordinates_must_be_integers(self):
+        data = to_json_dict(theorem_graph())
+        data["admissible"][0][0][0] += 0.9
+        with pytest.raises(GraphError, match="must be integers"):
+            from_json(data)
+
+    def test_current_coordinates_must_be_integers(self):
+        data = to_json_dict(fourway_graph())
+        data["current"][0][0][0] += 0.9
+        with pytest.raises(GraphError, match="must be integers"):
+            from_json(data)
 
     def test_malformed_edge_rejected(self):
         data = to_json_dict(theorem_graph())

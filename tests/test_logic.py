@@ -193,6 +193,11 @@ class TestClauseSet:
         s = ClauseSet.from_dimacs("p cnf 1 1\n0\n")
         assert len(s) == 1 and next(iter(s)).is_empty()
 
+    def test_from_dimacs_stops_at_the_percent_line(self):
+        # SATLIB uf/uuf files end with '%' and then '0', which is not a clause
+        s = ClauseSet.from_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n")
+        assert s == ClauseSet.parse("x1 ~x2\n")
+
     def test_from_dimacs_rejects_non_integer_token(self):
         with pytest.raises(ParseError):
             ClauseSet.from_dimacs("p cnf 1 1\n1 x 0\n")
