@@ -11,6 +11,7 @@ from .compiler import (
     Codebook,
     CompiledClause,
     Verdict,
+    clause_process,
     compile_clauses,
     default_codebook,
     generate_codebook,
@@ -44,8 +45,8 @@ __all__ = [
     "And", "Clause", "ClauseSet", "Codebook", "CompiledClause", "DeductionStep",
     "Domain", "Edge", "ExploreReport", "Formula", "Iff", "ImpliedBy", "Implies",
     "Literal", "Move", "Not", "Or", "ParseError", "Process", "RefutationResult",
-    "Site", "Strand", "StrandGraph", "Trace", "Var", "Verdict", "compile_clauses",
-    "default_codebook", "explore", "from_process", "generate_codebook",
+    "Site", "Strand", "StrandGraph", "Trace", "Var", "Verdict", "clause_process",
+    "compile_clauses", "default_codebook", "explore", "from_process", "generate_codebook",
     "hybridization_verdict", "normalize_clause_set", "parse_formula",
     "parse_process", "refute", "render_deduction", "resolve_pair",
     "to_clausal_form",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -16,7 +17,9 @@ EXIT_INDETERMINATE = 2
 EXIT_DISAGREE = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="strandprover",
         description="Prove propositional theorems by resolution, by DNA strand "
@@ -55,24 +58,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="explore the strand graph of a system")
     add_common(p_sim)
-    p_sim.add_argument("--codebook", metavar="PATH", help="used when the input is a clause set")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run both engines and flag disagreement")
     add_common(p_cmp, formats=())
-    p_cmp.add_argument("--codebook", metavar="PATH", help="variable-to-sequence table")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_exp = sub.add_parser("export", help="write a strand graph as listing, JSON, or DOT")
     add_common(p_exp, with_bounds=False)
-    p_exp.add_argument("--codebook", metavar="PATH", help="used when the input is a clause set")
     p_exp.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (resolution.ResourceLimitError, graph.ExplorationLimitError) as exc:
@@ -123,19 +122,6 @@ def _load_clauses(args) -> logic.ClauseSet:
     return _parse_clause_text(_read_input(args.input))
 
 
-def _load_codebook_for(args, s: logic.ClauseSet) -> compiler.Codebook:
-    if getattr(args, "codebook", None):
-        book = compiler.Codebook.from_text(_read_input(args.codebook))
-        for var in s.variables():
-            book.sense(var)  # fail early on missing entries
-        return book
-    book = compiler.default_codebook()
-    missing = [var for var in s.variables() if var not in book]
-    if missing:
-        book = compiler.generate_codebook(missing, length=book.code_length(), base=book)
-    return book
-
-
 def _load_graph(args) -> graph.StrandGraph:
     """A strand graph from a fixture, process text, graph JSON, or clause set."""
     if args.fixture is not None:
@@ -151,8 +137,7 @@ def _load_graph(args) -> graph.StrandGraph:
         if stripped.startswith("<") or stripped.startswith("⟨"):
             return graph.from_process(proc.parse_process(stripped))
         s = _parse_clause_text(text)
-    p, _ = compiler.compile_clauses(s, _load_codebook_for(args, s))
-    return graph.from_process(p)
+    return graph.from_process(compiler.clause_process(s))
 
 
 # --- commands ----------------------------------------------------------------
@@ -191,7 +176,13 @@ def cmd_prove(args) -> int:
 
 def cmd_compile(args) -> int:
     s = _load_clauses(args)
-    book = _load_codebook_for(args, s)
+    if args.codebook:
+        book = compiler.Codebook.from_text(_read_input(args.codebook))
+        for var in s.variables():
+            book.sense(var)  # fail early on missing entries
+    else:  # the built-in codes, and generated ones for any other variable
+        default = compiler.default_codebook()
+        book = compiler.generate_codebook(s.variables(), length=default.code_length(), base=default)
     p, compiled = compiler.compile_clauses(s, book)
     if args.format == "json":
         payload = {
@@ -269,8 +260,7 @@ def cmd_compare(args) -> int:
         notes.append(f"resolution indeterminate: {exc}")
     verdict = None
     try:
-        p, _ = compiler.compile_clauses(s, _load_codebook_for(args, s))
-        verdict = compiler.hybridization_verdict(p, max_states=args.max_states)
+        verdict = compiler.hybridization_verdict(compiler.clause_process(s), max_states=args.max_states)
         hyb_unsat = verdict.is_unsat
     except graph.ExplorationLimitError as exc:
         notes.append(f"hybridization indeterminate: {exc}")

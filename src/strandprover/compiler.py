@@ -1,14 +1,16 @@
 """Compile clause sets into strand systems and decide them by hybridization.
 
 Each clause becomes one strand with one long domain per literal; negative
-literals are the complemented domains.  No toeholds are emitted, so no edge
-ever unbinds (GU).  A clause set is refuted when the closure of the compiled
-system reaches a state with every site bound, the strand-level image of the
-empty clause.  Unless a strand reads X Y and a strand, the same or another,
-reads Y* X* (an anchored pair, which could start a displacement), binding is
-the only move and every maximal binding is a largest one.  The question then
-has a closed-form answer, each variable occurs as often positive as
-negative, and hybridization_verdict decides it without exploring.
+literals are the complemented domains (clause_process).  Base sequences are
+only the wet-lab encoding, which compile_clauses adds from a Codebook.  No
+toeholds are emitted, so no edge ever unbinds (GU).  A clause set is refuted
+when the closure of the compiled system reaches a state with every site
+bound, the strand-level image of the empty clause.  Unless a strand reads
+X Y and a strand, the same or another, reads Y* X* (an anchored pair, which
+could start a displacement), binding is the only move and every maximal
+binding is a largest one.  The question then has a closed-form answer, each
+variable occurs as often positive as negative, and hybridization_verdict
+decides it without exploring.
 """
 
 from __future__ import annotations
@@ -190,23 +192,25 @@ class CompiledClause:
     bases: str
 
 
-def compile_clauses(s: ClauseSet, codebook: Codebook) -> tuple[Process, list[CompiledClause]]:
-    """One strand per clause, one long domain per literal, in input order.
-
-    Negative literals compile to complemented domains, and their bases to the
-    reverse complement of the sense code.
-    """
-    strands: list[Strand] = []
-    compiled: list[CompiledClause] = []
+def clause_process(s: ClauseSet) -> Process:
+    """One strand per clause, one long domain per literal, in input order;
+    a negative literal is its variable's complemented domain.  No bases."""
+    strands = []
     for clause in s:
         if clause.is_empty():
             raise CompileError("the empty clause has no strand image")
-        domains = tuple(Domain(lit.variable, complemented=lit.negated) for lit in clause)
-        bases = "".join(codebook.lookup(lit) for lit in clause)
-        strand = Strand(domains)
-        strands.append(strand)
-        compiled.append(CompiledClause(clause, strand, bases))
-    return Process(tuple(strands)), compiled
+        strands.append(Strand(tuple(Domain(lit.variable, complemented=lit.negated) for lit in clause)))
+    return Process(tuple(strands))
+
+
+def compile_clauses(s: ClauseSet, codebook: Codebook) -> tuple[Process, list[CompiledClause]]:
+    """clause_process(s), with each strand's bases: the sense code of each
+    positive literal and the reverse complement of each negative one's."""
+    p = clause_process(s)
+    return p, [
+        CompiledClause(clause, strand, "".join(codebook.lookup(lit) for lit in clause))
+        for clause, strand in zip(s, p.strands)
+    ]
 
 
 def format_fasta(compiled: Iterable[CompiledClause]) -> str:

@@ -687,7 +687,9 @@ def from_json(text: str | dict) -> StrandGraph:
     if len(toehold_rows) != len(admissible):
         raise GraphError("toehold flags must align with the admissible list")
     for e, flag in zip(admissible, toehold_rows):
-        if bool(flag) != g.toehold(e):
+        if type(flag) is not bool:
+            raise GraphError(f"toehold flag for {e} must be true or false, found {flag!r}")
+        if flag != g.toehold(e):
             raise GraphError(f"toehold flag for {e} disagrees with its site labels")
     return g
 

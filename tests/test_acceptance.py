@@ -17,6 +17,7 @@ from strandprover import cli
 from strandprover import process as pr
 from strandprover.compiler import (
     UNSAT_BY_HYBRIDIZATION,
+    clause_process,
     compile_clauses,
     default_codebook,
     hybridization_verdict,
@@ -114,7 +115,7 @@ def test_criterion_1():
 @criterion(2, "hybridization refutes the compiled six-clause example")
 def test_criterion_2():
     started = time.perf_counter()
-    p, _ = compile_clauses(clause_set_s(), default_codebook())
+    p = clause_process(clause_set_s())
     g = from_process(p)
     report = explore(g)
     verdict = hybridization_verdict(p)

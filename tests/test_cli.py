@@ -5,7 +5,7 @@ import json
 import pytest
 
 import oracles
-from strandprover import cli, logic, resolution
+from strandprover import cli, compiler, logic, resolution
 from strandprover.graph import from_json, to_json_dict
 from strandprover.fixtures import CLAUSES_S, THEOREM, theorem_graph
 
@@ -199,6 +199,16 @@ class TestCompile:
         )
         assert code == cli.EXIT_INDETERMINATE
         assert "Z" in err
+
+    def test_explicit_codebook_sets_the_bases(self, tmp_path, capsys):
+        book = compiler.generate_codebook(["P", "Q", "R", "U", "V"], seed=5)
+        path = tmp_path / "codes.txt"
+        path.write_text(book.to_text())
+        code, out, _ = run(capsys, "compile", "--fixture", "S", "--codebook", str(path), "--format", "json")
+        assert code == cli.EXIT_OK
+        payload = json.loads(out)
+        assert payload["codebook"] == {var: book.sense(var) for var in book.variables()}
+        assert payload["clauses"][2]["bases"] == book.sense("Q")
 
 
 # --- simulate ----------------------------------------------------------------
@@ -397,6 +407,60 @@ class TestExport:
         assert out.startswith("graph strand_system {")
 
 
+# --- clause sets without a codebook -------------------------------------------
+
+DIMACS_S = "p cnf 5 6\n1 -2 3 0\n-4 5 -3 0\n2 0\n-5 0\n-1 0\n4 0\n"
+FORMULA_S = "(P | ~Q | R) & (U -> V | ~R) & Q & ~V & ~P & U\n"
+
+
+class TestOnlyCompileReadsACodebook:
+    @pytest.mark.parametrize("text", [CLAUSES_S, DIMACS_S, FORMULA_S], ids=["clauses", "dimacs", "formula"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare"], *(["simulate", "--format", f] for f in ("text", "json", "dot")),
+         *(["export", "--format", f] for f in ("text", "json", "dot"))],
+        ids=lambda argv: "-".join(argv[::2]),
+    )
+    def test_clause_inputs_read_no_codebook(self, monkeypatch, tmp_path, capsys, text, argv):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        before = run(capsys, *argv, "--input", str(path))
+
+        def no_codebook(*args, **kwargs):
+            raise AssertionError("a codebook was read")
+
+        monkeypatch.setattr(compiler, "default_codebook", no_codebook)
+        monkeypatch.setattr(compiler, "generate_codebook", no_codebook)
+        monkeypatch.setattr(compiler.Codebook, "from_text", no_codebook)
+        assert run(capsys, *argv, "--input", str(path)) == before
+        assert before[0] == cli.EXIT_OK and before[2] == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "export"])
+    def test_codebook_option_is_a_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "codes.txt"
+        path.write_text(compiler.default_codebook().to_text())
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--fixture", "S", "--codebook", str(path)])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["prove", "compile", "simulate", "compare", "export"])
+    def test_only_compile_lists_the_codebook_option(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert ("--codebook" in capsys.readouterr().out) == (command == "compile")
+
+    def test_variables_beyond_any_code_search_agree(self, monkeypatch, capsys):
+        import io
+
+        # 700 unit clauses: the code search gives up near x682 at ten bases
+        units = "p cnf 700 700\n" + "".join(f"{k} 0\n" for k in range(1, 701))
+        monkeypatch.setattr("sys.stdin", io.StringIO(units))
+        code, out, err = run(capsys, "compare", "--input", "-")
+        assert code == cli.EXIT_OK
+        assert out.splitlines() == ["resolution: SATISFIABLE", "hybridization: SATISFIABLE", "AGREE"]
+        assert err == ""
+
+
 # --- top level ---------------------------------------------------------------
 
 
@@ -429,3 +493,20 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--help"])
         assert excinfo.value.code == 0
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "earlier",
+        [["compare", "--fixture", "S", "--max-states", "x"], ["--help"], ["--version"]],
+        ids=["usage-error", "help", "version"],
+    )
+    def test_earlier_calls_leave_the_shared_parser_unchanged(self, capsys, earlier):
+        cli.build_parser.cache_clear()
+        first = run(capsys, "compare", "--fixture", "S")
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            cli.main(earlier)
+        capsys.readouterr()
+        assert run(capsys, "compare", "--fixture", "S") == first

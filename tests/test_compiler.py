@@ -14,6 +14,7 @@ from strandprover.compiler import (
     CodebookError,
     CompileError,
     Verdict,
+    clause_process,
     compile_clauses,
     default_codebook,
     format_fasta,
@@ -203,6 +204,26 @@ class TestCompileClauses:
             compile_clauses(ClauseSet.parse("Z\n"), default_codebook())
 
 
+class TestClauseProcess:
+    def test_is_the_process_compile_clauses_returns(self):
+        s = clause_set_s()
+        assert clause_process(s) == compile_clauses(s, default_codebook())[0]
+        rng = random.Random(11)
+        for _ in range(200):
+            s = oracles.random_clause_set(rng, variables=rng.randint(1, 5), clauses=8, max_len=3)
+            for r in renderings(rng, s):
+                if len(r) and not any(c.is_empty() for c in r):
+                    assert clause_process(r) == compile_clauses(r, codebook_for(r))[0], str(r)
+
+    def test_empty_clause_rejected(self):
+        with pytest.raises(CompileError):
+            clause_process(ClauseSet([Clause([Literal("P")]), Clause()]))
+
+    def test_variables_no_codebook_covers_are_accepted(self):
+        s = ClauseSet.parse("Z ~alpha\nx682\n")
+        assert str(clause_process(s)) == "<Z alpha*> | <x682>"
+
+
 class TestFormatFasta:
     def test_fixture_rendering(self):
         from strandprover.fixtures import CLAUSES_S
@@ -345,16 +366,13 @@ def largest_matching(s: ClauseSet) -> int:
 class TestClosedForm:
     def test_equals_exploration_on_a_seeded_corpus(self):
         rng = random.Random(7)
-        books: dict[tuple[str, ...], Codebook] = {}
         compared = 0
         while compared < 1500:
             s = oracles.random_clause_set(rng, variables=rng.randint(1, 4), clauses=5, max_len=3)
             for r in renderings(rng, s):
                 if not len(r) or any(c.is_empty() for c in r):
                     continue  # a formula can reduce to no clause at all
-                if r.variables() not in books:
-                    books[r.variables()] = codebook_for(r)
-                p, _ = compile_clauses(r, books[r.variables()])
+                p = clause_process(r)
                 assert hybridization_verdict(p) == explored_verdict(p, max_states=2000), str(r)
                 compared += 1
 
@@ -364,10 +382,9 @@ class TestClosedForm:
 
         monkeypatch.setattr("strandprover.compiler.explore", no_exploring)
         for text in (CLAUSES_S, "P\n", "P\n~P\nQ\n", "P ~Q R\n~P Q ~R\n"):
-            p, _ = compile_clauses(ClauseSet.parse(text), default_codebook())
-            hybridization_verdict(p)
+            hybridization_verdict(clause_process(ClauseSet.parse(text)))
         # P-P* beside Q-Q* on strands 1 and 2 anchors each other: G3 could fire
-        p, _ = compile_clauses(ClauseSet.parse("P Q\n~Q ~P\n"), default_codebook())
+        p = clause_process(ClauseSet.parse("P Q\n~Q ~P\n"))
         with pytest.raises(AssertionError, match="explored"):
             hybridization_verdict(p)
 
@@ -382,16 +399,14 @@ class TestClosedForm:
             clauses[Clause(Literal(var, rng.random() < 0.5) for var in picked)] = None
         s = ClauseSet(clauses)
         assert reachable_states(s) > 50_000
-        p, _ = compile_clauses(s, default_codebook())
-        verdict = hybridization_verdict(p)
+        verdict = hybridization_verdict(clause_process(s))
         assert len(verdict.witness.replay()) == largest_matching(s)
         assert len(verdict.free_sites) == sum(map(len, s)) - 2 * largest_matching(s)
 
     def test_more_binds_than_the_depth_budget(self):
         names = [f"x{k}" for k in range(1, 202)]
         s = ClauseSet(Clause([Literal(var, negated)]) for var in names for negated in (False, True))
-        p, _ = compile_clauses(s, generate_codebook(names))
-        verdict = hybridization_verdict(p)
+        verdict = hybridization_verdict(clause_process(s))
         assert verdict.is_unsat
         assert len(verdict.witness.moves) == 201 > 200
         assert len(verdict.witness.replay()) == largest_matching(s) == 201

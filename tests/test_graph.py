@@ -777,6 +777,14 @@ class TestJson:
         with pytest.raises(GraphError):
             from_json(data)
 
+    @pytest.mark.parametrize("truthy, falsy", [("no", 0), (1, ""), ("true", None)])
+    def test_toehold_flags_must_be_booleans(self, truthy, falsy):
+        data = to_json_dict(fourway_graph())
+        assert True in data["toehold"] and False in data["toehold"]
+        data["toehold"] = [truthy if flag else falsy for flag in data["toehold"]]
+        with pytest.raises(GraphError, match="must be true or false"):
+            from_json(data)
+
     def test_admissible_list_must_be_complete(self):
         data = to_json_dict(theorem_graph())
         del data["admissible"][0], data["toehold"][0]

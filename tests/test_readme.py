@@ -24,6 +24,7 @@ def test_library_example_runs_and_its_comments_hold(capsys):
     verdict = namespace["verdict"]
     assert verdict.is_unsat
     assert [m.rule for m in verdict.witness.moves] == ["GB"] * 5
+    assert namespace["compiled"][0].bases == "ACGTAGTCACGAATTGACTGTCAGTCGAAT"
 
 
 def test_quick_start_prove_example_is_the_cli_output(monkeypatch, capsys):
