@@ -270,8 +270,10 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         free = all_sites - sites_of(final)
         return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)
     report = explore(g, max_states=max_states)
+    # every explored state binds each site at most once, so it binds all of
+    # them exactly when it has half as many edges as there are sites
     for i, edges in enumerate(report.states):  # discovery order: shortest first
-        if sites_of(edges) == all_sites:
+        if 2 * len(edges) == len(all_sites):
             return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(i), frozenset(), g)
     pool = report.terminals if report.terminals else range(len(report.states))
     best = max(pool, key=lambda i: (len(report.states[i]), -i))

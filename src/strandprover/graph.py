@@ -11,8 +11,10 @@ edge sets.  Enumeration and exploration run on integer edge ranks instead,
 over one integer index of the shape that the constructor builds and every
 state shares: a state is a bitmask over the ranked admissible edges, and
 explore() caches move lists per vertex-connected component, as no move
-touches two of them.  explore() still checks each state it reaches once,
-with with_current, and reports states as edge sets and moves as Move objects.
+touches two of them.  explore() checks each state it reaches on its bitmask:
+every bit must be a ranked edge, and the move enumerator raises GraphError
+on a site bound twice.  The report gives states as edge sets and moves as
+Move objects.
 """
 
 from __future__ import annotations
@@ -466,7 +468,8 @@ def _enumerator(t: _Index) -> Callable[[int], list[_RankMove]]:
 
 def _component_moves(t: _Index, ranks: list[int], state: int) -> list[_RankMove]:
     """The sorted moves of the component whose edges are ranks, in a state
-    with no current edge outside it."""
+    with no current edge outside it.  GraphError if the state binds a site
+    twice."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
     current = []
     owner: dict[int, int] = {}  # bound site id -> its current edge
@@ -476,6 +479,9 @@ def _component_moves(t: _Index, ranks: list[int], state: int) -> list[_RankMove]
         bits ^= 1 << e
         current.append(e)
         s, u = ends[e]
+        if s in owner or u in owner:
+            twice = t.edges[e].a if s in owner else t.edges[e].b
+            raise GraphError(f"site {twice} is bound twice")
         owner[s] = owner[u] = e
     out: list[_RankMove] = []
     for x in ranks:
@@ -558,16 +564,21 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     The report lists the states in discovery order as edge sets, with their
     depths, the terminal states, and a shortest trace to any state on
     request.  If the closure has more than max_states states,
-    ExplorationLimitError is raised; no partial verdicts are produced.  A
-    state at depth d has d ancestors, so max_states bounds the depth too.
+    ExplorationLimitError is raised, naming the depth of the state whose
+    successor went over; no partial verdicts are produced.  A state at depth
+    d has d ancestors, so max_states bounds the depth too.
 
     The search runs on edge ranks: a state is a bitmask over the ranked
     admissible edges, and a move flips the bits of the edges it removes and
     adds.  Move lists are cached per vertex-connected component of the
     admissible edges, since no move touches two components.  Only a new
     state becomes an edge set, and only a move that reaches a new state
-    becomes a Move.  Each state is still checked once, by with_current, when
-    it is dequeued.
+    becomes a Move.  Each state is checked when it is dequeued, on its
+    bitmask: every bit must be a ranked edge, and no site may be bound twice.
+    The second check runs in the move enumerator, on each component's part of
+    the state the first time that part is seen; as components share no site,
+    a state passes exactly when each of its parts does.  A state that fails
+    raises GraphError.
     """
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
@@ -586,8 +597,9 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     queue: deque[int] = deque([0])
     while queue:
         i = queue.popleft()
-        g.with_current(states[i])  # the check: admissible, each site bound once
         state = masks[i]
+        if state >> len(ix.edges):
+            raise GraphError(f"state {state:#x} has a bit past the last edge rank")
         available = moves_of(state)
         if not available:
             terminals.append(i)
@@ -597,7 +609,7 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
             if nxt in index:
                 continue
             if len(states) >= max_states:
-                raise ExplorationLimitError(f"more than {max_states} states")
+                raise ExplorationLimitError(f"more than {max_states} states, at depth {depths[i]}")
             move = decoded.get(m)
             if move is None:
                 move = decoded[m] = _decode(ix, m)

@@ -442,6 +442,11 @@ HAIRPIN_AND_FOURWAY = (
     "<c_2^ b_2*!j2_2 e_2^!k_2> | <e_2^*!k_2 b_2!j2_2 d_2^>"
 )
 
+
+def hairpin_and_fourway_graph() -> StrandGraph:
+    return from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
+
+
 # two hairpins and a four-way junction, renamed per copy and interleaved
 HAIRPINS_AND_FOURWAY = (
     "<p_2!y1_2 q_2!z1_2 r_2 q_2*!z1_2 p_2*!y1_2 t_2^*> | <e_3^*!k_3 b_3!j2_3 d_3^> | <t_2^ p_2> | "
@@ -615,10 +620,26 @@ class TestReferenceExploration:
         g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
         with pytest.raises(ExplorationLimitError) as info:
             explore(g, max_states=100)
-        assert str(info.value) == "more than 100 states"
+        assert str(info.value) == "more than 100 states, at depth 5"
 
 
 # --- exploration -------------------------------------------------------------
+
+
+def _bound_sites(t, ranks: list[int], state: int) -> set[int]:
+    return {s for e in ranks if state >> e & 1 for s in t.ends[e]}
+
+
+def _rebinding_move(t, ranks: list[int], state: int):
+    """A GB on a free edge that shares a site with a current edge, if any."""
+    bound = _bound_sites(t, ranks, state)
+    return next(((0, (), (x,), 1 << x) for x in ranks if not state >> x & 1 and bound & set(t.ends[x])), None)
+
+
+def _overflowing_move(t, ranks: list[int], state: int):
+    """A GB whose flip also sets the bit after the last rank, if any GB fires."""
+    bound = _bound_sites(t, ranks, state)
+    return next(((0, (), (x,), 1 << x | 1 << len(t.edges)) for x in ranks if not bound & set(t.ends[x])), None)
 
 
 class TestExplore:
@@ -672,18 +693,35 @@ class TestExplore:
         with pytest.raises(ValueError):
             explore(theorem_graph(), max_states=0)
 
-    def test_each_state_is_checked_once(self, monkeypatch):
-        g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
-        checked = []
-        with_current = StrandGraph.with_current
+    @pytest.mark.parametrize("make", [hairpin_graph, hairpin_and_fourway_graph], ids=["1-component", "2-components"])
+    @pytest.mark.parametrize("extra, error", [
+        (_rebinding_move, "is bound twice"),
+        (_overflowing_move, "past the last edge rank"),
+    ], ids=["site-bound-twice", "bit-past-last-rank"])
+    def test_a_faulty_enumerator_is_caught(self, monkeypatch, make, extra, error):
+        """Every component's move list also holds extra(index, ranks, state):
+        explore must reject the state that move reaches."""
+        component_moves = graph_module._component_moves
 
-        def counted(self, current):
-            checked.append(current)
-            return with_current(self, current)
+        def patched(t, ranks, state):
+            found = component_moves(t, ranks, state)
+            move = extra(t, ranks, state)
+            return found if move is None else sorted(found + [move])
 
-        monkeypatch.setattr(StrandGraph, "with_current", counted)
+        monkeypatch.setattr(graph_module, "_component_moves", patched)
+        g = make()
+        assert len(g._index.components) == (1 if make is hairpin_graph else 2)
+        with pytest.raises(GraphError, match=error):
+            explore(g)
+
+    @pytest.mark.parametrize("make, count", [(hairpin_and_fourway_graph, 176), (fourway_graph, 8)])
+    def test_each_discovery_replays_through_the_rule_appliers(self, make, count):
+        g = make()
         report = explore(g)
-        assert checked == report.states
+        assert len(report.states) == count
+        for k in range(1, count):
+            i, move = report.parents[k]
+            assert apply_move(g.with_current(report.states[i]), move).current == report.states[k]
 
     def test_traces_replay_for_every_state(self):
         report = explore(hairpin_graph())
