@@ -8,13 +8,10 @@ rewrite E only.  Rule names follow the trace vocabulary GB (bind), GU
 
 The rule appliers (bind, unbind, displace, migrate) check their premises on
 edge sets.  Enumeration and exploration run on integer edge ranks instead,
-over one integer index of the shape that the constructor builds and every
-state shares: a state is a bitmask over the ranked admissible edges, and
-explore() caches move lists per vertex-connected component, as no move
-touches two of them.  explore() checks each state it reaches on its bitmask:
-every bit must be a ranked edge, and the move enumerator raises GraphError
-on a site bound twice.  The report gives states as edge sets and moves as
-Move objects.
+over one integer index of the shape that the constructor builds, in one pass
+over site ids, and every state shares: a state is a bitmask over the ranked
+admissible edges (see explore).  The report gives states as edge sets and
+moves as Move objects.
 """
 
 from __future__ import annotations
@@ -154,10 +151,10 @@ class StrandGraph:
 
     The labels fix the rest of the shape: each vertex's length, its colour
     (strand types numbered by first appearance) and the admissible edges,
-    every complementary site pair.  These are derived once, and indexed once
-    on integers (_Index: edges by rank, site ids, anchor bitmasks, toehold
-    flags, components); with_current shares them all and checks only the new
-    edge set, in O(|E|)."""
+    every complementary site pair.  Every vertex needs a label.  The edges are
+    derived once, in the pass over site ids that indexes the shape on integers
+    (_Index: sites, edges by rank, anchor bitmasks, toehold flags, components);
+    with_current shares it and checks only the new edge set, in O(|E|)."""
 
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
     current: frozenset[Edge]
@@ -166,13 +163,16 @@ class StrandGraph:
     admissible: frozenset[Edge] = field(init=False)
 
     def __post_init__(self):
+        if not all(self.domains):
+            raise GraphError("a vertex needs at least one domain")
         if any(d.bond is not None for row in self.domains for d in row):
             raise GraphError("graph site labels carry no bonds")
         types: dict[tuple[Domain, ...], int] = {}
         object.__setattr__(self, "lengths", tuple(len(row) for row in self.domains))
         object.__setattr__(self, "colours", tuple(types.setdefault(row, len(types) + 1) for row in self.domains))
-        object.__setattr__(self, "admissible", _complementary_pairs(self.domains))
-        object.__setattr__(self, "_index", _build_index(self))
+        ix = _build_index(self.domains)
+        object.__setattr__(self, "admissible", frozenset(ix.edges))
+        object.__setattr__(self, "_index", ix)
         self._check_current()
 
     def _check_current(self) -> None:
@@ -187,11 +187,7 @@ class StrandGraph:
         return len(self.lengths)
 
     def sites(self) -> list[Site]:
-        return [
-            Site(v, n)
-            for v in range(1, len(self.lengths) + 1)
-            for n in range(1, self.lengths[v - 1] + 1)
-        ]
+        return list(self._index.sites)
 
     def label(self, site: Site) -> Domain:
         v, n = site
@@ -209,66 +205,63 @@ class StrandGraph:
         return g
 
 
-def _complementary_pairs(domains: tuple[tuple[Domain, ...], ...]) -> frozenset[Edge]:
-    """Every pair of sites whose labels could bond: same name and toehold
-    flag, exactly one of the two starred."""
-    ends: dict[tuple[str, bool], tuple[list[Site], list[Site]]] = {}
-    for v, row in enumerate(domains, start=1):
-        for n, d in enumerate(row, start=1):
-            ends.setdefault((d.name, d.toehold), ([], []))[d.complemented].append(Site(v, n))
-    return frozenset(Edge(s, t) for plain, starred in ends.values() for s in plain for t in starred)
-
-
 class _Index(NamedTuple):
-    """A shape's admissible edges by rank, in sorted order, and what
-    bind_chain, moves and explore read of them, on integers.  Built once by
-    the constructor and shared by every state.  Sites are numbered in order
-    of first appearance in rank order."""
+    """A shape on integers, built once by the constructor and shared by every
+    state: its sites numbered in Site order, its admissible edges ranked in
+    sorted order, and what bind_chain, moves and explore read of them."""
 
+    sites: list[Site]  # site id -> site
     edges: list[Edge]  # rank -> edge
     rank: dict[Edge, int]
-    ends: list[tuple[int, int]]  # rank -> its two site ids
+    ends: list[tuple[int, int]]  # rank -> its two site ids, ascending
     anchors: list[int]  # rank -> bitmask of its admissible antiparallel neighbours
     toeholds: list[bool]  # rank -> toehold edge
     partners: list[dict[int, int]]  # site id -> other site id -> edge rank, in rank order
     components: list[tuple[int, list[int]]]  # per vertex-connected component: rank mask, ranks
 
 
-def _build_index(g: StrandGraph) -> _Index:
-    edges = sorted(g.admissible, key=lambda e: (e.a, e.b))
-    site_id: dict[Site, int] = {}
-    ends = [(site_id.setdefault(e.a, len(site_id)), site_id.setdefault(e.b, len(site_id))) for e in edges]
-    partners: list[dict[int, int]] = [{} for _ in site_id]
-    for r, (s, t) in enumerate(ends):
-        partners[s][t] = r
-        partners[t][s] = r
-    # the antiparallel neighbours of (v1,n1)-(v2,n2) can only be (v1,n1+d)-(v2,n2-d);
-    # on a hairpin one of them may be the edge itself
-    anchors = [0] * len(edges)
-    for r, e in enumerate(edges):
-        (v1, n1), (v2, n2) = e.a, e.b
-        for d in (1, -1):
-            s, t = site_id.get((v1, n1 + d)), site_id.get((v2, n2 - d))
-            f = None if s is None else partners[s].get(t)
-            if f not in (None, r):
-                anchors[r] |= 1 << f
-    # anchors join edges on one vertex pair and every other premise joins
-    # edges that share a site, so no move touches two components
-    root = list(range(len(g.lengths) + 1))
+def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
+    """The shape that bond-free labels give, indexed in one pass over site ids."""
+    sites = [Site(v, n) for v, row in enumerate(domains, start=1) for n in range(1, len(row) + 1)]
+    labels = [d for row in domains for d in row]
+    by_label: dict[Domain, list[int]] = {}
+    for s, d in enumerate(labels):
+        by_label.setdefault(d, []).append(s)
+    # union-find over vertices: anchors join edges on one vertex pair and every
+    # other premise joins edges that share a site, so no move spans two components
+    root = list(range(len(domains) + 1))
 
     def find(v: int) -> int:
         while root[v] != v:
             root[v] = v = root[root[v]]
         return v
 
-    for e in edges:
-        root[find(e.a.vertex)] = find(e.b.vertex)
+    ends: list[tuple[int, int]] = []
+    anchors: list[int] = []
+    toeholds: list[bool] = []
+    partners: list[dict[int, int]] = [{} for _ in sites]
+    # each site paired with the later sites of the complementary label
+    # (Domain.matches), in order: as site ids follow Site order, edges come sorted
+    pairs = ((s, t) for s, d in enumerate(labels) for t in by_label.get(d.complement(), ()) if t > s)
+    for r, (s, t) in enumerate(pairs):
+        (v1, n1), (v2, n2) = sites[s], sites[t]
+        ends.append((s, t))
+        toeholds.append(labels[s].toehold)
+        partners[s][t] = partners[t][s] = r
+        root[find(v1)] = find(v2)
+        # the antiparallel neighbour on ids s-1 and t+1 ranks first, so it is
+        # indexed already; the one on s+1 and t-1 sets both masks when it comes
+        f = partners[s - 1].get(t + 1) if n1 > 1 and n2 < len(domains[v2 - 1]) else None
+        anchors.append(0 if f is None else 1 << f)
+        if f is not None:
+            anchors[f] |= 1 << r
     groups: dict[int, list[int]] = {}
-    for r, e in enumerate(edges):
-        groups.setdefault(find(e.a.vertex), []).append(r)
+    for r, (s, _) in enumerate(ends):
+        groups.setdefault(find(sites[s].vertex), []).append(r)
     components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
+    edges = [Edge(sites[s], sites[t]) for s, t in ends]
     rank = {e: r for r, e in enumerate(edges)}
-    return _Index(edges, rank, ends, anchors, [g.toehold(e) for e in edges], partners, components)
+    return _Index(sites, edges, rank, ends, anchors, toeholds, partners, components)
 
 
 def from_process(p: Process) -> StrandGraph:
@@ -284,7 +277,7 @@ def from_process(p: Process) -> StrandGraph:
 
 def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
     """Sites no admissible edge touches; they stay free in every reachable state."""
-    return frozenset(g.sites()) - sites_of(g.admissible)
+    return frozenset(s for s, others in zip(g._index.sites, g._index.partners) if not others)
 
 
 def bind_chain(g: StrandGraph) -> list[Edge] | None:
@@ -626,7 +619,6 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
 
 
 def to_json_dict(g: StrandGraph) -> dict:
-    admissible = g._index.edges  # sorted
     return {
         "vertices": [
             {
@@ -637,8 +629,8 @@ def to_json_dict(g: StrandGraph) -> dict:
             }
             for v in range(len(g.lengths))
         ],
-        "admissible": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in admissible],
-        "toehold": [g.toehold(e) for e in admissible],
+        "admissible": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in g._index.edges],
+        "toehold": list(g._index.toeholds),
         "current": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in sorted(g.current)],
     }
 
@@ -685,7 +677,10 @@ def from_json(text: str | dict) -> StrandGraph:
         except TypeError as exc:
             raise GraphError(f"vertex {k}: malformed domain token ({exc})") from None
     admissible = [_edge_from_json(pair) for pair in admissible_rows]
-    g = StrandGraph(tuple(domains), frozenset(_edge_from_json(pair) for pair in current_rows))
+    current = [_edge_from_json(pair) for pair in current_rows]
+    g = StrandGraph(tuple(domains), frozenset(current))
+    if len(g.current) < len(current):
+        raise GraphError("current edges must each be listed once")
     # every field but the labels and the current edges is derived: check it agrees
     for k, row in enumerate(vertices):
         if type(row.get("length")) is not int or row["length"] != g.lengths[k]:
@@ -696,6 +691,8 @@ def from_json(text: str | dict) -> StrandGraph:
             )
     if frozenset(admissible) != g.admissible:
         raise GraphError("admissible edges must be exactly the complementary site pairs")
+    if len(admissible) > len(g.admissible):
+        raise GraphError("admissible edges must each be listed once")
     if len(toehold_rows) != len(admissible):
         raise GraphError("toehold flags must align with the admissible list")
     for e, flag in zip(admissible, toehold_rows):
@@ -718,9 +715,9 @@ def _dot_lines(g: StrandGraph) -> Iterator[str]:
     for v in range(1, len(g.lengths) + 1):
         seq = " ".join(format_domain(d) for d in g.domains[v - 1])
         yield f'  v{v} [label="{v}: <{seq}>  colour {g.colours[v - 1]}"];'
-    for e in g._index.edges:  # sorted
+    for e, toehold in zip(g._index.edges, g._index.toeholds):
         colour = "red" if e in g.current else "blue"
-        style = "dashed" if g.toehold(e) else "solid"
+        style = "dashed" if toehold else "solid"
         width = ", penwidth=2.0" if e in g.current else ""
         yield (
             f'  v{e.a.vertex} -- v{e.b.vertex} '

@@ -381,9 +381,10 @@ class TestExport:
             lambda d: d["vertices"][0].update(colour=float("inf")),
             lambda d: d.update(current=[[[1, float("inf")], [2, 1]]]),
             lambda d: d["vertices"][2].update(domains="Q"),  # a string, read char by char
+            lambda d: (d["admissible"].append(d["admissible"][0]), d["toehold"].append(d["toehold"][0])),
         ],
         ids=["no-domains", "vertex-not-object", "toehold-not-list", "vertices-not-list",
-             "infinite-colour", "infinite-site", "domains-string"],
+             "infinite-colour", "infinite-site", "domains-string", "admissible-twice"],
     )
     def test_malformed_graph_json_is_an_error(self, tmp_path, capsys, spoil):
         data = to_json_dict(theorem_graph())

@@ -178,17 +178,38 @@ class TestStrandGraphValidation:
         assert g.colours == (1, 2, 3, 4)
         assert g.admissible == frozenset(FOURWAY_A)
 
-    def test_from_process_derives_admissible_edges_once(self, monkeypatch):
-        calls = []
-        complementary_pairs = graph_module._complementary_pairs
-
-        def counted(domains):
-            calls.append(domains)
-            return complementary_pairs(domains)
-
-        monkeypatch.setattr(graph_module, "_complementary_pairs", counted)
-        from_process(fourway())
-        assert len(calls) == 1
+    def test_shape_matches_a_site_pair_definition(self):
+        # the shape by definition, on Site objects: every site pair whose
+        # labels match, sorted; a toehold flag per edge from its labels; and
+        # per edge its antiparallel neighbours (v1,n1+d)-(v2,n2-d) on the
+        # same two vertices
+        graphs = [hairpin_graph(), fourway_graph(), theorem_graph()]
+        graphs.append(from_process(pr.parse_process(HAIRPIN_AND_FOURWAY)))
+        # labels only a graph can hold: a name used both as toehold and long
+        mixed = tuple(tuple(map(pr.parse_domain, row.split())) for row in ("a^ b a", "a* a^* b*"))
+        graphs.append(StrandGraph(mixed, frozenset()))
+        rng = random.Random(13)
+        for _ in range(150):
+            graphs.append(from_process(oracles.random_process(rng, strands=4, max_len=8, bond_fraction=0.8)))
+        anchored = []
+        for g in graphs:
+            sites = [Site(v, n) for v, row in enumerate(g.domains, start=1) for n in range(1, len(row) + 1)]
+            edges = sorted(Edge(s, t) for s, t in combinations(sites, 2) if g.label(s).matches(g.label(t)))
+            ix = g._index
+            assert g.sites() == sites
+            assert g.admissible == frozenset(edges)
+            assert ix.edges == edges
+            assert ix.toeholds == [g.label(e.a).toehold for e in edges]
+            assert unbindable_sites(g) == frozenset(sites) - sites_of(edges)
+            for e, mask in zip(edges, ix.anchors):
+                (v1, n1), (v2, n2) = e.a, e.b
+                candidates = [(Site(v1, n1 + d), Site(v2, n2 - d)) for d in (1, -1)]
+                neighbours = {Edge(s, t) for s, t in candidates if s != t} & (frozenset(edges) - {e})
+                assert {edges[f] for f in range(len(edges)) if mask >> f & 1} == neighbours
+                if neighbours:
+                    anchored.append(e)
+        # hairpin loops, where both ends of an anchored edge lie on one vertex, are covered
+        assert any(e.a.vertex == e.b.vertex for e in anchored)
 
     def test_the_shape_is_indexed_once(self, monkeypatch):
         calls = []
@@ -827,6 +848,30 @@ class TestJson:
         data = to_json_dict(theorem_graph())
         del data["admissible"][0], data["toehold"][0]
         with pytest.raises(GraphError):
+            from_json(data)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["same", "reversed"])
+    def test_admissible_edge_listed_twice_rejected(self, reverse):
+        data = to_json_dict(fourway_graph())
+        first = data["admissible"][0]
+        data["admissible"].append(first[::-1] if reverse else first)
+        data["toehold"].append(data["toehold"][0])
+        with pytest.raises(GraphError, match="must each be listed once"):
+            from_json(data)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["same", "reversed"])
+    def test_current_edge_listed_twice_rejected(self, reverse):
+        data = to_json_dict(fourway_graph())
+        first = data["current"][0]
+        data["current"].append(first[::-1] if reverse else first)
+        with pytest.raises(GraphError, match="must each be listed once"):
+            from_json(data)
+
+    def test_vertex_without_domains_rejected(self):
+        data = to_json_dict(theorem_graph())
+        colour = max(row["colour"] for row in data["vertices"]) + 1
+        data["vertices"].append({"id": len(data["vertices"]) + 1, "length": 0, "colour": colour, "domains": []})
+        with pytest.raises(GraphError, match="at least one domain"):
             from_json(data)
 
     def test_missing_field_rejected(self):
