@@ -76,6 +76,13 @@ class Edge:
         return f"{self.a}-{self.b}"
 
 
+def _sorted_edge(a: Site, b: Site) -> Edge:
+    """The Edge a-b for Sites a < b, built without re-checking them."""
+    e = object.__new__(Edge)
+    e.__dict__.update(a=a, b=b)
+    return e
+
+
 RULES = ("GB", "GU", "G3", "GM")
 _RULE_ORDER = {rule: k for k, rule in enumerate(RULES)}
 # removed/added cardinality per rule; None means any N >= 2 with both equal
@@ -259,7 +266,7 @@ def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
     for r, (s, _) in enumerate(ends):
         groups.setdefault(find(sites[s].vertex), []).append(r)
     components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
-    edges = [Edge(sites[s], sites[t]) for s, t in ends]
+    edges = [_sorted_edge(sites[s], sites[t]) for s, t in ends]
     rank = {e: r for r, e in enumerate(edges)}
     return _Index(sites, edges, rank, ends, anchors, toeholds, partners, components)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .logic import MAX_CLAUSES, Clause, ClauseSet, Formula, Literal, Not, normalize_clause_set, to_clausal_form
+from .logic import MAX_CLAUSES, Clause, ClauseSet, Formula, Literal, Not, to_clausal_form
 
 UNSAT = "unsat"
 SATURATED = "saturated"
@@ -82,41 +82,62 @@ def refute(
     raises ResourceLimitError rather than guessing a verdict; its message
     names the variable being eliminated (the largest while the inputs are
     admitted) and the clauses retained.
+
+    The input is read once into integer literal codes, and tautologies are
+    dropped on the clause bitmasks.  The search keeps only codes, parents and
+    pivots; Literal, Clause and DeductionStep objects are built only for the
+    steps returned.  An input step holds the caller's Clause, in its written
+    literal order.
     """
     if goal is not None:
         s = s.union(to_clausal_form(Not(goal)))
     if len(s) == 0:
         raise ValueError("clause set is empty")
 
-    working = normalize_clause_set(s, drop_tautologies=True)
+    # A literal is coded 2 * (rank of its variable in name order) + negated:
+    # integer order is Literal order and l ^ 1 is the complement of l.  A
+    # clause is also a bitmask with bit l set for each of its literals.  The
+    # variables are those of the clauses that are not tautologies, so a
+    # variable that only tautologies hold is ranked first and then dropped.
+    every = sorted({lit.variable for clause in s for lit in clause.literals})
+    positive = sum(1 << 2 * k for k in range(len(every)))  # the bits of the unnegated literals
+
+    def read(clause: Clause, rank: dict[str, int]) -> tuple[tuple[int, ...], int, Clause]:
+        clause_lits = tuple([2 * rank[lit.variable] + lit.negated for lit in clause.literals])
+        return clause_lits, sum(1 << lit for lit in clause_lits), clause
+
+    rank = {name: k for k, name in enumerate(every)}
+    inputs = [read(clause, rank) for clause in s]
+    inputs = [entry for entry in inputs if not entry[1] & entry[1] >> 1 & positive]  # drop tautologies
+    used = 0
+    for _, mask, _ in inputs:
+        used |= mask
+    names = [name for k, name in enumerate(every) if used >> 2 * k & 3]
+    if len(names) < len(every):
+        rank = {name: k for k, name in enumerate(names)}
+        inputs = [read(clause, rank) for _, _, clause in inputs]
+    inputs.sort(key=lambda entry: sorted(entry[0]))
+
     monotonic = time.monotonic
     deadline = None if max_seconds is None else monotonic() + max_seconds
 
-    # A literal is coded 2 * (rank of its variable in name order) + negated:
-    # integer order is Literal order and l ^ 1 is the complement of l.  A
-    # clause is also a bitmask with bit l set for each of its literals.
-    names = sorted({lit.variable for clause in working for lit in clause})
-    code = {Literal(name, negated): 2 * k + negated for k, name in enumerate(names) for negated in (False, True)}
-    literal = list(code)  # code -> Literal
-    positive = sum(1 << 2 * k for k in range(len(names)))  # the bits of the unnegated literals
-
-    steps: list[DeductionStep] = []
     lits: list[tuple[int, ...]] = []  # per step: literal codes in stored order
     masks: list[int] = []  # per step: bitmask
-    occurs: list[list[int]] = [[] for _ in literal]  # per literal: the steps holding it, ascending
+    origins: list[tuple[int, int, int] | None] = []  # per step: (i, j, pivot code), None for an input
+    occurs: list[list[int]] = [[] for _ in range(2 * len(names))]  # per literal: the steps holding it, ascending
     known: set[int] = set()  # the bitmasks of the steps
+    clauses: list[Clause] = []  # per input step: the caller's clause
     v = len(names) - 1  # the variable being eliminated
 
     def reached() -> str:
         variable = names[v] if names else "{}"  # only {} has no variable
-        return f"at variable {variable} with {len(steps)} clauses retained"
+        return f"at variable {variable} with {len(masks)} clauses retained"
 
     def check_time() -> None:
         if deadline is not None and monotonic() > deadline:
             raise ResourceLimitError(f"time budget exhausted {reached()}")
 
-    def admit(clause_lits: tuple[int, ...], mask: int, parents: tuple[int, int] | None,
-              pivot: int | None, clause: Clause | None = None) -> int | None:
+    def admit(clause_lits: tuple[int, ...], mask: int, origin: tuple[int, int, int] | None) -> int | None:
         if mask in known:
             return None
         # forward subsumption: D subsumes C when D's bits are all in C's; a
@@ -126,24 +147,39 @@ def refute(
             for d in occurs[lit]:
                 if not masks[d] & outside:
                     return None
-        index = len(steps)
+        index = len(masks)
         if index >= max_clauses:
             raise ResourceLimitError(f"clause budget of {max_clauses} exhausted {reached()}")
-        if clause is None:
-            clause = Clause([literal[lit] for lit in clause_lits])
-        steps.append(DeductionStep(index, clause, parents, None if pivot is None else literal[pivot]))
         lits.append(clause_lits)
         masks.append(mask)
+        origins.append(origin)
         known.add(mask)
         for lit in clause_lits:
             occurs[lit].append(index)
         return index
 
-    for clause in sorted(working, key=Clause.sorted_literals):
-        clause_lits = tuple(code[lit] for lit in clause)
-        index = admit(clause_lits, sum(1 << lit for lit in clause_lits), None, None, clause)
-        if index is not None and not clause_lits:
-            return _backtrace(steps, index)  # {} sorts first and subsumes every later input
+    def returned(verdict: str, order: list[int]) -> RefutationResult:
+        # the steps in order, renumbered from 0: the only ones built as objects;
+        # on UNSAT the last is {}
+        literal = [Literal(name, negated) for name in names for negated in (False, True)]
+        renumber = {old: new for new, old in enumerate(order)}
+        steps = []
+        for new, old in enumerate(order):
+            origin = origins[old]
+            if origin is None:
+                steps.append(DeductionStep(new, clauses[old]))
+            else:
+                i, j, pivot = origin
+                clause = Clause([literal[lit] for lit in lits[old]])
+                steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
+        return RefutationResult(verdict, tuple(steps), len(steps) - 1 if verdict == UNSAT else None)
+
+    for clause_lits, mask, clause in inputs:
+        index = admit(clause_lits, mask, None)
+        if index is not None:
+            clauses.append(clause)
+            if not clause_lits:
+                return returned(UNSAT, [index])  # {} sorts first and subsumes every later input
 
     for v in range(len(names) - 1, -1, -1):
         # bucket v: the retained clauses on v with no bit above v's two literals;
@@ -173,25 +209,26 @@ def refute(
         # literal tuple is the one Clause.union builds: clause i without the
         # pivot, then the literals of clause j it does not already hold
         candidates = []
-        for mask, (i, j, pivot) in first.items():
+        for mask, origin in first.items():
             if deadline is not None and monotonic() > deadline:  # inlined, as in the partner loop
                 check_time()
+            i, j, pivot = origin
             mask_i = masks[i]
             complement = pivot ^ 1
             clause_lits = tuple([lit for lit in lits[i] if lit != pivot]
                                 + [lit for lit in lits[j] if lit != complement and not mask_i >> lit & 1])
-            candidates.append((sorted(clause_lits), i, j, pivot, clause_lits, mask))
+            candidates.append((sorted(clause_lits), origin, clause_lits, mask))
         candidates.sort()
-        for _, i, j, pivot, clause_lits, mask in candidates:
+        for _, origin, clause_lits, mask in candidates:
             check_time()
-            index = admit(clause_lits, mask, (i, j), pivot)
+            index = admit(clause_lits, mask, origin)
             if index is not None and not clause_lits:
-                return _backtrace(steps, index)
-    return RefutationResult(SATURATED, tuple(steps), None)
+                return returned(UNSAT, _backtrace(origins, index))
+    return returned(SATURATED, list(range(len(masks))))
 
 
-def _backtrace(steps: list[DeductionStep], empty_index: int) -> RefutationResult:
-    """Keep only the ancestors of the empty clause and renumber them."""
+def _backtrace(origins: list[tuple[int, int, int] | None], empty_index: int) -> list[int]:
+    """The steps the empty clause derives from, itself included, ascending."""
     keep: set[int] = set()
     stack = [empty_index]
     while stack:
@@ -199,21 +236,10 @@ def _backtrace(steps: list[DeductionStep], empty_index: int) -> RefutationResult
         if k in keep:
             continue
         keep.add(k)
-        parents = steps[k].parents
-        if parents is not None:
-            stack.extend(parents)
-    order = sorted(keep)
-    renumber = {old: new for new, old in enumerate(order)}
-    pruned = tuple(
-        DeductionStep(
-            renumber[old],
-            steps[old].clause,
-            None if steps[old].parents is None else (renumber[steps[old].parents[0]], renumber[steps[old].parents[1]]),
-            steps[old].pivot,
-        )
-        for old in order
-    )
-    return RefutationResult(UNSAT, pruned, renumber[empty_index])
+        origin = origins[k]
+        if origin is not None:
+            stack += origin[:2]
+    return sorted(keep)
 
 
 def render_deduction(result: RefutationResult) -> str:

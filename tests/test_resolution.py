@@ -1,7 +1,9 @@
 """Binary resolution, the bucket elimination loop, its certificates, and deduction rendering."""
 
 import hashlib
+import itertools
 import random
+import sys
 import time
 import types
 
@@ -194,52 +196,104 @@ class TestRefute:
 
     def test_time_budget_is_checked_during_admission(self, monkeypatch):
         # bucket R, the first one eliminated, yields two resolvents, {P} and
-        # {Q}; the clock passes the deadline as soon as {P} is retained, so the
-        # search stops before admitting {Q}, in the middle of bucket R
+        # {Q}; on a clock that passes the deadline at its k-th read, some k
+        # stops the search after {P} is retained and before {Q} is: the search
+        # can stop before each clause it admits, with the count it reached
         from strandprover import resolution
 
         s = ClauseSet.parse("P R\nQ R\n~R\n~P ~Q\n~P Q\nP ~Q\n")
-        resolvents, pivots = [], []
-
-        def counting_step(index, clause, parents=None, pivot=None):
-            if parents is not None:
-                resolvents.append(index)
-                pivots.append(pivot.variable)
-            return DeductionStep(index, clause, parents, pivot)
-
-        monkeypatch.setattr(resolution, "DeductionStep", counting_step)
-        clock = types.SimpleNamespace(monotonic=lambda: 1e9 if resolvents else 0.0)
-        monkeypatch.setattr(resolution, "time", clock)
-        with pytest.raises(ResourceLimitError) as info:
-            refute(s, max_seconds=10.0)
-        assert str(info.value) == "time budget exhausted at variable R with 7 clauses retained"
-        assert resolvents == [6]
-        # on its own clock, the search retains {Q} from bucket R as step 7
-        monkeypatch.setattr(resolution, "time", time)
-        resolvents.clear()
-        pivots.clear()
-        assert refute(s).is_unsat
-        assert resolvents[:2] == [6, 7] and pivots[:2] == ["R", "R"]
+        stops = []
+        for k in itertools.count(1):
+            reads = itertools.count(1)
+            clock = types.SimpleNamespace(monotonic=lambda: 1e9 if next(reads) > k else 0.0)
+            monkeypatch.setattr(resolution, "time", clock)
+            try:
+                result = refute(s, max_seconds=10.0)
+            except ResourceLimitError as exc:
+                stops.append(str(exc))
+            else:
+                break
+        assert result.is_unsat
+        assert list(dict.fromkeys(stops)) == [
+            f"time budget exhausted at variable {variable} with {retained} clauses retained"
+            for variable, retained in (("R", 6), ("R", 7), ("Q", 8), ("P", 9))
+        ]
 
     def test_time_budget_is_checked_while_candidates_are_built(self, monkeypatch):
-        # bucket Z, the first one eliminated, has six resolvents, {A, D} to
-        # {C, E}, and each candidate sorts its literals once; on a clock where
-        # every sort in refute takes a second, the search must stop within a
-        # second of its deadline instead of building all six candidates first
+        # bucket Z, the first one eliminated, resolves twelve clauses {Ak, Z}
+        # with twelve {~Z, Bk} into 144 candidates; on a clock that counts the
+        # lines run in the resolution module, the search must stop within 100
+        # lines of its deadline wherever the deadline falls once the buckets
+        # have begun: while partners are paired, while the candidates are
+        # built, and while they are admitted
         from strandprover import resolution
 
-        now = [0.0]
+        lines = [0]
+        reads: list[int] = []  # the line count at each clock read
 
-        def sort_for_a_second(*args, **kwargs):
-            now[0] += 1.0
-            return sorted(*args, **kwargs)
+        def count_lines(frame, event, arg):
+            if event == "line":
+                lines[0] += 1
+            return count_lines
 
-        monkeypatch.setattr(resolution, "sorted", sort_for_a_second, raising=False)
-        monkeypatch.setattr(resolution, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
-        with pytest.raises(ResourceLimitError) as info:
-            refute(ClauseSet.parse("A Z\nB Z\nC Z\n~Z D\n~Z E\n"), max_seconds=3.5)
-        assert str(info.value) == "time budget exhausted at variable Z with 5 clauses retained"
-        assert now[0] <= 3.5 + 1.0
+        def trace(frame, event, arg):
+            return count_lines if frame.f_code.co_filename == resolution.__file__ else None
+
+        def now():
+            reads.append(lines[0])
+            return lines[0]
+
+        monkeypatch.setattr(resolution, "time", types.SimpleNamespace(monotonic=now))
+        s = ClauseSet.parse("\n".join([f"A{k} Z" for k in range(12)] + [f"~Z B{k}" for k in range(12)]))
+        overruns = []
+        for budget in itertools.count(0, 53):
+            lines[0] = 0
+            reads.clear()
+            sys.settrace(trace)
+            try:
+                refute(s, max_seconds=budget)
+            except ResourceLimitError:
+                deadline = reads[0] + budget
+                if reads[1] <= deadline:  # the deadline falls after the first bucket began
+                    overruns.append(reads[-1] - deadline)
+            else:
+                break
+            finally:
+                sys.settrace(None)
+        assert len(overruns) > 100
+        assert max(overruns) <= 100
+
+    def test_input_edge_cases(self):
+        # Z occurs only in the tautology, which is dropped, so Z is never named
+        # and R is the largest variable: the inputs fill a budget of 3, and
+        # bucket R's resolvent {~Q} fills a budget of 4
+        s = ClauseSet.parse("P ~P Z\nP Q\n~Q R\n~R\n")
+        for budget, variable in ((3, "R"), (4, "Q")):
+            with pytest.raises(ResourceLimitError) as info:
+                refute(s, max_clauses=budget)
+            assert str(info.value) == (
+                f"clause budget of {budget} exhausted at variable {variable} with {budget} clauses retained"
+            )
+        result = refute(s)
+        assert result.verdict == SATURATED
+        assert [step.clause for step in result.steps if step.is_input] == [C("P Q"), C("~Q R"), C("~R")]
+        assert all(lit.variable != "Z" for step in result.steps for lit in step.clause)
+
+        # a goal that repeats an input adds no step, and the input steps are the
+        # caller's clauses in their written order, not the goal's sorted one
+        s = ClauseSet([C("P"), C("~Q ~P"), C("Q R"), C("~R")])
+        result = refute(s, goal=parse_formula("P & Q"))
+        assert result.trace_lines() == refute(s).trace_lines()
+        assert "{~Q, ~P} [input]" in " ".join(result.trace_lines())
+        for step in result.steps:
+            if step.is_input:
+                assert any(step.clause is clause for clause in s)
+
+        # {} sorts first, so it is the whole refutation whatever else is given
+        empty = Clause()
+        result = refute(ClauseSet([C("P Q"), C("Z ~Z"), empty, C("~P")]), goal=Var("P"))
+        assert result.trace_lines() == ["0: {} [input]"]
+        assert result.steps[0].clause is empty and result.empty_step == 0
 
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
         # trace lines, stored literal order and the empty step reach the CLI's
