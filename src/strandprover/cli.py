@@ -258,10 +258,15 @@ def cmd_compare(args) -> int:
         res_unsat = resolution.refute(s).is_unsat
     except resolution.ResourceLimitError as exc:
         notes.append(f"resolution indeterminate: {exc}")
-    verdict = None
     try:
-        verdict = compiler.hybridization_verdict(compiler.clause_process(s), max_states=args.max_states)
-        hyb_unsat = verdict.is_unsat
+        # a bind-only set is decided from its literals; only an anchored pair explores
+        free = compiler.bind_only_free_sites(s)
+        if free is None:
+            verdict = compiler.hybridization_verdict(compiler.clause_process(s), max_states=args.max_states)
+            free = sorted(verdict.free_sites)
+        elif args.max_states <= 0:
+            raise ValueError("exploration bounds must be positive")
+        hyb_unsat = not free
     except graph.ExplorationLimitError as exc:
         notes.append(f"hybridization indeterminate: {exc}")
     print(f"resolution: {_verdict_word(res_unsat)}")
@@ -275,12 +280,14 @@ def cmd_compare(args) -> int:
         print("AGREE")
         return EXIT_OK
     print("DISAGREE: hybridization saturation is not propositional unsatisfiability")
-    if verdict is not None and verdict.free_sites:
-        never = graph.unbindable_sites(verdict.graph)
-        for site in sorted(verdict.free_sites):
-            label = graph.format_domain(verdict.graph.label(site))
-            tag = ", can never bind" if site in never else ""
-            print(f"free site {site}: {label}{tag}")
+    # site (v, n) is literal n of clause v; it can never bind when its
+    # complement occurs nowhere in the set
+    rows = [clause.literals for clause in s]
+    present = {lit for row in rows for lit in row}
+    for site in free:
+        lit = rows[site.vertex - 1][site.position - 1]
+        tag = "" if lit.complement() in present else ", can never bind"
+        print(f"free site {site}: {lit.variable}{'*' if lit.negated else ''}{tag}")
     return EXIT_DISAGREE
 
 

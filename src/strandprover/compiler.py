@@ -9,8 +9,10 @@ bound, the strand-level image of the empty clause.  Unless a strand reads
 X Y and a strand, the same or another, reads Y* X* (an anchored pair, which
 could start a displacement), binding is the only move and every maximal
 binding is a largest one.  The question then has a closed-form answer, each
-variable occurs as often positive as negative, and hybridization_verdict
-decides it without exploring.
+variable occurs as often positive as negative, and graph.bind_chain gives it
+from the site labels alone: hybridization_verdict decides such a process
+without exploring, and bind_only_free_sites decides such a clause set from
+its literals, without building strands or a graph.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import MAX_STATES, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
+from .graph import MAX_STATES, Edge, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
 from .logic import Clause, ClauseSet, Literal
 from .process import Domain, Process, Strand
 
@@ -203,6 +205,26 @@ def clause_process(s: ClauseSet) -> Process:
     return Process(tuple(strands))
 
 
+def bind_only_free_sites(s: ClauseSet) -> list[Site] | None:
+    """The sites of clause_process(s) that hybridization leaves free, in Site
+    order, read off the literals by graph.bind_chain without building a
+    strand or a graph; None when s holds an anchored pair, which only
+    exploration decides (hybridization_verdict).  The set is unsatisfiable
+    by hybridization exactly when no site is left free.  CompileError on an
+    empty clause, as clause_process."""
+    labels = []
+    for clause in s:
+        if clause.is_empty():
+            raise CompileError("the empty clause has no strand image")
+        labels.append([(lit.variable, lit.negated, False) for lit in clause])
+    chain = bind_chain(labels)
+    if chain is None:
+        return None
+    bound = {site for pair in chain for site in pair}
+    # a Site is a (vertex, position) tuple: only the free ones are built
+    return [Site(v, n) for v, row in enumerate(labels, start=1) for n in range(1, len(row) + 1) if (v, n) not in bound]
+
+
 def compile_clauses(s: ClauseSet, codebook: Codebook) -> tuple[Process, list[CompiledClause]]:
     """clause_process(s), with each strand's bases: the sense code of each
     positive literal and the reverse complement of each negative one's."""
@@ -249,13 +271,13 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
     literal occurrence with no complementary occurrence anywhere keeps its
     site free forever, whatever a resolution prover would say.
 
-    When GB is the only move that can ever fire (no bonds, no toeholds, no
-    admissible edge with an antiparallel admissible neighbour, see
-    graph.bind_chain), the verdict is built in closed form from the chain
-    that exploration would find first, in O(admissible edges); it equals the
-    explored one.  Otherwise the graph is explored breadth first, and
-    max_states bounds that exploration; it must be positive whichever path
-    runs.
+    When p has no bond and GB is the only move that can ever fire
+    (no toehold label meets its complement and no adjacent label pair x y
+    has a mirror y* x*, see graph.bind_chain), the verdict is built in closed
+    form from the chain that exploration would find first, read off the site
+    labels in O(sites); it equals the explored one.  Otherwise the graph is
+    explored breadth first, and max_states bounds that exploration; it must
+    be positive whichever path runs.
     """
     g = from_process(p)
     all_sites = frozenset(g.sites())
@@ -263,10 +285,12 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         raise ValueError("empty strand system has no hybridization behaviour")
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    chain = bind_chain(g)
+    labels = [[(d.name, d.complemented, d.toehold) for d in row] for row in g.domains]
+    chain = None if g.current else bind_chain(labels)
     if chain is not None:
-        final = frozenset(chain)
-        witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in chain), final)
+        edges = [Edge(a, b) for a, b in chain]
+        final = frozenset(edges)
+        witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), final)
         free = all_sites - sites_of(final)
         return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)
     report = explore(g, max_states=max_states)

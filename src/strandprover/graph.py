@@ -11,7 +11,9 @@ edge sets.  Enumeration and exploration run on integer edge ranks instead,
 over one integer index of the shape that the constructor builds, in one pass
 over site ids, and every state shares: a state is a bitmask over the ranked
 admissible edges (see explore).  The report gives states as edge sets and
-moves as Move objects.
+moves as Move objects.  Where binding is the only move that can ever fire,
+bind_chain finds the binding that exploration reaches first from the site
+labels alone, with no graph.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
 
@@ -215,7 +217,8 @@ class StrandGraph:
 class _Index(NamedTuple):
     """A shape on integers, built once by the constructor and shared by every
     state: its sites numbered in Site order, its admissible edges ranked in
-    sorted order, and what bind_chain, moves and explore read of them."""
+    sorted order, and what moves and explore read of them.  bind_chain needs
+    none of it: it reads the labels."""
 
     sites: list[Site]  # site id -> site
     edges: list[Edge]  # rank -> edge
@@ -287,26 +290,75 @@ def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
     return frozenset(s for s, others in zip(g._index.sites, g._index.partners) if not others)
 
 
-def bind_chain(g: StrandGraph) -> list[Edge] | None:
-    """The edges explore() binds first, in order, when GB is the only move
-    that can ever fire from g; None when another rule might fire.
+# A bond-free site label: (name, complemented, toehold).  Two labels pair when
+# they differ only in complemented, as Domain.matches reads them.
+Label = tuple[str, bool, bool]
 
-    GB alone fires when no edge is current, no admissible edge is a toehold
-    edge (no GU) and no admissible edge has an admissible antiparallel
-    neighbour (nothing can anchor a G3 or GM).  The reachable states are then
-    the matchings of the admissible graph, which is complete bipartite per
-    domain name, so every maximal matching is maximum.  Breadth-first search
-    with rank-sorted moves meets first the greedy chain: at each step the
-    least-ranked admissible edge with two free ends.  O(admissible edges)."""
-    ix: _Index = g._index
-    if g.current or any(ix.toeholds) or any(ix.anchors):
-        return None
-    bound: set[int] = set()
+
+def bind_chain(labels: Sequence[Sequence[Label]]) -> list[tuple[Site, Site]] | None:
+    """The site pairs that explore() binds first, in rank order, from a graph
+    with these labels per vertex and no current edge, when GB is the only
+    move that can ever fire there; None when another rule might fire.
+
+    GB alone fires when no toehold label meets its complement (no GU) and the
+    labels hold no anchored pair: an adjacent pair x y with an adjacent
+    y* x* at another occurrence, which would give an admissible edge an
+    admissible antiparallel neighbour (and so anchor a G3 or GM).  The
+    reachable states are then the matchings of the admissible graph, which
+    is complete bipartite per label, so every maximal matching is maximum.
+    Breadth-first search with rank-sorted moves meets first the greedy chain:
+    each site in Site order, while it is free, binds the first later free
+    site of the complementary label.  O(sites), with one pointer per label
+    into its sites."""
+    sites: list[Site] = []
+    flat: list[Label] = []
+    adjacent: dict[tuple[Label, Label], int] = {}  # adjacent label pairs on a vertex, 5' to 3'
+    for v, row in enumerate(labels, start=1):
+        previous = None
+        for n, label in enumerate(row, start=1):
+            sites.append(Site(v, n))
+            flat.append(label)
+            if previous is not None:
+                pair = (previous, label)
+                adjacent[pair] = adjacent.get(pair, 0) + 1
+            previous = label
+    occurs: dict[Label, list[int]] = {}  # label -> its site ids, ascending
+    for s, label in enumerate(flat):
+        if label in occurs:
+            occurs[label].append(s)
+        else:
+            occurs[label] = [s]
+    complement: dict[Label, Label] = {}
+    for label in occurs:
+        name, complemented, toehold = label
+        other = complement[label] = (name, not complemented, toehold)
+        if toehold and other in occurs:
+            return None
+    for x, y in adjacent:
+        mirror = (complement[y], complement[x])
+        # x x* is its own mirror, and needs a second occurrence
+        if adjacent.get(mirror, 0) > (mirror == (x, y)):
+            return None
+    # one pointer per label: it skips that label's sites before the current
+    # site and moves past each site it hands out, and whatever lies beyond it
+    # is free, since every earlier site took the first free site after itself
+    cursor = dict.fromkeys(occurs, 0)
+    bound = [False] * len(flat)
     chain = []
-    for x, (s, t) in zip(ix.edges, ix.ends):
-        if s not in bound and t not in bound:
-            bound.update((s, t))
-            chain.append(x)
+    for s, label in enumerate(flat):
+        other = complement[label]
+        if bound[s] or other not in occurs:
+            continue
+        partners = occurs[other]
+        k = cursor[other]
+        while k < len(partners) and partners[k] < s:
+            k += 1
+        if k < len(partners):
+            t = partners[k]
+            bound[t] = True
+            chain.append((sites[s], sites[t]))
+            k += 1
+        cursor[other] = k
     return chain
 
 
@@ -426,10 +478,12 @@ def moves(g: StrandGraph) -> list[Move]:
     (GB, GU, G3, GM), then by the sorted ranks of the removed edges, then of
     the added ones.  Migration rings are searched up to MAX_RING edges.
 
-    This decodes the integer enumerator that explore() runs on edge ranks."""
+    This decodes the per-component integer enumerator that explore() runs on
+    edge ranks, merged."""
     ix: _Index = g._index
     state = sum(1 << ix.rank[e] for e in g.current)
-    return [_decode(ix, m) for m in _enumerator(ix)(state)]
+    found = sorted(m for mask, ranks in ix.components for m in _component_moves(ix, ranks, state & mask))
+    return [_decode(ix, m) for m in found]
 
 
 # A move on edge ranks: (rule order, sorted removed ranks, sorted added ranks,
@@ -440,30 +494,6 @@ _RankMove = tuple[int, tuple[int, ...], tuple[int, ...], int]
 def _decode(t: _Index, move: _RankMove) -> Move:
     rule, removed, added, _ = move
     return Move(RULES[rule], frozenset([t.edges[r] for r in removed]), frozenset([t.edges[r] for r in added]))
-
-
-def _enumerator(t: _Index) -> Callable[[int], list[_RankMove]]:
-    """state -> its moves, sorted: the merge of each component's moves on its
-    part of the state.  Each (component, part) is enumerated once per
-    enumerator; with a single component nothing is cached, as no part could
-    come back without its whole state coming back."""
-    if len(t.components) == 1:
-        ((_, ranks),) = t.components
-        return lambda state: _component_moves(t, ranks, state)
-    parts = [(mask, ranks, {}) for mask, ranks in t.components]
-
-    def merged(state: int) -> list[_RankMove]:
-        out: list[_RankMove] = []
-        for mask, ranks, cache in parts:
-            part = state & mask
-            found = cache.get(part)
-            if found is None:
-                found = cache[part] = _component_moves(t, ranks, part)
-            out += found
-        out.sort()  # a merge of sorted runs
-        return out
-
-    return merged
 
 
 def _component_moves(t: _Index, ranks: list[int], state: int) -> list[_RankMove]:
@@ -571,10 +601,14 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     The search runs on edge ranks: a state is a bitmask over the ranked
     admissible edges, and a move flips the bits of the edges it removes and
     adds.  Move lists are cached per vertex-connected component of the
-    admissible edges, since no move touches two components.  Only a new
-    state becomes an edge set, and only a move that reaches a new state
-    becomes a Move.  Each state is checked when it is dequeued, on its
-    bitmask: every bit must be a ranked edge, and no site may be bound twice.
+    admissible edges, since no move touches two components.  With several
+    components, a state keeps only the moves of each part's list that reach
+    a new state, and sorts those into the order moves() gives; as a state's
+    moves all reach distinct states, the discovery order is that of the full
+    merged list.  Only a new state becomes an edge set, and only a move that
+    reaches a new state becomes a Move.  Each state is checked when it is
+    dequeued, on its bitmask: every bit must be a ranked edge, and no site
+    may be bound twice.
     The second check runs in the move enumerator, on each component's part of
     the state the first time that part is seen; as components share no site,
     a state passes exactly when each of its parts does.  A state that fails
@@ -583,7 +617,10 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
     ix: _Index = g._index
-    moves_of = _enumerator(ix)
+    # each component's moves are cached per part of the state, except for a
+    # single component, whose part is the whole state and never comes back
+    single = ix.components[0][1] if len(ix.components) == 1 else None
+    parts = [(mask, ranks, {}) for mask, ranks in ix.components]
     start = sum(1 << ix.rank[e] for e in g.current)
     # states hold the ranked edge objects, so set operations on them find
     # each edge by identity and never call Edge.__eq__
@@ -600,8 +637,23 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
         state = masks[i]
         if state >> len(ix.edges):
             raise GraphError(f"state {state:#x} has a bit past the last edge rank")
-        available = moves_of(state)
-        if not available:
+        if single is not None:
+            available = _component_moves(ix, single, state)
+            terminal = not available
+        else:
+            available, terminal = [], True  # the moves to states not seen yet
+            for mask, ranks, cache in parts:
+                part = state & mask
+                found = cache.get(part)
+                if found is None:
+                    found = cache[part] = _component_moves(ix, ranks, part)
+                if found:
+                    terminal = False
+                    for m in found:
+                        if state ^ m[3] not in index:
+                            available.append(m)
+            available.sort()  # the order moves() gives
+        if terminal:
             terminals.append(i)
             continue
         for m in available:

@@ -175,6 +175,9 @@ def refute(
         return RefutationResult(verdict, tuple(steps), len(steps) - 1 if verdict == UNSAT else None)
 
     for clause_lits, mask, clause in inputs:
+        # inlined, as in the partner loop: forward subsumption makes admission quadratic
+        if deadline is not None and monotonic() > deadline:
+            check_time()
         index = admit(clause_lits, mask, None)
         if index is not None:
             clauses.append(clause)

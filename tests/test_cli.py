@@ -1,6 +1,7 @@
 """Command-line interface: commands, input detection, bounds, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -319,6 +320,53 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "--fixture", "S", "--max-states", "1")
         assert code == cli.EXIT_OK
         assert "hybridization: UNSAT" in out
+
+    @pytest.mark.parametrize(
+        "text, code", [(CLAUSES_S, cli.EXIT_OK), ("P\n", cli.EXIT_OK), (DIVERGENT, cli.EXIT_DISAGREE)]
+    )
+    def test_bind_only_sets_build_no_strand_and_no_graph(self, monkeypatch, capsys, text, code):
+        import io
+
+        def refused(*args, **kwargs):
+            raise AssertionError("built a strand system")
+
+        for name in ("clause_process", "from_process"):
+            monkeypatch.setattr(compiler, name, refused)
+        monkeypatch.setattr(cli.graph, "from_process", refused)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "compare", "--input", "-")[0] == code
+
+    def test_free_site_lines_are_those_of_the_strand_graph(self, monkeypatch, capsys):
+        import io
+        import random
+
+        from strandprover.graph import format_domain, unbindable_sites
+
+        rng = random.Random(41)
+        kinds = Counter()
+        while kinds["anchored"] < 30 or kinds["bind-only"] < 30:
+            s = oracles.random_clause_set(rng, variables=rng.randint(1, 3), clauses=5, max_len=2)
+            if any(c.is_empty() for c in s):
+                continue
+            long = [c for c in s if len(c) > 1]
+            if long and rng.random() < 0.5:  # the mirror of a clause: an anchored pair
+                mirror = logic.Clause(lit.complement() for lit in reversed(long[0].literals))
+                s = logic.ClauseSet(list(s) + [mirror])
+            verdict = compiler.hybridization_verdict(compiler.clause_process(s))
+            never = unbindable_sites(verdict.graph)
+            want = [
+                f"free site {site}: {format_domain(verdict.graph.label(site))}"
+                + (", can never bind" if site in never else "")
+                for site in sorted(verdict.free_sites)
+            ]
+            monkeypatch.setattr("sys.stdin", io.StringIO(str(s) + "\n"))
+            code, out, _ = run(capsys, "compare", "--input", "-")
+            if code != cli.EXIT_DISAGREE:
+                continue
+            assert [line for line in out.splitlines() if line.startswith("free site")] == want, str(s)
+            kinds["anchored" if compiler.bind_only_free_sites(s) is None else "bind-only"] += 1
+            kinds["never"] += any(line.endswith("can never bind") for line in want)
+        assert kinds["never"] > 0
 
     @pytest.mark.parametrize("flag", ["--max-states"])
     @pytest.mark.parametrize("source", [["--fixture", "S"], ["--input", "-"]], ids=["bind-only", "anchored"])

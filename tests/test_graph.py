@@ -3,7 +3,7 @@
 import hashlib
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -211,6 +211,48 @@ class TestStrandGraphValidation:
         # hairpin loops, where both ends of an anchored edge lie on one vertex, are covered
         assert any(e.a.vertex == e.b.vertex for e in anchored)
 
+    def test_bind_chain_reads_only_the_labels(self):
+        # bind_chain gives up exactly when the index has a toehold edge or an
+        # anchored edge; otherwise it binds the greedy chain over the ranked
+        # edges: each edge whose two sites are both still free, in rank order
+        from strandprover.compiler import clause_process
+        from strandprover.fixtures import FIXTURES
+        from strandprover.logic import ClauseSet
+
+        graphs = []
+        for kind, load in FIXTURES.values():
+            graphs.append(from_process(clause_process(load()) if kind == "clauses" else load()))
+        # x x* is its own mirror: one occurrence anchors nothing, two anchor
+        # each other; x y anchors y* x* and nothing else, in a clause or two
+        for text in ("P ~P\nQ\n", "Q P ~P\nP ~P R\n", "P Q\n~Q ~P\n", "P Q ~Q ~P\n", "P Q\nR P Q\n~Q P\n"):
+            graphs.append(from_process(clause_process(ClauseSet.parse(text))))
+        mixed = tuple(tuple(map(pr.parse_domain, row.split())) for row in ("a^ b a", "a* b* c"))
+        graphs.append(StrandGraph(mixed, frozenset()))
+        rng = random.Random(17)
+        while len(graphs) < 400:
+            s = oracles.random_clause_set(rng, variables=rng.randint(1, 4), clauses=6, max_len=4)
+            if not any(c.is_empty() for c in s):
+                graphs.append(from_process(clause_process(s)))
+        for _ in range(150):
+            graphs.append(from_process(oracles.random_process(rng, strands=4, max_len=8, bond_fraction=0.8)))
+        outcomes = Counter()
+        for g in graphs:
+            ix = g._index
+            chain = bind_chain([[(d.name, d.complemented, d.toehold) for d in row] for row in g.domains])
+            if any(ix.toeholds) or any(ix.anchors):
+                assert chain is None
+                outcomes["toehold" if any(ix.toeholds) else "anchored"] += 1
+                continue
+            bound: set[int] = set()
+            greedy = []
+            for e, (s, t) in zip(ix.edges, ix.ends):
+                if s not in bound and t not in bound:
+                    bound.update((s, t))
+                    greedy.append((e.a, e.b))
+            assert chain == greedy
+            outcomes["chain" if chain else "empty"] += 1
+        assert min(outcomes[k] for k in ("toehold", "anchored", "chain", "empty")) > 0, outcomes
+
     def test_the_shape_is_indexed_once(self, monkeypatch):
         calls = []
         build_index = graph_module._build_index
@@ -224,7 +266,7 @@ class TestStrandGraphValidation:
         report = explore(g)
         for state in report.states:
             moves(g.with_current(state))
-        bind_chain(g)
+        bind_chain([[(d.name, d.complemented, d.toehold) for d in row] for row in g.domains])
         assert len(calls) == 1
 
     def test_position_bounds(self):

@@ -195,9 +195,10 @@ class TestRefute:
         assert str(info.value) == "clause budget of 4 exhausted at variable R with 4 clauses retained"
 
     def test_time_budget_is_checked_during_admission(self, monkeypatch):
-        # bucket R, the first one eliminated, yields two resolvents, {P} and
-        # {Q}; on a clock that passes the deadline at its k-th read, some k
-        # stops the search after {P} is retained and before {Q} is: the search
+        # the six inputs are admitted first, and then bucket R, the first one
+        # eliminated, yields two resolvents, {P} and {Q}; on a clock that
+        # passes the deadline at its k-th read, some k stops the search before
+        # each input and after {P} is retained and before {Q} is: the search
         # can stop before each clause it admits, with the count it reached
         from strandprover import resolution
 
@@ -216,15 +217,15 @@ class TestRefute:
         assert result.is_unsat
         assert list(dict.fromkeys(stops)) == [
             f"time budget exhausted at variable {variable} with {retained} clauses retained"
-            for variable, retained in (("R", 6), ("R", 7), ("Q", 8), ("P", 9))
+            for variable, retained in [("R", k) for k in range(8)] + [("Q", 8), ("P", 9)]
         ]
 
     def test_time_budget_is_checked_while_candidates_are_built(self, monkeypatch):
         # bucket Z, the first one eliminated, resolves twelve clauses {Ak, Z}
         # with twelve {~Z, Bk} into 144 candidates; on a clock that counts the
         # lines run in the resolution module, the search must stop within 100
-        # lines of its deadline wherever the deadline falls once the buckets
-        # have begun: while partners are paired, while the candidates are
+        # lines of its deadline wherever the deadline falls: while the inputs
+        # are admitted, while partners are paired, while the candidates are
         # built, and while they are admitted
         from strandprover import resolution
 
@@ -253,9 +254,7 @@ class TestRefute:
             try:
                 refute(s, max_seconds=budget)
             except ResourceLimitError:
-                deadline = reads[0] + budget
-                if reads[1] <= deadline:  # the deadline falls after the first bucket began
-                    overruns.append(reads[-1] - deadline)
+                overruns.append(reads[-1] - (reads[0] + budget))
             else:
                 break
             finally:
