@@ -282,12 +282,11 @@ def cmd_compare(args) -> int:
     print("DISAGREE: hybridization saturation is not propositional unsatisfiability")
     # site (v, n) is literal n of clause v; it can never bind when its
     # complement occurs nowhere in the set
-    rows = [clause.literals for clause in s]
-    present = {lit for row in rows for lit in row}
+    present = {lit for row in s.codes for lit in row}
     for site in free:
-        lit = rows[site.vertex - 1][site.position - 1]
-        tag = "" if lit.complement() in present else ", can never bind"
-        print(f"free site {site}: {lit.variable}{'*' if lit.negated else ''}{tag}")
+        lit = s.codes[site.vertex - 1][site.position - 1]
+        tag = "" if lit ^ 1 in present else ", can never bind"
+        print(f"free site {site}: {s.names[lit >> 1]}{'*' if lit & 1 else ''}{tag}")
     return EXIT_DISAGREE
 
 

@@ -10,13 +10,16 @@ X Y and a strand, the same or another, reads Y* X* (an anchored pair, which
 could start a displacement), binding is the only move and every maximal
 binding is a largest one.  The question then has a closed-form answer, each
 variable occurs as often positive as negative, and graph.bind_chain gives it
-from the site labels alone: hybridization_verdict decides such a process
-without exploring, and bind_only_free_sites decides such a clause set from
-its literals, without building strands or a graph.
+from integer site labels alone, where code ^ 1 is a label's complement:
+hybridization_verdict decides such a process without exploring, on its
+labels coded by name and toehold flag, and bind_only_free_sites decides such
+a clause set from its literal codes (ClauseSet.codes) as they are, without
+building strands or a graph.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -207,22 +210,20 @@ def clause_process(s: ClauseSet) -> Process:
 
 def bind_only_free_sites(s: ClauseSet) -> list[Site] | None:
     """The sites of clause_process(s) that hybridization leaves free, in Site
-    order, read off the literals by graph.bind_chain without building a
-    strand or a graph; None when s holds an anchored pair, which only
-    exploration decides (hybridization_verdict).  The set is unsatisfiable
-    by hybridization exactly when no site is left free.  CompileError on an
-    empty clause, as clause_process."""
-    labels = []
-    for clause in s:
-        if clause.is_empty():
-            raise CompileError("the empty clause has no strand image")
-        labels.append([(lit.variable, lit.negated, False) for lit in clause])
-    chain = bind_chain(labels)
+    order, read off the literal codes of s by graph.bind_chain without
+    building a strand or a graph; None when s holds an anchored pair, which
+    only exploration decides (hybridization_verdict).  The set is
+    unsatisfiable by hybridization exactly when no site is left free.
+    CompileError on an empty clause, as clause_process."""
+    if not all(s.codes):
+        raise CompileError("the empty clause has no strand image")
+    chain = bind_chain(s.codes)
     if chain is None:
         return None
     bound = {site for pair in chain for site in pair}
     # a Site is a (vertex, position) tuple: only the free ones are built
-    return [Site(v, n) for v, row in enumerate(labels, start=1) for n in range(1, len(row) + 1) if (v, n) not in bound]
+    ids = itertools.count()  # site ids, in Site order
+    return [Site(v, n) for v, row in enumerate(s.codes, start=1) for n in range(1, len(row) + 1) if next(ids) not in bound]
 
 
 def compile_clauses(s: ClauseSet, codebook: Codebook) -> tuple[Process, list[CompiledClause]]:
@@ -285,10 +286,14 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         raise ValueError("empty strand system has no hybridization behaviour")
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    labels = [[(d.name, d.complemented, d.toehold) for d in row] for row in g.domains]
-    chain = None if g.current else bind_chain(labels)
+    # a label is coded 2 * (rank of its name and toehold flag) + complemented
+    rank: dict[tuple[str, bool], int] = {}
+    labels = [[2 * rank.setdefault((d.name, d.toehold), len(rank)) + d.complemented for d in row] for row in g.domains]
+    toeholds = {2 * k + c for (_, toehold), k in rank.items() if toehold for c in (0, 1)}
+    chain = None if g.current else bind_chain(labels, toeholds)
     if chain is not None:
-        edges = [Edge(a, b) for a, b in chain]
+        sites = g.sites()
+        edges = [Edge(sites[a], sites[b]) for a, b in chain]
         final = frozenset(edges)
         witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), final)
         free = all_sites - sites_of(final)

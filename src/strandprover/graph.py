@@ -13,7 +13,7 @@ over site ids, and every state shares: a state is a bitmask over the ranked
 admissible edges (see explore).  The report gives states as edge sets and
 moves as Move objects.  Where binding is the only move that can ever fire,
 bind_chain finds the binding that exploration reaches first from the site
-labels alone, with no graph.
+labels alone, coded as integers whose complement is code ^ 1, with no graph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
 
@@ -285,20 +285,14 @@ def from_process(p: Process) -> StrandGraph:
     return StrandGraph(labels, frozenset(Edge(*pair) for pair in ends.values()))
 
 
-def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
-    """Sites no admissible edge touches; they stay free in every reachable state."""
-    return frozenset(s for s, others in zip(g._index.sites, g._index.partners) if not others)
-
-
-# A bond-free site label: (name, complemented, toehold).  Two labels pair when
-# they differ only in complemented, as Domain.matches reads them.
-Label = tuple[str, bool, bool]
-
-
-def bind_chain(labels: Sequence[Sequence[Label]]) -> list[tuple[Site, Site]] | None:
+def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) -> list[tuple[int, int]] | None:
     """The site pairs that explore() binds first, in rank order, from a graph
     with these labels per vertex and no current edge, when GB is the only
     move that can ever fire there; None when another rule might fire.
+
+    A label is an integer code, and code ^ 1 codes its complement
+    (Domain.matches); toeholds holds the codes of toehold labels.  A pair
+    holds two site ids, ascending, with sites numbered from 0 in Site order.
 
     GB alone fires when no toehold label meets its complement (no GU) and the
     labels hold no anchored pair: an adjacent pair x y with an adjacent
@@ -310,32 +304,23 @@ def bind_chain(labels: Sequence[Sequence[Label]]) -> list[tuple[Site, Site]] | N
     each site in Site order, while it is free, binds the first later free
     site of the complementary label.  O(sites), with one pointer per label
     into its sites."""
-    sites: list[Site] = []
-    flat: list[Label] = []
-    adjacent: dict[tuple[Label, Label], int] = {}  # adjacent label pairs on a vertex, 5' to 3'
-    for v, row in enumerate(labels, start=1):
-        previous = None
-        for n, label in enumerate(row, start=1):
-            sites.append(Site(v, n))
-            flat.append(label)
-            if previous is not None:
-                pair = (previous, label)
-                adjacent[pair] = adjacent.get(pair, 0) + 1
-            previous = label
-    occurs: dict[Label, list[int]] = {}  # label -> its site ids, ascending
+    flat: list[int] = []
+    adjacent: dict[tuple[int, int], int] = {}  # adjacent label pairs on a vertex, 5' to 3'
+    for row in labels:
+        flat += row
+        for pair in zip(row, row[1:]):
+            adjacent[pair] = adjacent.get(pair, 0) + 1
+    occurs: dict[int, list[int]] = {}  # label -> its site ids, ascending
     for s, label in enumerate(flat):
         if label in occurs:
             occurs[label].append(s)
         else:
             occurs[label] = [s]
-    complement: dict[Label, Label] = {}
-    for label in occurs:
-        name, complemented, toehold = label
-        other = complement[label] = (name, not complemented, toehold)
-        if toehold and other in occurs:
+    for label in toeholds:
+        if label in occurs and label ^ 1 in occurs:
             return None
     for x, y in adjacent:
-        mirror = (complement[y], complement[x])
+        mirror = (y ^ 1, x ^ 1)
         # x x* is its own mirror, and needs a second occurrence
         if adjacent.get(mirror, 0) > (mirror == (x, y)):
             return None
@@ -346,7 +331,7 @@ def bind_chain(labels: Sequence[Sequence[Label]]) -> list[tuple[Site, Site]] | N
     bound = [False] * len(flat)
     chain = []
     for s, label in enumerate(flat):
-        other = complement[label]
+        other = label ^ 1
         if bound[s] or other not in occurs:
             continue
         partners = occurs[other]
@@ -356,7 +341,7 @@ def bind_chain(labels: Sequence[Sequence[Label]]) -> list[tuple[Site, Site]] | N
         if k < len(partners):
             t = partners[k]
             bound[t] = True
-            chain.append((sites[s], sites[t]))
+            chain.append((s, t))
             k += 1
         cursor[other] = k
     return chain

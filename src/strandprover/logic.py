@@ -137,31 +137,18 @@ _ARROWS = {"->": Implies, "<-": ImpliedBy, "<->": Iff}
 MAX_NESTING = 100
 
 
+# One token after optional whitespace: an atom, an operator, or any other
+# character, which is an error.  Tokens are contiguous, so finditer walks them.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|(<->|->|<-|[~&|()])|(\S))")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m:
-            tokens.append(("atom", m.group(), i))
-            i = m.end()
-            continue
-        for op in ("<->", "->", "<-"):
-            if text.startswith(op, i):
-                tokens.append(("op", op, i))
-                i += len(op)
-                break
-        else:
-            if ch in "~&|()":
-                tokens.append(("op", ch, i))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 3:
+            raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
+        tokens.append(("atom" if group == 1 else "op", m.group(group), m.start(group)))
     return tokens
 
 
@@ -354,10 +341,6 @@ class Clause:
     def is_tautology(self) -> bool:
         return any(lit.complement() in self._set for lit in self.literals)
 
-    def sorted_literals(self) -> tuple[Literal, ...]:
-        """Canonical ordering key, also used to order clauses themselves."""
-        return tuple(sorted(self._set))
-
     def subsumes(self, other: "Clause") -> bool:
         return self._set <= other._set
 
@@ -383,42 +366,80 @@ class ClauseSet:
 
     Clause order is the insertion order (first occurrence wins), which later
     stages use when a stable reading of the input matters; equality ignores it.
+
+    The set is held as integer codes, which refute, bind_chain and compare
+    read: names are its variables in name order; per clause, codes holds its
+    literals 2 * rank + negated in written order (the first occurrence wins)
+    and masks the bitmask with bit l set for each literal l, on which clauses
+    are told apart.  Clause objects are built only when asked for; a set
+    built from Clauses keeps the caller's.
     """
 
-    __slots__ = ("clauses", "_set")
+    __slots__ = ("names", "codes", "masks", "_clauses")
 
     def __init__(self, clauses: Iterable[Clause] = ()):
-        seen: list[Clause] = []
-        sset: set[Clause] = set()
+        kept: dict[Clause, None] = {}  # the first of equal clauses stays the key
         for clause in clauses:
             if not isinstance(clause, Clause):
                 raise TypeError(f"not a clause: {clause!r}")
-            if clause not in sset:
-                seen.append(clause)
-                sset.add(clause)
-        self.clauses: tuple[Clause, ...] = tuple(seen)
-        self._set = frozenset(sset)
+            kept.setdefault(clause)
+        self._clauses: tuple[Clause, ...] | None = tuple(kept)
+        self.names: tuple[str, ...] = tuple(sorted({lit.variable for c in kept for lit in c.literals}))
+        rank = {name: 2 * k for k, name in enumerate(self.names)}
+        self.codes = tuple(tuple([rank[lit.variable] + lit.negated for lit in c.literals]) for c in kept)
+        self.masks = tuple(sum(1 << lit for lit in row) for row in self.codes)
+
+    @classmethod
+    def _coded(cls, names: list[str], rows: list[list[int]]) -> "ClauseSet":
+        """The set of these rows of codes 2 * k + negated, k a variable's
+        index in names, coded again by name order: each row keeps the first
+        of its equal literals, and the first of equal rows stays."""
+        ranked = sorted(names)
+        if ranked != names:
+            rank = {name: 2 * r for r, name in enumerate(ranked)}
+            recode = [rank[name] + negated for name in names for negated in (0, 1)]
+            rows = [[recode[lit] for lit in row] for row in rows]
+        seen: set[int] = set()
+        codes, masks = [], []
+        for row in rows:
+            mask = 0
+            for lit in row:
+                mask |= 1 << lit
+            if mask not in seen:
+                seen.add(mask)
+                codes.append(tuple(row if mask.bit_count() == len(row) else dict.fromkeys(row)))
+                masks.append(mask)
+        s = object.__new__(cls)
+        s.names, s.codes, s.masks, s._clauses = tuple(ranked), tuple(codes), tuple(masks), None
+        return s
+
+    @property
+    def clauses(self) -> tuple[Clause, ...]:
+        if self._clauses is None:
+            literal = [Literal(name, negated) for name in self.names for negated in (False, True)]
+            self._clauses = tuple([Clause([literal[lit] for lit in row]) for row in self.codes])
+        return self._clauses
 
     def __eq__(self, other):
-        return isinstance(other, ClauseSet) and self._set == other._set
+        return isinstance(other, ClauseSet) and self.names == other.names and set(self.masks) == set(other.masks)
 
     def __hash__(self):
-        return hash(self._set)
+        return hash((self.names, frozenset(self.masks)))
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self.codes)
 
     def __contains__(self, clause: Clause) -> bool:
-        return clause in self._set
+        return clause in self.clauses
 
     def union(self, other: "ClauseSet") -> "ClauseSet":
         return ClauseSet(self.clauses + other.clauses)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({lit.variable for c in self.clauses for lit in c}))
+        return self.names
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(l) for l in c) if c.literals else "{}" for c in self.clauses)
@@ -429,22 +450,31 @@ class ClauseSet:
     @classmethod
     def parse(cls, text: str) -> "ClauseSet":
         """One clause per line, '~X' for negation, '#' starts a comment."""
-        clauses = []
+        variables: dict[str, int] = {}
+        known: dict[str, int] = {}  # literal token -> its code
+        rows = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            try:
-                clauses.append(Clause.parse(line))
-            except ParseError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-        return cls(clauses)
+            for tok in tokens:
+                if tok not in known:
+                    negated = tok.startswith("~")
+                    name = tok[1:] if negated else tok
+                    if not _ATOM_RE.fullmatch(name):
+                        raise ParseError(f"line {lineno}: invalid literal {tok!r}")
+                    known[tok] = 2 * variables.setdefault(name, len(variables)) + negated
+            rows.append([known[tok] for tok in tokens])
+        return cls._coded(list(variables), rows)
 
     @classmethod
     def from_dimacs(cls, text: str) -> "ClauseSet":
         """DIMACS CNF; variable n becomes 'x<n>'.  A line starting with '%'
         ends the input, as in the SATLIB benchmark files."""
-        numbers: list[int] = []
+        variables: dict[str, int] = {}
+        known: dict[str, int] = {}  # number token -> its code, -1 for a clause end
+        rows: list[list[int]] = []
+        current: list[int] = []
         saw_header = False
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -458,23 +488,24 @@ class ClauseSet:
                     raise ParseError(f"line {lineno}: bad DIMACS header {line!r}")
                 saw_header = True
                 continue
-            try:
-                numbers.extend(int(tok) for tok in line.split())
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric DIMACS literal") from None
+            for tok in line.split():
+                if tok not in known:
+                    try:
+                        n = int(tok)
+                    except ValueError:
+                        raise ParseError(f"line {lineno}: non-numeric DIMACS literal") from None
+                    known[tok] = -1 if n == 0 else 2 * variables.setdefault(f"x{abs(n)}", len(variables)) + (n < 0)
+                lit = known[tok]
+                if lit < 0:
+                    rows.append(current)
+                    current = []
+                else:
+                    current.append(lit)
         if not saw_header:
             raise ParseError("missing 'p cnf' header")
-        clauses = []
-        current: list[Literal] = []
-        for n in numbers:
-            if n == 0:
-                clauses.append(Clause(current))
-                current = []
-            else:
-                current.append(Literal(f"x{abs(n)}", n < 0))
         if current:
-            clauses.append(Clause(current))
-        return cls(clauses)
+            rows.append(current)
+        return cls._coded(list(variables), rows)
 
 
 # --- clausal form ------------------------------------------------------------
@@ -485,12 +516,13 @@ class ClauseSet:
 MAX_CLAUSES = 100_000
 
 
-def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[Literal]]:
+def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[tuple[str, bool]]]:
     """Clause bodies of f, or of ~f when positive is false, in one walk.
 
     A conditional is read as its definition, Not flips the polarity, and the
     operands of a connective that acts as a conjunction are concatenated,
-    those of one that acts as a disjunction distributed.  An equivalence
+    those of one that acts as a disjunction distributed.  A literal is a
+    (name, negated) pair, which sorts as Literal does.  An equivalence
     needs both polarities of its sides; memo, keyed by node identity and
     polarity, keeps nested equivalences from walking a subtree more than
     twice."""
@@ -499,7 +531,7 @@ def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[Literal]]:
         return memo[key]
     match f:
         case Var(name=name):
-            out = {frozenset([Literal(name, not positive)])}
+            out = {frozenset([(name, not positive)])}
         case Not(arg=arg):
             out = _bodies(arg, not positive, memo)
         case And(args=args) | Or(args=args):
@@ -521,7 +553,7 @@ def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[Literal]]:
     return out
 
 
-def _join(conjunction: bool, parts: list[set[frozenset[Literal]]]) -> set[frozenset[Literal]]:
+def _join(conjunction: bool, parts: list[set[frozenset]]) -> set[frozenset]:
     """Concatenate the parts of a conjunction, or distribute a disjunction
     over them, once their sizes show the result stays within MAX_CLAUSES."""
     size = sum(map(len, parts)) if conjunction else math.prod(map(len, parts))
@@ -544,8 +576,10 @@ def to_clausal_form(f: Formula) -> ClauseSet:
     normalize_clause_set if unwanted.  Raises ParseError rather than build
     more than MAX_CLAUSES clauses.
     """
-    unique = sorted(_bodies(f, True, {}), key=lambda body: tuple(sorted(body)))
-    return ClauseSet(Clause(sorted(body)) for body in unique)
+    unique = sorted(tuple(sorted(body)) for body in _bodies(f, True, {}))
+    names = sorted({name for body in unique for name, _ in body})
+    rank = {name: 2 * k for k, name in enumerate(names)}
+    return ClauseSet._coded(names, [[rank[name] + negated for name, negated in body] for body in unique])
 
 
 def normalize_clause_set(s: ClauseSet, drop_tautologies: bool = False) -> ClauseSet:

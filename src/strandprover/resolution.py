@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .logic import MAX_CLAUSES, Clause, ClauseSet, Formula, Literal, Not, to_clausal_form
 
@@ -37,9 +38,31 @@ class DeductionStep:
 
 @dataclass(frozen=True)
 class RefutationResult:
+    """A verdict and the deduction steps behind it.  refute leaves the steps
+    to be built when they are first read, so a caller that reads only the
+    verdict builds no step objects."""
+
     verdict: str
     steps: tuple[DeductionStep, ...]
     empty_step: int | None
+
+    @classmethod
+    def _deferred(cls, verdict: str, empty_step: int | None, build: Callable[[], tuple[DeductionStep, ...]]):
+        """A result whose steps build() returns when they are first read."""
+        result = object.__new__(cls)
+        result.__dict__.update(verdict=verdict, empty_step=empty_step, _build=build)
+        return result
+
+    def __getattr__(self, name: str):
+        build = self.__dict__.get("_build") if name == "steps" else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps = self.__dict__["steps"] = build()
+        self.__dict__.pop("_build", None)
+        return steps
+
+    def __getstate__(self) -> dict:
+        return {"verdict": self.verdict, "steps": self.steps, "empty_step": self.empty_step}
 
     @property
     def is_unsat(self) -> bool:
@@ -83,50 +106,22 @@ def refute(
     names the variable being eliminated (the largest while the inputs are
     admitted) and the clauses retained.
 
-    The input is read once into integer literal codes, and tautologies are
-    dropped on the clause bitmasks.  The search keeps only codes, parents and
-    pivots; Literal, Clause and DeductionStep objects are built only for the
-    steps returned.  An input step holds the caller's Clause, in its written
-    literal order.
+    The search reads the set's integer literal codes (ClauseSet.codes), and
+    tautologies are dropped on the clause bitmasks.  It keeps only codes,
+    parents and pivots; Literal, Clause and DeductionStep objects are built
+    only for the steps returned, when they are first read.  An input step
+    holds the set's Clause, in its written literal order: the caller's, for
+    a set built from Clauses.  The time budget starts when refute is called.
     """
+    monotonic = time.monotonic
+    deadline = None if max_seconds is None else monotonic() + max_seconds
     if goal is not None:
         s = s.union(to_clausal_form(Not(goal)))
     if len(s) == 0:
         raise ValueError("clause set is empty")
 
-    # A literal is coded 2 * (rank of its variable in name order) + negated:
-    # integer order is Literal order and l ^ 1 is the complement of l.  A
-    # clause is also a bitmask with bit l set for each of its literals.  The
-    # variables are those of the clauses that are not tautologies, so a
-    # variable that only tautologies hold is ranked first and then dropped.
-    every = sorted({lit.variable for clause in s for lit in clause.literals})
-    positive = sum(1 << 2 * k for k in range(len(every)))  # the bits of the unnegated literals
-
-    def read(clause: Clause, rank: dict[str, int]) -> tuple[tuple[int, ...], int, Clause]:
-        clause_lits = tuple([2 * rank[lit.variable] + lit.negated for lit in clause.literals])
-        return clause_lits, sum(1 << lit for lit in clause_lits), clause
-
-    rank = {name: k for k, name in enumerate(every)}
-    inputs = [read(clause, rank) for clause in s]
-    inputs = [entry for entry in inputs if not entry[1] & entry[1] >> 1 & positive]  # drop tautologies
-    used = 0
-    for _, mask, _ in inputs:
-        used |= mask
-    names = [name for k, name in enumerate(every) if used >> 2 * k & 3]
-    if len(names) < len(every):
-        rank = {name: k for k, name in enumerate(names)}
-        inputs = [read(clause, rank) for _, _, clause in inputs]
-    inputs.sort(key=lambda entry: sorted(entry[0]))
-
-    monotonic = time.monotonic
-    deadline = None if max_seconds is None else monotonic() + max_seconds
-
-    lits: list[tuple[int, ...]] = []  # per step: literal codes in stored order
+    every = names = s.names
     masks: list[int] = []  # per step: bitmask
-    origins: list[tuple[int, int, int] | None] = []  # per step: (i, j, pivot code), None for an input
-    occurs: list[list[int]] = [[] for _ in range(2 * len(names))]  # per literal: the steps holding it, ascending
-    known: set[int] = set()  # the bitmasks of the steps
-    clauses: list[Clause] = []  # per input step: the caller's clause
     v = len(names) - 1  # the variable being eliminated
 
     def reached() -> str:
@@ -136,6 +131,38 @@ def refute(
     def check_time() -> None:
         if deadline is not None and monotonic() > deadline:
             raise ResourceLimitError(f"time budget exhausted {reached()}")
+
+    # A literal is coded 2 * (rank of its variable in name order) + negated:
+    # integer order is Literal order and l ^ 1 is the complement of l.  A
+    # clause is also a bitmask with bit l set for each of its literals.  The
+    # variables are those of the clauses that are not tautologies, so a
+    # variable that only tautologies hold is ranked in s.names and then dropped.
+    positive = (4 ** len(every) - 1) // 3  # bits 0, 2, 4, ...: the unnegated literals
+    inputs = [(clause_lits, mask, k) for k, (clause_lits, mask) in enumerate(zip(s.codes, s.masks))
+              if not mask & mask >> 1 & positive]  # drop tautologies
+    if len(inputs) < len(s):
+        used = 0
+        for _, mask, _ in inputs:
+            used |= mask
+        names = [name for k, name in enumerate(every) if used >> 2 * k & 3]
+        v = len(names) - 1
+        if len(names) < len(every):
+            # the kept variables ranked again; a dropped one's codes no longer occur
+            rank = {name: 2 * k for k, name in enumerate(names)}
+            recode = [rank.get(name, 0) + negated for name in every for negated in (0, 1)]
+            recoded = []
+            for clause_lits, _, k in inputs:
+                clause_lits = tuple([recode[lit] for lit in clause_lits])
+                recoded.append((clause_lits, sum(1 << lit for lit in clause_lits), k))
+            inputs = recoded
+    check_time()  # each pass over the inputs, this one and the sort, is as long as the input
+    inputs.sort(key=lambda entry: sorted(entry[0]))
+
+    lits: list[tuple[int, ...]] = []  # per step: literal codes in stored order
+    origins: list[tuple[int, int, int] | None] = []  # per step: (i, j, pivot code), None for an input
+    occurs: list[list[int]] = [[] for _ in range(2 * len(names))]  # per literal: the steps holding it, ascending
+    known: set[int] = set()  # the bitmasks of the steps
+    sources: list[int] = []  # per input step: its clause's index in s
 
     def admit(clause_lits: tuple[int, ...], mask: int, origin: tuple[int, int, int] | None) -> int | None:
         if mask in known:
@@ -159,28 +186,31 @@ def refute(
         return index
 
     def returned(verdict: str, order: list[int]) -> RefutationResult:
-        # the steps in order, renumbered from 0: the only ones built as objects;
-        # on UNSAT the last is {}
-        literal = [Literal(name, negated) for name in names for negated in (False, True)]
-        renumber = {old: new for new, old in enumerate(order)}
-        steps = []
-        for new, old in enumerate(order):
-            origin = origins[old]
-            if origin is None:
-                steps.append(DeductionStep(new, clauses[old]))
-            else:
-                i, j, pivot = origin
-                clause = Clause([literal[lit] for lit in lits[old]])
-                steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
-        return RefutationResult(verdict, tuple(steps), len(steps) - 1 if verdict == UNSAT else None)
+        def build() -> tuple[DeductionStep, ...]:
+            # the steps in order, renumbered from 0: the only ones built as
+            # objects; on UNSAT the last is {}
+            literal = [Literal(name, negated) for name in names for negated in (False, True)]
+            renumber = {old: new for new, old in enumerate(order)}
+            steps = []
+            for new, old in enumerate(order):
+                origin = origins[old]
+                if origin is None:
+                    steps.append(DeductionStep(new, s.clauses[sources[old]]))
+                else:
+                    i, j, pivot = origin
+                    clause = Clause([literal[lit] for lit in lits[old]])
+                    steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
+            return tuple(steps)
 
-    for clause_lits, mask, clause in inputs:
+        return RefutationResult._deferred(verdict, len(order) - 1 if verdict == UNSAT else None, build)
+
+    for clause_lits, mask, k in inputs:
         # inlined, as in the partner loop: forward subsumption makes admission quadratic
         if deadline is not None and monotonic() > deadline:
             check_time()
         index = admit(clause_lits, mask, None)
         if index is not None:
-            clauses.append(clause)
+            sources.append(k)
             if not clause_lits:
                 return returned(UNSAT, [index])  # {} sorts first and subsumes every later input
 

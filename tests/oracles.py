@@ -12,7 +12,9 @@ import itertools
 import random
 from typing import Iterable, Iterator
 
+from strandprover.graph import Site, StrandGraph
 from strandprover.logic import (
+    _ATOM_RE,
     And,
     Clause,
     ClauseSet,
@@ -23,6 +25,7 @@ from strandprover.logic import (
     Literal,
     Not,
     Or,
+    ParseError,
     Var,
 )
 from strandprover.process import Domain, Process, Strand
@@ -110,6 +113,44 @@ def is_consequence(premises: Iterable[Clause], conclusion: Clause) -> bool:
         for a in assignments(names)
         if all(eval_clause(c, a) for c in premises)
     )
+
+
+# --- reference implementations -----------------------------------------------
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Formula tokens read one character at a time: the reference for the
+    library's single-regex tokenizer, with the same tokens and errors."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _ATOM_RE.match(text, i)
+        if m:
+            tokens.append(("atom", m.group(), i))
+            i = m.end()
+            continue
+        for op in ("<->", "->", "<-"):
+            if text.startswith(op, i):
+                tokens.append(("op", op, i))
+                i += len(op)
+                break
+        else:
+            if ch in "~&|()":
+                tokens.append(("op", ch, i))
+                i += 1
+            else:
+                raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
+    """Sites no admissible edge touches; they stay free in every reachable state."""
+    return frozenset(s for s, others in zip(g._index.sites, g._index.partners) if not others)
 
 
 # --- seeded random generators ------------------------------------------------

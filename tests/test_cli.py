@@ -340,7 +340,7 @@ class TestCompare:
         import io
         import random
 
-        from strandprover.graph import format_domain, unbindable_sites
+        from strandprover.graph import format_domain
 
         rng = random.Random(41)
         kinds = Counter()
@@ -353,7 +353,7 @@ class TestCompare:
                 mirror = logic.Clause(lit.complement() for lit in reversed(long[0].literals))
                 s = logic.ClauseSet(list(s) + [mirror])
             verdict = compiler.hybridization_verdict(compiler.clause_process(s))
-            never = unbindable_sites(verdict.graph)
+            never = oracles.unbindable_sites(verdict.graph)
             want = [
                 f"free site {site}: {format_domain(verdict.graph.label(site))}"
                 + (", can never bind" if site in never else "")

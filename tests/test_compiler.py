@@ -26,7 +26,7 @@ from strandprover.compiler import (
 from strandprover.fixtures import CLAUSES_S, clause_set_s, hairpin
 from strandprover.graph import ExplorationLimitError, Site, explore, from_process, sites_of
 from strandprover.logic import Clause, ClauseSet, Literal, parse_formula, to_clausal_form
-from strandprover.process import Process
+from strandprover.process import Process, parse_process
 
 ROW_1 = "ACGTAGTCACGAATTGACTGTCAGTCGAAT"   # P ~Q R
 ROW_2 = "ATGGACCTAGGATCGTGCATATTCGACTGA"   # ~U V ~R
@@ -387,6 +387,11 @@ class TestClosedForm:
         p = clause_process(ClauseSet.parse("P Q\n~Q ~P\n"))
         with pytest.raises(AssertionError, match="explored"):
             hybridization_verdict(p)
+        # a toehold label meeting its complement could unbind (GU), anchored or not
+        for text in ("<a^> | <a^*>", "<b a^> | <c a^*>"):
+            with pytest.raises(AssertionError, match="explored"):
+                hybridization_verdict(parse_process(text))
+        hybridization_verdict(parse_process("<a^ b> | <b*>"))  # a^ meets no a^*
 
     @pytest.mark.parametrize("size", [12, 15, 23])
     def test_sets_beyond_the_state_budget_are_decided(self, size):

@@ -37,12 +37,23 @@ from strandprover.graph import (
     to_json,
     to_json_dict,
     unbind,
-    unbindable_sites,
 )
 
 
 def E(v1, n1, v2, n2) -> Edge:
     return Edge(Site(v1, n1), Site(v2, n2))
+
+
+def coded_bind_chain(g: StrandGraph) -> list[tuple[Site, Site]] | None:
+    """bind_chain on g's labels, coded by the name order of (name, toehold),
+    its site-id pairs read back as Sites."""
+    keys = sorted({(d.name, d.toehold) for row in g.domains for d in row})
+    rank = {key: 2 * k for k, key in enumerate(keys)}
+    labels = [[rank[d.name, d.toehold] + d.complemented for d in row] for row in g.domains]
+    toeholds = [rank[key] + c for key in keys if key[1] for c in (0, 1)]
+    chain = bind_chain(labels, toeholds)
+    sites = [Site(v, n) for v, row in enumerate(g.domains, start=1) for n in range(1, len(row) + 1)]
+    return None if chain is None else [(sites[s], sites[t]) for s, t in chain]
 
 
 def fourway_graph() -> StrandGraph:
@@ -200,7 +211,7 @@ class TestStrandGraphValidation:
             assert g.admissible == frozenset(edges)
             assert ix.edges == edges
             assert ix.toeholds == [g.label(e.a).toehold for e in edges]
-            assert unbindable_sites(g) == frozenset(sites) - sites_of(edges)
+            assert oracles.unbindable_sites(g) == frozenset(sites) - sites_of(edges)
             for e, mask in zip(edges, ix.anchors):
                 (v1, n1), (v2, n2) = e.a, e.b
                 candidates = [(Site(v1, n1 + d), Site(v2, n2 - d)) for d in (1, -1)]
@@ -238,7 +249,7 @@ class TestStrandGraphValidation:
         outcomes = Counter()
         for g in graphs:
             ix = g._index
-            chain = bind_chain([[(d.name, d.complemented, d.toehold) for d in row] for row in g.domains])
+            chain = coded_bind_chain(g)
             if any(ix.toeholds) or any(ix.anchors):
                 assert chain is None
                 outcomes["toehold" if any(ix.toeholds) else "anchored"] += 1
@@ -266,7 +277,7 @@ class TestStrandGraphValidation:
         report = explore(g)
         for state in report.states:
             moves(g.with_current(state))
-        bind_chain([[(d.name, d.complemented, d.toehold) for d in row] for row in g.domains])
+        coded_bind_chain(g)
         assert len(calls) == 1
 
     def test_position_bounds(self):
@@ -276,8 +287,8 @@ class TestStrandGraphValidation:
 
     def test_unbindable_sites(self):
         s = pr.parse_process("<P> | <P*> | <Q>")
-        assert unbindable_sites(from_process(s)) == {Site(3, 1)}
-        assert unbindable_sites(fourway_graph()) == frozenset()
+        assert oracles.unbindable_sites(from_process(s)) == {Site(3, 1)}
+        assert oracles.unbindable_sites(fourway_graph()) == frozenset()
 
 
 # --- the four moves ----------------------------------------------------------

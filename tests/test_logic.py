@@ -89,6 +89,41 @@ class TestParseFormula:
             parse_formula("P @ Q")
         assert err.value.position == 2
 
+    def test_tokens_are_those_of_the_reference_tokenizer(self):
+        # the single-regex tokenizer against the per-character one kept in
+        # oracles: the same tokens, or the same message at the same position
+        from strandprover.logic import _tokenize
+
+        rng = random.Random(23)
+        junk = ["<", "-", ">", "<-", "->", "<->", "$", "!", "=", "1", "é", "\u00a0", "\t", " ", "\n", "~", "(", ")"]
+        outcomes = {"tokens": 0, "error": 0}
+        for _ in range(600):
+            text = format_formula(oracles.random_formula(rng, variables=5, depth=3))
+            parts = text.split(" ")
+            for _ in range(rng.randint(0, 3)):
+                parts.insert(rng.randint(0, len(parts)), rng.choice(junk))
+            text = rng.choice(["", " ", "  \t"]) + rng.choice([" ", "", "  "]).join(parts) + rng.choice(["", " ", "\n "])
+            try:
+                want = oracles.tokenize(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    _tokenize(text)
+                assert (str(got.value), got.value.position) == (str(exc), exc.position), text
+                outcomes["error"] += 1
+            else:
+                assert _tokenize(text) == want, text
+                outcomes["tokens"] += 1
+        for text in ("", "   ", "P <", "P - Q", "<P>", "P<-", "P <-- Q", " \u2028P\u3000"):
+            try:
+                want = oracles.tokenize(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    _tokenize(text)
+                assert (str(got.value), got.value.position) == (str(exc), exc.position), text
+            else:
+                assert _tokenize(text) == want, text
+        assert min(outcomes.values()) > 100, outcomes
+
 
 class TestFormatFormula:
     def test_round_trip_examples(self):
@@ -201,6 +236,91 @@ class TestClauseSet:
     def test_from_dimacs_rejects_non_integer_token(self):
         with pytest.raises(ParseError):
             ClauseSet.from_dimacs("p cnf 1 1\n1 x 0\n")
+
+    def test_coded_readers_match_sets_of_clause_objects(self):
+        # each reader builds the integer-coded form itself; the set it builds
+        # must be the one built from Clause objects, down to codes, literal
+        # order, refutation steps and free sites.  The names x1..x12 make
+        # name order (x10 before x2) differ from number order.
+        from strandprover.compiler import CompileError, bind_only_free_sites
+        from strandprover.resolution import refute
+
+        def literal(n: int) -> Literal:
+            return Literal(f"x{abs(n)}", n < 0)
+
+        def text(n: int) -> str:
+            return str(literal(n))
+
+        def agree(s: ClauseSet, ref: ClauseSet) -> None:
+            assert s == ref and hash(s) == hash(ref) and not s != ref
+            assert str(s) == str(ref) and repr(s) == repr(ref) and len(s) == len(ref)
+            assert s.variables() == ref.variables() == s.names
+            assert (s.names, s.codes, s.masks) == (ref.names, ref.codes, ref.masks)
+            assert [c.literals for c in s] == [c.literals for c in ref]
+            assert all(c in s for c in ref)
+            if len(ref):
+                steps = [(st.index, st.clause.literals, st.parents, st.pivot) for st in refute(s).steps]
+                assert steps == [(st.index, st.clause.literals, st.parents, st.pivot) for st in refute(ref).steps]
+            if any(c.is_empty() for c in ref):
+                with pytest.raises(CompileError):
+                    bind_only_free_sites(s)
+            else:
+                assert bind_only_free_sites(s) == bind_only_free_sites(ref)
+
+        rng = random.Random(29)
+        seen = {"repeated literal": 0, "repeated clause": 0, "tautology": 0, "empty": 0, "x10": 0}
+        for _ in range(300):
+            variables = rng.randint(1, 12)
+            rows = []
+            for _ in range(rng.randint(1, 9)):
+                row = [rng.choice((1, -1)) * rng.randint(1, variables) for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.2:
+                    row.append(rng.choice(row))
+                rows.append(row)
+                if rng.random() < 0.15:
+                    rows.append(list(reversed(row)))
+            ref = ClauseSet([Clause(map(literal, row)) for row in rows])
+            seen["repeated literal"] += any(len(set(row)) < len(row) for row in rows)
+            seen["repeated clause"] += len(ref) < len(rows)
+            seen["tautology"] += any(c.is_tautology() for c in ref)
+            seen["x10"] += any(name >= "x10" for name in ref.names) and "x2" in ref.names
+
+            lines = ["# clause lines"] + [" ".join(map(text, row)) + rng.choice(["", "  # note"]) for row in rows]
+            agree(ClauseSet.parse("\n".join(line + rng.choice(["", "\n"]) for line in lines)), ref)
+
+            # DIMACS may split a clause over lines and also holds {}
+            dimacs_rows = list(rows)
+            if rng.random() < 0.3:
+                dimacs_rows.insert(rng.randrange(len(rows) + 1), [])
+                seen["empty"] += 1
+            numbers = [str(n) for row in dimacs_rows for n in row + [0]]
+            if dimacs_rows[-1] and rng.random() < 0.5:
+                numbers.pop()  # the last clause needs no terminator, unless it is {}
+            cut = rng.randint(0, len(numbers))
+            body = " ".join(numbers[:cut]) + "\nc comment\n" + " ".join(numbers[cut:])
+            dimacs_ref = ClauseSet([Clause(map(literal, row)) for row in dimacs_rows])
+            agree(ClauseSet.from_dimacs(f"p cnf {variables} {len(dimacs_rows)}\n{body}\n"), dimacs_ref)
+
+            # a formula's clausal form sorts each clause and the clauses
+            formula = " & ".join("(" + " | ".join(map(text, row)) + ")" for row in rows)
+            bodies = sorted({tuple(sorted(set(map(literal, row)))) for row in rows})
+            agree(to_clausal_form(parse_formula(formula)), ClauseSet(Clause(body) for body in bodies))
+        assert min(seen.values()) > 10, seen
+
+    def test_reader_errors_are_unchanged(self):
+        cases = [
+            (ClauseSet.parse, "P Q\nP ~~Q\n", "line 2: invalid literal '~~Q'"),
+            (ClauseSet.parse, "P\n\nQ ~ R\n", "line 3: invalid literal '~'"),
+            (ClauseSet.parse, "# c\n1P\n", "line 2: invalid literal '1P'"),
+            (ClauseSet.from_dimacs, "1 -3 0\n", "missing 'p cnf' header"),
+            (ClauseSet.from_dimacs, "1 x 0\n", "line 1: non-numeric DIMACS literal"),
+            (ClauseSet.from_dimacs, "p cnf 1 1\n1 0\n2 -x\n", "line 3: non-numeric DIMACS literal"),
+            (ClauseSet.from_dimacs, "p cnf 1\n1 0\n", "line 1: bad DIMACS header 'p cnf 1'"),
+        ]
+        for read, text, message in cases:
+            with pytest.raises(ParseError) as err:
+                read(text)
+            assert str(err.value) == message and err.value.position is None
 
 
 # --- clausal conversion ------------------------------------------------------

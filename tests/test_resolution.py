@@ -220,6 +220,27 @@ class TestRefute:
             for variable, retained in [("R", k) for k in range(8)] + [("Q", 8), ("P", 9)]
         ]
 
+    def test_the_deadline_starts_before_the_goal_is_converted(self, monkeypatch):
+        # max_seconds covers all of refute's work: the goal's clausal form,
+        # the tautology drop and the sort come after the first clock read
+        from strandprover import resolution
+
+        events = []
+
+        def now():
+            events.append("clock")
+            return 0.0
+
+        def converted(f):
+            events.append("goal")
+            return to_clausal_form(f)
+
+        monkeypatch.setattr(resolution, "time", types.SimpleNamespace(monotonic=now))
+        monkeypatch.setattr(resolution, "to_clausal_form", converted)
+        result = refute(ClauseSet.parse("P Q\n~Q\n"), goal=Var("P"), max_seconds=1.0)
+        assert result.is_unsat
+        assert events[:2] == ["clock", "goal"]
+
     def test_time_budget_is_checked_while_candidates_are_built(self, monkeypatch):
         # bucket Z, the first one eliminated, resolves twelve clauses {Ak, Z}
         # with twelve {~Z, Bk} into 144 candidates; on a clock that counts the
@@ -293,6 +314,38 @@ class TestRefute:
         result = refute(ClauseSet([C("P Q"), C("Z ~Z"), empty, C("~P")]), goal=Var("P"))
         assert result.trace_lines() == ["0: {} [input]"]
         assert result.steps[0].clause is empty and result.empty_step == 0
+
+    def test_steps_are_built_when_first_read(self, monkeypatch):
+        # a caller that reads only the verdict, as compare does, builds no
+        # step; the steps, once read, are those of an eager result, and a
+        # result pickles and copies whether or not they were read
+        import copy
+        import pickle
+
+        from strandprover import resolution
+
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return DeductionStep(*args)
+
+        texts = ("P Q\n~P Q\nP ~Q\n~P ~Q\n", "P Q\n~Q R\n~R\n")
+        monkeypatch.setattr(resolution, "DeductionStep", counted)
+        for text in texts:
+            result = refute(ClauseSet.parse(text))
+            assert result.verdict in (UNSAT, SATURATED) and not built
+            assert built == [] and result.steps is result.steps
+            assert built == list(range(len(result.steps)))
+            built.clear()
+        monkeypatch.undo()
+        for text in texts:
+            result = refute(ClauseSet.parse(text))
+            assert pickle.loads(pickle.dumps(result)) == copy.copy(result) == result
+            eager = RefutationResult(result.verdict, tuple(result.steps), result.empty_step)
+            assert result == eager and repr(result) == repr(eager) and hash(result) == hash(eager)
+        with pytest.raises(AttributeError, match="'RefutationResult' object has no attribute 'stepz'"):
+            refute(ClauseSet.parse("P\n")).stepz
 
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
         # trace lines, stored literal order and the empty step reach the CLI's
