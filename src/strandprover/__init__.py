@@ -32,7 +32,6 @@ from .logic import (
     Or,
     ParseError,
     Var,
-    normalize_clause_set,
     parse_formula,
     to_clausal_form,
 )
@@ -47,7 +46,7 @@ __all__ = [
     "Literal", "Move", "Not", "Or", "ParseError", "Process", "RefutationResult",
     "Site", "Strand", "StrandGraph", "Trace", "Var", "Verdict", "clause_process",
     "compile_clauses", "default_codebook", "explore", "from_process", "generate_codebook",
-    "hybridization_verdict", "normalize_clause_set", "parse_formula",
+    "hybridization_verdict", "parse_formula",
     "parse_process", "refute", "render_deduction", "resolve_pair",
     "to_clausal_form",
 ]

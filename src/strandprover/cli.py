@@ -61,7 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run both engines and flag disagreement")
-    add_common(p_cmp, formats=())
+    add_common(p_cmp, formats=(), with_bounds=False)
+    p_cmp.add_argument(
+        "--max-states",
+        type=int,
+        default=graph.MAX_STATES,
+        metavar="N",
+        help="only checked to be positive: compare decides hybridization without exploring",
+    )
     p_cmp.set_defaults(func=cmd_compare)
 
     p_exp = sub.add_parser("export", help="write a strand graph as listing, JSON, or DOT")
@@ -251,29 +258,19 @@ def _print_dot_trace(g: graph.StrandGraph, report: graph.ExploreReport) -> None:
 
 def cmd_compare(args) -> int:
     s = _load_clauses(args)
-    res_unsat: bool | None = None
-    hyb_unsat: bool | None = None
-    notes: list[str] = []
+    note = None
     try:
-        res_unsat = resolution.refute(s).is_unsat
+        res_unsat: bool | None = resolution.refute(s).is_unsat
     except resolution.ResourceLimitError as exc:
-        notes.append(f"resolution indeterminate: {exc}")
-    try:
-        # a bind-only set is decided from its literals; only an anchored pair explores
-        free = compiler.bind_only_free_sites(s)
-        if free is None:
-            verdict = compiler.hybridization_verdict(compiler.clause_process(s), max_states=args.max_states)
-            free = sorted(verdict.free_sites)
-        elif args.max_states <= 0:
-            raise ValueError("exploration bounds must be positive")
-        hyb_unsat = not free
-    except graph.ExplorationLimitError as exc:
-        notes.append(f"hybridization indeterminate: {exc}")
+        res_unsat, note = None, f"resolution indeterminate: {exc}"
+    free = compiler.free_sites(s)  # decided from the literals, with no strand graph
+    if args.max_states <= 0:
+        raise ValueError("exploration bounds must be positive")
+    hyb_unsat = not free
     print(f"resolution: {_verdict_word(res_unsat)}")
     print(f"hybridization: {_verdict_word(hyb_unsat)}")
-    for note in notes:
+    if res_unsat is None:
         print(note)
-    if res_unsat is None or hyb_unsat is None:
         print("INDETERMINATE")
         return EXIT_INDETERMINATE
     if res_unsat == hyb_unsat:

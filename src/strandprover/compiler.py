@@ -5,16 +5,16 @@ literals are the complemented domains (clause_process).  Base sequences are
 only the wet-lab encoding, which compile_clauses adds from a Codebook.  No
 toeholds are emitted, so no edge ever unbinds (GU).  A clause set is refuted
 when the closure of the compiled system reaches a state with every site
-bound, the strand-level image of the empty clause.  Unless a strand reads
-X Y and a strand, the same or another, reads Y* X* (an anchored pair, which
-could start a displacement), binding is the only move and every maximal
-binding is a largest one.  The question then has a closed-form answer, each
-variable occurs as often positive as negative, and graph.bind_chain gives it
-from integer site labels alone, where code ^ 1 is a label's complement:
-hybridization_verdict decides such a process without exploring, on its
-labels coded by name and toehold flag, and bind_only_free_sites decides such
-a clause set from its literal codes (ClauseSet.codes) as they are, without
-building strands or a graph.
+bound, the strand-level image of the empty clause.  Without GU only binding
+changes how many edges a domain name has (displacement and migration swap
+edges within one name), so every terminal state is a largest binding and
+the question has a closed-form answer: each variable occurs as often
+positive as negative.  graph.bind_chain gives it from integer site labels
+alone, where code ^ 1 is a label's complement: hybridization_verdict decides
+a bond-free process whose toehold labels meet no complement without
+exploring, on its labels coded by name and toehold flag, and free_sites
+decides a clause set from its literal codes (ClauseSet.codes) as they are,
+without building strands or a graph.
 """
 
 from __future__ import annotations
@@ -208,19 +208,15 @@ def clause_process(s: ClauseSet) -> Process:
     return Process(tuple(strands))
 
 
-def bind_only_free_sites(s: ClauseSet) -> list[Site] | None:
+def free_sites(s: ClauseSet) -> list[Site]:
     """The sites of clause_process(s) that hybridization leaves free, in Site
     order, read off the literal codes of s by graph.bind_chain without
-    building a strand or a graph; None when s holds an anchored pair, which
-    only exploration decides (hybridization_verdict).  The set is
-    unsatisfiable by hybridization exactly when no site is left free.
-    CompileError on an empty clause, as clause_process."""
+    building a strand or a graph.  The set is unsatisfiable by hybridization
+    exactly when no site is left free.  CompileError on an empty clause, as
+    clause_process."""
     if not all(s.codes):
         raise CompileError("the empty clause has no strand image")
-    chain = bind_chain(s.codes)
-    if chain is None:
-        return None
-    bound = {site for pair in chain for site in pair}
+    bound = {site for pair in bind_chain(s.codes) for site in pair}
     # a Site is a (vertex, position) tuple: only the free ones are built
     ids = itertools.count()  # site ids, in Site order
     return [Site(v, n) for v, row in enumerate(s.codes, start=1) for n in range(1, len(row) + 1) if next(ids) not in bound]
@@ -252,6 +248,12 @@ SAT_BY_HYBRIDIZATION = "sat-by-hybridization"
 
 @dataclass(frozen=True)
 class Verdict:
+    """A hybridization verdict: the outcome, a witness trace, the sites its
+    final state leaves free, and the graph judged.  For a bond-free system
+    whose toehold labels meet no complement, the SAT witness is the greedy
+    maximum binding (graph.bind_chain), which need not be terminal: its end
+    may still admit a displacement or a migration."""
+
     outcome: str
     witness: Trace
     free_sites: frozenset[Site]
@@ -267,18 +269,17 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
 
     Reaching a state with every site bound yields the unsatisfiable verdict
     with a shortest witness trace.  Otherwise the verdict is satisfiable,
-    witnessed by a terminal state of maximal |E| and its free sites.  Note
+    witnessed by a state of maximal |E| and its free sites.  Note
     this is a statement about hybridization, not propositional truth: a
     literal occurrence with no complementary occurrence anywhere keeps its
     site free forever, whatever a resolution prover would say.
 
-    When p has no bond and GB is the only move that can ever fire
-    (no toehold label meets its complement and no adjacent label pair x y
-    has a mirror y* x*, see graph.bind_chain), the verdict is built in closed
-    form from the chain that exploration would find first, read off the site
-    labels in O(sites); it equals the explored one.  Otherwise the graph is
-    explored breadth first, and max_states bounds that exploration; it must
-    be positive whichever path runs.
+    When p has no bond and no toehold label meets its complement, no edge
+    ever unbinds, and the verdict is built in closed form from the greedy
+    maximum binding (graph.bind_chain), read off the site labels in
+    O(sites); its UNSAT witness is the one exploration finds first.  Any
+    other process, such as the hairpin, is explored breadth first under
+    max_states; that bound must be positive whichever path runs.
     """
     g = from_process(p)
     all_sites = frozenset(g.sites())

@@ -11,9 +11,10 @@ edge sets.  Enumeration and exploration run on integer edge ranks instead,
 over one integer index of the shape that the constructor builds, in one pass
 over site ids, and every state shares: a state is a bitmask over the ranked
 admissible edges (see explore).  The report gives states as edge sets and
-moves as Move objects.  Where binding is the only move that can ever fire,
-bind_chain finds the binding that exploration reaches first from the site
-labels alone, coded as integers whose complement is code ^ 1, with no graph.
+moves as Move objects.  Where no edge is bound and none can ever unbind,
+every terminal state is a largest binding, and bind_chain finds one, the
+greedy chain, from the site labels alone, coded as integers whose complement
+is code ^ 1, with no graph.
 """
 
 from __future__ import annotations
@@ -286,30 +287,24 @@ def from_process(p: Process) -> StrandGraph:
 
 
 def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) -> list[tuple[int, int]] | None:
-    """The site pairs that explore() binds first, in rank order, from a graph
-    with these labels per vertex and no current edge, when GB is the only
-    move that can ever fire there; None when another rule might fire.
+    """The greedy maximum binding of a graph with these labels per vertex and
+    no current edge, as site pairs in rank order; None when a toehold label
+    meets its complement, so that an edge might unbind (GU).
 
     A label is an integer code, and code ^ 1 codes its complement
     (Domain.matches); toeholds holds the codes of toehold labels.  A pair
     holds two site ids, ascending, with sites numbered from 0 in Site order.
 
-    GB alone fires when no toehold label meets its complement (no GU) and the
-    labels hold no anchored pair: an adjacent pair x y with an adjacent
-    y* x* at another occurrence, which would give an admissible edge an
-    admissible antiparallel neighbour (and so anchor a G3 or GM).  The
-    reachable states are then the matchings of the admissible graph, which
-    is complete bipartite per label, so every maximal matching is maximum.
-    Breadth-first search with rank-sorted moves meets first the greedy chain:
-    each site in Site order, while it is free, binds the first later free
-    site of the complementary label.  O(sites), with one pointer per label
-    into its sites."""
-    flat: list[int] = []
-    adjacent: dict[tuple[int, int], int] = {}  # adjacent label pairs on a vertex, 5' to 3'
-    for row in labels:
-        flat += row
-        for pair in zip(row, row[1:]):
-            adjacent[pair] = adjacent.get(pair, 0) + 1
+    With no GU, only GB changes how many edges a label pair has: G3 and GM
+    swap edges within one name.  Every terminal state is therefore a maximum
+    binding of the admissible graph, which is complete bipartite per label,
+    and so is the greedy chain: each site in Site order, while it is free,
+    binds the first later free site of the complementary label.  Without an
+    adjacent pair x y that meets a y* x* elsewhere, GB is the only move, and
+    the chain is the binding that breadth-first search with rank-sorted moves
+    meets first; otherwise the chain's end may still admit a G3 or GM.
+    O(sites), with one pointer per label into its sites."""
+    flat = [label for row in labels for label in row]
     occurs: dict[int, list[int]] = {}  # label -> its site ids, ascending
     for s, label in enumerate(flat):
         if label in occurs:
@@ -318,11 +313,6 @@ def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) 
             occurs[label] = [s]
     for label in toeholds:
         if label in occurs and label ^ 1 in occurs:
-            return None
-    for x, y in adjacent:
-        mirror = (y ^ 1, x ^ 1)
-        # x x* is its own mirror, and needs a second occurrence
-        if adjacent.get(mirror, 0) > (mirror == (x, y)):
             return None
     # one pointer per label: it skips that label's sites before the current
     # site and moves past each site it hands out, and whatever lies beyond it

@@ -338,12 +338,6 @@ class Clause:
     def is_empty(self) -> bool:
         return not self.literals
 
-    def is_tautology(self) -> bool:
-        return any(lit.complement() in self._set for lit in self.literals)
-
-    def subsumes(self, other: "Clause") -> bool:
-        return self._set <= other._set
-
     def without(self, lit: Literal) -> "Clause":
         return Clause(l for l in self.literals if l != lit)
 
@@ -572,16 +566,10 @@ def to_clausal_form(f: Formula) -> ClauseSet:
 
     Conditionals are rewritten away, negations pushed to the variables, and
     disjunction distributed over conjunction; each resulting disjunction
-    becomes one clause.  Tautologies are kept; drop them separately with
-    normalize_clause_set if unwanted.  Raises ParseError rather than build
-    more than MAX_CLAUSES clauses.
+    becomes one clause.  Tautologies are kept.  Raises ParseError rather
+    than build more than MAX_CLAUSES clauses.
     """
     unique = sorted(tuple(sorted(body)) for body in _bodies(f, True, {}))
     names = sorted({name for body in unique for name, _ in body})
     rank = {name: 2 * k for k, name in enumerate(names)}
     return ClauseSet._coded(names, [[rank[name] + negated for name, negated in body] for body in unique])
-
-
-def normalize_clause_set(s: ClauseSet, drop_tautologies: bool = False) -> ClauseSet:
-    """Deduplicate, and optionally drop clauses containing a complementary pair."""
-    return ClauseSet(c for c in s if not (drop_tautologies and c.is_tautology()))

@@ -153,6 +153,38 @@ def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
     return frozenset(s for s, others in zip(g._index.sites, g._index.partners) if not others)
 
 
+def greedy_free_sites(g: StrandGraph) -> list[Site]:
+    """The sites of a bond-free graph that the greedy binding leaves free, in
+    Site order: each site, while free, binds the first later free site whose
+    label matches its own.  Read off the labels pair by pair."""
+    sites = g.sites()
+    bound: set[Site] = set()
+    for k, s in enumerate(sites):
+        if s in bound:
+            continue
+        for t in sites[k + 1 :]:
+            if t not in bound and g.label(s).matches(g.label(t)):
+                bound.update((s, t))
+                break
+    return [s for s in sites if s not in bound]
+
+
+def is_tautology(clause: Clause) -> bool:
+    """The clause holds a literal and its complement."""
+    pairs = frozenset((lit.variable, lit.negated) for lit in clause)
+    return any((name, not negated) in pairs for name, negated in pairs)
+
+
+def subsumes(d: Clause, c: Clause) -> bool:
+    """Every literal of d is a literal of c."""
+    return frozenset((lit.variable, lit.negated) for lit in d) <= frozenset((lit.variable, lit.negated) for lit in c)
+
+
+def without_tautologies(s: ClauseSet) -> frozenset[frozenset[tuple[str, bool]]]:
+    """The clauses of s, tautologies dropped, as sets of (variable, negated)."""
+    return frozenset(frozenset((lit.variable, lit.negated) for lit in c) for c in s if not is_tautology(c))
+
+
 # --- seeded random generators ------------------------------------------------
 
 VARIABLE_POOL = ("P", "Q", "R", "U", "V", "W", "X", "Y")

@@ -305,16 +305,16 @@ class TestCompare:
         assert "DISAGREE" in out
         assert "free site (3,1): Q, can never bind" in out
 
-    def test_tight_bounds_are_indeterminate(self, monkeypatch, capsys):
+    def test_anchored_sets_decide_under_any_budget(self, monkeypatch, capsys):
         import io
 
-        # P-P* next to Q-Q* on strands 1 and 2 is an anchored pair, so this
-        # set is explored, and the state budget binds
+        # P-P* next to Q-Q* on strands 1 and 2 is an anchored pair, which could
+        # start a displacement; the set is still decided from its literals
         monkeypatch.setattr("sys.stdin", io.StringIO(ANCHORED))
         code, out, _ = run(capsys, "compare", "--input", "-", "--max-states", "4")
-        assert code == cli.EXIT_INDETERMINATE
-        assert "hybridization: INDETERMINATE" in out
-        assert "INDETERMINATE" in out.splitlines()[-1]
+        assert code == cli.EXIT_DISAGREE
+        assert "hybridization: SATISFIABLE" in out
+        assert "INDETERMINATE" not in out
 
     def test_bind_only_sets_decide_under_any_budget(self, capsys):
         code, out, _ = run(capsys, "compare", "--fixture", "S", "--max-states", "1")
@@ -322,7 +322,8 @@ class TestCompare:
         assert "hybridization: UNSAT" in out
 
     @pytest.mark.parametrize(
-        "text, code", [(CLAUSES_S, cli.EXIT_OK), ("P\n", cli.EXIT_OK), (DIVERGENT, cli.EXIT_DISAGREE)]
+        "text, code",
+        [(CLAUSES_S, cli.EXIT_OK), ("P\n", cli.EXIT_OK), (DIVERGENT, cli.EXIT_DISAGREE), (ANCHORED, cli.EXIT_DISAGREE)],
     )
     def test_bind_only_sets_build_no_strand_and_no_graph(self, monkeypatch, capsys, text, code):
         import io
@@ -330,9 +331,10 @@ class TestCompare:
         def refused(*args, **kwargs):
             raise AssertionError("built a strand system")
 
-        for name in ("clause_process", "from_process"):
+        for name in ("clause_process", "from_process", "explore"):
             monkeypatch.setattr(compiler, name, refused)
-        monkeypatch.setattr(cli.graph, "from_process", refused)
+        for name in ("from_process", "explore"):
+            monkeypatch.setattr(cli.graph, name, refused)
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run(capsys, "compare", "--input", "-")[0] == code
 
@@ -340,7 +342,7 @@ class TestCompare:
         import io
         import random
 
-        from strandprover.graph import format_domain
+        from strandprover.graph import format_domain, from_process
 
         rng = random.Random(41)
         kinds = Counter()
@@ -352,19 +354,18 @@ class TestCompare:
             if long and rng.random() < 0.5:  # the mirror of a clause: an anchored pair
                 mirror = logic.Clause(lit.complement() for lit in reversed(long[0].literals))
                 s = logic.ClauseSet(list(s) + [mirror])
-            verdict = compiler.hybridization_verdict(compiler.clause_process(s))
-            never = oracles.unbindable_sites(verdict.graph)
+            g = from_process(compiler.clause_process(s))
+            never = oracles.unbindable_sites(g)
             want = [
-                f"free site {site}: {format_domain(verdict.graph.label(site))}"
-                + (", can never bind" if site in never else "")
-                for site in sorted(verdict.free_sites)
+                f"free site {site}: {format_domain(g.label(site))}" + (", can never bind" if site in never else "")
+                for site in oracles.greedy_free_sites(g)
             ]
             monkeypatch.setattr("sys.stdin", io.StringIO(str(s) + "\n"))
             code, out, _ = run(capsys, "compare", "--input", "-")
             if code != cli.EXIT_DISAGREE:
                 continue
             assert [line for line in out.splitlines() if line.startswith("free site")] == want, str(s)
-            kinds["anchored" if compiler.bind_only_free_sites(s) is None else "bind-only"] += 1
+            kinds["anchored" if any(g._index.anchors) else "bind-only"] += 1
             kinds["never"] += any(line.endswith("can never bind") for line in want)
         assert kinds["never"] > 0
 

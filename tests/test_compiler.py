@@ -23,8 +23,8 @@ from strandprover.compiler import (
     hybridization_verdict,
     reverse_complement,
 )
-from strandprover.fixtures import CLAUSES_S, clause_set_s, hairpin
-from strandprover.graph import ExplorationLimitError, Site, explore, from_process, sites_of
+from strandprover.fixtures import CLAUSES_S, clause_set_s, fourway, hairpin
+from strandprover.graph import ExplorationLimitError, Site, apply_move, explore, from_process, sites_of
 from strandprover.logic import Clause, ClauseSet, Literal, parse_formula, to_clausal_form
 from strandprover.process import Process, parse_process
 
@@ -318,6 +318,28 @@ def explored_verdict(p: Process, max_states: int) -> Verdict:
     return Verdict(SAT_BY_HYBRIDIZATION, report.trace_to(best), free, g)
 
 
+def replayed(verdict: Verdict) -> frozenset:
+    """The witness's final state, each move applied through apply_move, which
+    re-checks the rule's premises."""
+    g = verdict.graph.with_current(verdict.witness.initial)
+    for move in verdict.witness.moves:
+        g = apply_move(g, move)
+    assert g.current == verdict.witness.final
+    return g.current
+
+
+def assert_same_binding(verdict: Verdict, explored: Verdict) -> None:
+    """Equal outcome, UNSAT witness and free-site labels; a SAT witness may end
+    in another largest binding, but it replays and has the explored |E|."""
+    if explored.is_unsat:
+        assert verdict == explored
+        return
+    assert verdict.outcome == explored.outcome
+    labels = [Counter(map(v.graph.label, v.free_sites)) for v in (verdict, explored)]
+    assert labels[0] == labels[1]
+    assert len(replayed(verdict)) == len(explored.witness.final)
+
+
 def _literal_text(lit: Literal) -> str:
     return ("~" if lit.negated else "") + lit.variable
 
@@ -367,31 +389,63 @@ class TestClosedForm:
     def test_equals_exploration_on_a_seeded_corpus(self):
         rng = random.Random(7)
         compared = 0
+        kinds = Counter()
         while compared < 1500:
             s = oracles.random_clause_set(rng, variables=rng.randint(1, 4), clauses=5, max_len=3)
             for r in renderings(rng, s):
                 if not len(r) or any(c.is_empty() for c in r):
                     continue  # a formula can reduce to no clause at all
                 p = clause_process(r)
-                assert hybridization_verdict(p) == explored_verdict(p, max_states=2000), str(r)
+                verdict, explored = hybridization_verdict(p), explored_verdict(p, max_states=2000)
+                anchored = any(verdict.graph._index.anchors)
+                if anchored:
+                    assert_same_binding(verdict, explored)
+                    kinds["another binding"] += verdict != explored
+                else:
+                    assert verdict == explored, str(r)
                 compared += 1
+                kinds["anchored " * anchored + explored.outcome] += 1
+        assert len(kinds) == 5 and min(kinds.values()) > 0, kinds
 
-    def test_only_anchored_sets_explore(self, monkeypatch):
+    def test_only_toehold_or_bond_processes_explore(self, monkeypatch):
         def no_exploring(*args, **kwargs):
             raise AssertionError("explored")
 
         monkeypatch.setattr("strandprover.compiler.explore", no_exploring)
-        for text in (CLAUSES_S, "P\n", "P\n~P\nQ\n", "P ~Q R\n~P Q ~R\n"):
+        # P-P* beside Q-Q* anchors each other, so G3 could fire: the closed form
+        # holds all the same
+        for text in (CLAUSES_S, "P\n", "P\n~P\nQ\n", "P ~Q R\n~P Q ~R\n", "P Q\n~Q ~P\n"):
             hybridization_verdict(clause_process(ClauseSet.parse(text)))
-        # P-P* beside Q-Q* on strands 1 and 2 anchors each other: G3 could fire
-        p = clause_process(ClauseSet.parse("P Q\n~Q ~P\n"))
-        with pytest.raises(AssertionError, match="explored"):
-            hybridization_verdict(p)
-        # a toehold label meeting its complement could unbind (GU), anchored or not
-        for text in ("<a^> | <a^*>", "<b a^> | <c a^*>"):
+        # a toehold label meeting its complement could unbind (GU), anchored or
+        # not, and a bond is a current edge
+        for p in (parse_process("<a^> | <a^*>"), parse_process("<b a^> | <c a^*>"), hairpin(), fourway()):
             with pytest.raises(AssertionError, match="explored"):
-                hybridization_verdict(parse_process(text))
+                hybridization_verdict(p)
         hybridization_verdict(parse_process("<a^ b> | <b*>"))  # a^ meets no a^*
+
+    def test_bond_and_toehold_free_processes_are_decided_without_exploring(self, monkeypatch):
+        def no_exploring(*args, **kwargs):
+            raise AssertionError("explored")
+
+        monkeypatch.setattr("strandprover.compiler.explore", no_exploring)
+        rng = random.Random(23)
+        kinds = Counter()
+        while kinds["anchored"] < 30:
+            p = oracles.random_process(rng, strands=4, max_len=4, bond_fraction=0.0)
+            if any(from_process(p)._index.toeholds):
+                continue
+            try:
+                explored = explored_verdict(p, max_states=2000)
+            except ExplorationLimitError:
+                kinds["skipped"] += 1
+                continue
+            verdict = hybridization_verdict(p)
+            assert verdict.outcome == explored.outcome
+            assert len(verdict.free_sites) == len(explored.free_sites)
+            assert len(replayed(verdict)) == len(explored.witness.final)
+            kinds[verdict.outcome] += 1
+            kinds["anchored"] += any(verdict.graph._index.anchors)
+        assert kinds["skipped"] < 10 and kinds[UNSAT_BY_HYBRIDIZATION] > 0, kinds
 
     @pytest.mark.parametrize("size", [12, 15, 23])
     def test_sets_beyond_the_state_budget_are_decided(self, size):

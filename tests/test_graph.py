@@ -223,9 +223,10 @@ class TestStrandGraphValidation:
         assert any(e.a.vertex == e.b.vertex for e in anchored)
 
     def test_bind_chain_reads_only_the_labels(self):
-        # bind_chain gives up exactly when the index has a toehold edge or an
-        # anchored edge; otherwise it binds the greedy chain over the ranked
-        # edges: each edge whose two sites are both still free, in rank order
+        # bind_chain gives up exactly when the index has a toehold edge;
+        # otherwise it binds the greedy chain over the ranked edges, anchored
+        # ones included: each edge whose two sites are both still free, in
+        # rank order
         from strandprover.compiler import clause_process
         from strandprover.fixtures import FIXTURES
         from strandprover.logic import ClauseSet
@@ -250,9 +251,9 @@ class TestStrandGraphValidation:
         for g in graphs:
             ix = g._index
             chain = coded_bind_chain(g)
-            if any(ix.toeholds) or any(ix.anchors):
+            if any(ix.toeholds):
                 assert chain is None
-                outcomes["toehold" if any(ix.toeholds) else "anchored"] += 1
+                outcomes["toehold"] += 1
                 continue
             bound: set[int] = set()
             greedy = []
@@ -262,6 +263,7 @@ class TestStrandGraphValidation:
                     greedy.append((e.a, e.b))
             assert chain == greedy
             outcomes["chain" if chain else "empty"] += 1
+            outcomes["anchored"] += any(ix.anchors)
         assert min(outcomes[k] for k in ("toehold", "anchored", "chain", "empty")) > 0, outcomes
 
     def test_the_shape_is_indexed_once(self, monkeypatch):

@@ -21,7 +21,6 @@ from strandprover.logic import (
     ParseError,
     Var,
     format_formula,
-    normalize_clause_set,
     parse_formula,
     to_clausal_form,
 )
@@ -175,12 +174,12 @@ class TestClause:
     def test_empty_and_tautology(self):
         assert Clause().is_empty()
         assert str(Clause()) == "{}"
-        assert Clause.parse("P ~P").is_tautology()
-        assert not Clause.parse("P ~Q").is_tautology()
+        assert oracles.is_tautology(Clause.parse("P ~P"))
+        assert not oracles.is_tautology(Clause.parse("P ~Q"))
 
     def test_subsumption(self):
-        assert Clause.parse("P").subsumes(Clause.parse("P Q"))
-        assert not Clause.parse("P Q").subsumes(Clause.parse("P"))
+        assert oracles.subsumes(Clause.parse("P"), Clause.parse("P Q"))
+        assert not oracles.subsumes(Clause.parse("P Q"), Clause.parse("P"))
 
     def test_without_and_union(self):
         c = Clause.parse("P ~Q")
@@ -242,7 +241,7 @@ class TestClauseSet:
         # must be the one built from Clause objects, down to codes, literal
         # order, refutation steps and free sites.  The names x1..x12 make
         # name order (x10 before x2) differ from number order.
-        from strandprover.compiler import CompileError, bind_only_free_sites
+        from strandprover.compiler import CompileError, free_sites
         from strandprover.resolution import refute
 
         def literal(n: int) -> Literal:
@@ -263,9 +262,9 @@ class TestClauseSet:
                 assert steps == [(st.index, st.clause.literals, st.parents, st.pivot) for st in refute(ref).steps]
             if any(c.is_empty() for c in ref):
                 with pytest.raises(CompileError):
-                    bind_only_free_sites(s)
+                    free_sites(s)
             else:
-                assert bind_only_free_sites(s) == bind_only_free_sites(ref)
+                assert free_sites(s) == free_sites(ref)
 
         rng = random.Random(29)
         seen = {"repeated literal": 0, "repeated clause": 0, "tautology": 0, "empty": 0, "x10": 0}
@@ -282,7 +281,7 @@ class TestClauseSet:
             ref = ClauseSet([Clause(map(literal, row)) for row in rows])
             seen["repeated literal"] += any(len(set(row)) < len(row) for row in rows)
             seen["repeated clause"] += len(ref) < len(rows)
-            seen["tautology"] += any(c.is_tautology() for c in ref)
+            seen["tautology"] += any(map(oracles.is_tautology, ref))
             seen["x10"] += any(name >= "x10" for name in ref.names) and "x2" in ref.names
 
             lines = ["# clause lines"] + [" ".join(map(text, row)) + rng.choice(["", "  # note"]) for row in rows]
@@ -387,17 +386,18 @@ class TestToClausalForm:
 
 
 class TestNormalizeClauseSet:
+    # a ClauseSet deduplicates and keeps tautologies; the oracle drops them
     def test_tautology_removal_needs_flag(self):
         s = ClauseSet.parse("P ~P\nQ\n")
-        assert normalize_clause_set(s, drop_tautologies=True) == ClauseSet.parse("Q\n")
-        assert normalize_clause_set(s) == s
+        assert oracles.without_tautologies(s) == oracles.without_tautologies(ClauseSet.parse("Q\n"))
+        assert ClauseSet(s) == s
 
     def test_duplicate_collapse(self):
         s = ClauseSet([Clause.parse("P"), Clause.parse("P")])
-        assert normalize_clause_set(s) == ClauseSet.parse("P\n")
+        assert ClauseSet(s) == ClauseSet.parse("P\n")
 
     def test_fixture_clause_set_is_already_normal(self):
         from strandprover.fixtures import clause_set_s
 
         s = clause_set_s()
-        assert normalize_clause_set(s, drop_tautologies=True) == s
+        assert ClauseSet(s) == s and not any(map(oracles.is_tautology, s))

@@ -73,7 +73,7 @@ class TestResolvePair:
             (C("Q ~Q"), Literal("P")),
             (C("P ~P"), Literal("Q")),
         }
-        assert all(clause.is_tautology() for clause, _ in out)
+        assert all(oracles.is_tautology(clause) for clause, _ in out)
 
     def test_duplicate_literals_merge(self):
         assert resolve_pair(C("P R"), C("~P R")) == {(C("R"), Literal("P"))}
@@ -162,7 +162,7 @@ class TestRefute:
         # {P, ~P} contributes nothing; the rest saturates without it
         result = refute(ClauseSet.parse("P ~P\nQ\n"))
         assert result.verdict == SATURATED
-        assert all(not s.clause.is_tautology() for s in result.steps)
+        assert all(not oracles.is_tautology(s.clause) for s in result.steps)
 
     def test_subsumed_resolvents_are_not_admitted(self):
         result = refute(ClauseSet.parse("P Q\n~P Q\nQ R\n"))
@@ -170,7 +170,7 @@ class TestRefute:
         clauses = [s.clause for s in result.steps]
         for k, clause in enumerate(clauses):
             for other in clauses[:k]:
-                assert not other.subsumes(clause)
+                assert not oracles.subsumes(other, clause)
 
     def test_clause_budget_is_enforced(self):
         wide = ClauseSet.parse(
