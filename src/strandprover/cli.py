@@ -258,14 +258,14 @@ def _print_dot_trace(g: graph.StrandGraph, report: graph.ExploreReport) -> None:
 
 def cmd_compare(args) -> int:
     s = _load_clauses(args)
+    if args.max_states <= 0:
+        raise ValueError("exploration bounds must be positive")
     note = None
     try:
         res_unsat: bool | None = resolution.refute(s).is_unsat
     except resolution.ResourceLimitError as exc:
         res_unsat, note = None, f"resolution indeterminate: {exc}"
     free = compiler.free_sites(s)  # decided from the literals, with no strand graph
-    if args.max_states <= 0:
-        raise ValueError("exploration bounds must be positive")
     hyb_unsat = not free
     print(f"resolution: {_verdict_word(res_unsat)}")
     print(f"hybridization: {_verdict_word(hyb_unsat)}")

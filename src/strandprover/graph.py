@@ -10,11 +10,13 @@ The rule appliers (bind, unbind, displace, migrate) check their premises on
 edge sets.  Enumeration and exploration run on integer edge ranks instead,
 over one integer index of the shape that the constructor builds, in one pass
 over site ids, and every state shares: a state is a bitmask over the ranked
-admissible edges (see explore).  The report gives states as edge sets and
-moves as Move objects.  Where no edge is bound and none can ever unbind,
-every terminal state is a largest binding, and bind_chain finds one, the
-greedy chain, from the site labels alone, coded as integers whose complement
-is code ^ 1, with no graph.
+admissible edges (see explore).  Each migration ring is walked once, from
+its lowest-ranked edge in one direction.  The report gives states as edge
+sets and moves as Move objects.  Where no edge is bound and none can ever
+unbind, every terminal state is a largest binding, and bind_chain finds one,
+the greedy chain, from the site labels alone, coded as integers whose
+complement is code ^ 1, with no graph: one pass with a first-in first-out
+queue per label.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ def _sorted_edge(a: Site, b: Site) -> Edge:
 
 
 RULES = ("GB", "GU", "G3", "GM")
-_RULE_ORDER = {rule: k for k, rule in enumerate(RULES)}
 # removed/added cardinality per rule; None means any N >= 2 with both equal
 _RULE_SHAPE = {"GB": (0, 1), "GU": (1, 0), "G3": (1, 1), "GM": None}
 
@@ -303,37 +304,30 @@ def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) 
     adjacent pair x y that meets a y* x* elsewhere, GB is the only move, and
     the chain is the binding that breadth-first search with rank-sorted moves
     meets first; otherwise the chain's end may still admit a G3 or GM.
-    O(sites), with one pointer per label into its sites."""
+
+    One pass builds the chain with a first-in first-out queue per label: each
+    site pairs with the earliest still-unpaired earlier site of the
+    complementary label, or else joins its own label's queue.  That is the
+    greedy chain, since a site the forward scan reaches still free has no
+    free complementary site before it, and each earlier site, in order, took
+    the first free site after itself.  At most one of a name's two queues is
+    ever non-empty, so at the end each name's unpaired sites all carry one
+    label: no two free sites can bind, and per name the binding has as many
+    pairs as the rarer label has sites, the most there can be.  O(sites)."""
     flat = [label for row in labels for label in row]
-    occurs: dict[int, list[int]] = {}  # label -> its site ids, ascending
-    for s, label in enumerate(flat):
-        if label in occurs:
-            occurs[label].append(s)
-        else:
-            occurs[label] = [s]
+    present = set(flat)
     for label in toeholds:
-        if label in occurs and label ^ 1 in occurs:
+        if label in present and label ^ 1 in present:
             return None
-    # one pointer per label: it skips that label's sites before the current
-    # site and moves past each site it hands out, and whatever lies beyond it
-    # is free, since every earlier site took the first free site after itself
-    cursor = dict.fromkeys(occurs, 0)
-    bound = [False] * len(flat)
+    waiting: dict[int, deque[int]] = {}  # label -> its unpaired site ids so far, ascending
     chain = []
-    for s, label in enumerate(flat):
-        other = label ^ 1
-        if bound[s] or other not in occurs:
-            continue
-        partners = occurs[other]
-        k = cursor[other]
-        while k < len(partners) and partners[k] < s:
-            k += 1
-        if k < len(partners):
-            t = partners[k]
-            bound[t] = True
-            chain.append((s, t))
-            k += 1
-        cursor[other] = k
+    for t, label in enumerate(flat):
+        queue = waiting.get(label ^ 1)
+        if queue:
+            chain.append((queue.popleft(), t))
+        else:
+            waiting.setdefault(label, deque()).append(t)
+    chain.sort()  # pairs come in order of their later site
     return chain
 
 
@@ -508,11 +502,11 @@ def _component_moves(t: _Index, ranks: list[int], state: int) -> list[_RankMove]
     return out
 
 
-def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int) -> set[_RankMove]:
+def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int) -> list[_RankMove]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
-    found: set[_RankMove] = set()
+    found: list[_RankMove] = []
 
     def extend(start: int, ring: list[int], links: list[int], exit_site: int, entry_site: int):
         # exit_site: the still-unlinked endpoint of ring[-1]
@@ -522,7 +516,7 @@ def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int
                 added = links + [closing]
                 flip = sum(1 << r for r in ring + added)
                 if all(anchors[x] & (state ^ flip) for x in added):
-                    found.add((3, tuple(sorted(ring)), tuple(sorted(added)), flip))
+                    found.append((3, tuple(sorted(ring)), tuple(sorted(added)), flip))
         if len(ring) >= MAX_RING:
             return
         for landing, x in partners[exit_site].items():
@@ -533,10 +527,11 @@ def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int
             extend(start, ring + [nxt], links + [x], s + u - landing, entry_site)
 
     for start in current:
-        # fix the lowest-ranked ring edge as the start; try both orientations
+        # a ring's removed and added edges form one cycle; it starts at its
+        # lowest-ranked edge and leaves it by one fixed endpoint, so each ring
+        # has one traversal and is found once
         s, u = ends[start]
         extend(start, [start], [], u, s)
-        extend(start, [start], [], s, u)
     return found
 
 
@@ -581,9 +576,9 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     a new state, and sorts those into the order moves() gives; as a state's
     moves all reach distinct states, the discovery order is that of the full
     merged list.  Only a new state becomes an edge set, and only a move that
-    reaches a new state becomes a Move.  Each state is checked when it is
-    dequeued, on its bitmask: every bit must be a ranked edge, and no site
-    may be bound twice.
+    reaches a new state becomes a Move.  The walk reads the list of state
+    bitmasks in discovery order as it grows, and checks each state there:
+    every bit must be a ranked edge, and no site may be bound twice.
     The second check runs in the move enumerator, on each component's part of
     the state the first time that part is seen; as components share no site,
     a state passes exactly when each of its parts does.  A state that fails
@@ -606,10 +601,9 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     index = {start: 0}
     decoded: dict[_RankMove, Move] = {}  # a move recurs while other components change
     terminals: list[int] = []
-    queue: deque[int] = deque([0])
-    while queue:
-        i = queue.popleft()
-        state = masks[i]
+    # masks grows as states are discovered, and the loop reads it in that
+    # order: breadth first, as each new state is one deeper than state i
+    for i, state in enumerate(masks):
         if state >> len(ix.edges):
             raise GraphError(f"state {state:#x} has a bit past the last edge rank")
         if single is not None:
@@ -645,7 +639,6 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
             masks.append(nxt)
             depths.append(depths[i] + 1)
             parents.append((i, move))
-            queue.append(index[nxt])
     return ExploreReport(g, states, depths, parents, terminals)
 
 

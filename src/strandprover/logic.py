@@ -154,60 +154,56 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _FormulaParser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # the end sentinel matches no operator, so no lookahead checks for it
+        self.tokens = _tokenize(text) + [("end", "", len(text))]
         self.pos = 0
         self.depth = 0
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _take(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", len(self.text))
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of formula", tok[2])
         self.pos += 1
         return tok
 
     def parse(self) -> Formula:
-        if not self.tokens:
+        if len(self.tokens) == 1:
             raise ParseError("empty formula")
         f = self._arrow()
-        tok = self._peek()
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return f
 
     def _arrow(self) -> Formula:
         left = self._disj()
-        tok = self._peek()
-        if tok is None or tok[1] not in _ARROWS:
+        if self.tokens[self.pos][1] not in _ARROWS:
             return left
         op = self._take()[1]
         right = self._disj()
-        tok = self._peek()
-        if tok is not None and tok[1] in _ARROWS:
+        tok = self.tokens[self.pos]
+        if tok[1] in _ARROWS:
             raise ParseError("conditionals do not chain; add parentheses", tok[2])
         return _ARROWS[op](left, right)
 
     def _disj(self) -> Formula:
         parts = [self._conj()]
-        while (tok := self._peek()) is not None and tok[1] == "|":
-            self._take()
+        while self.tokens[self.pos][1] == "|":
+            self.pos += 1
             parts.append(self._conj())
         return parts[0] if len(parts) == 1 else Or(*parts)
 
     def _conj(self) -> Formula:
         parts = [self._neg()]
-        while (tok := self._peek()) is not None and tok[1] == "&":
-            self._take()
+        while self.tokens[self.pos][1] == "&":
+            self.pos += 1
             parts.append(self._neg())
         return parts[0] if len(parts) == 1 else And(*parts)
 
     def _neg(self) -> Formula:
-        tok = self._peek()
-        if tok is not None and tok[1] == "~":
-            self._take()
+        tok = self.tokens[self.pos]
+        if tok[1] == "~":
+            self.pos += 1
             return Not(self._nested(self._neg, tok))
         return self._atom()
 

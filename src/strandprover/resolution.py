@@ -120,12 +120,12 @@ def refute(
     if len(s) == 0:
         raise ValueError("clause set is empty")
 
-    every = names = s.names
+    names = s.names
     masks: list[int] = []  # per step: bitmask
     v = len(names) - 1  # the variable being eliminated
 
     def reached() -> str:
-        variable = names[v] if names else "{}"  # only {} has no variable
+        variable = names[v] if v >= 0 else "{}"  # only {} has no variable
         return f"at variable {variable} with {len(masks)} clauses retained"
 
     def check_time() -> None:
@@ -134,27 +134,17 @@ def refute(
 
     # A literal is coded 2 * (rank of its variable in name order) + negated:
     # integer order is Literal order and l ^ 1 is the complement of l.  A
-    # clause is also a bitmask with bit l set for each of its literals.  The
-    # variables are those of the clauses that are not tautologies, so a
-    # variable that only tautologies hold is ranked in s.names and then dropped.
-    positive = (4 ** len(every) - 1) // 3  # bits 0, 2, 4, ...: the unnegated literals
+    # clause is also a bitmask with bit l set for each of its literals.
+    positive = (4 ** len(names) - 1) // 3  # bits 0, 2, 4, ...: the unnegated literals
     inputs = [(clause_lits, mask, k) for k, (clause_lits, mask) in enumerate(zip(s.codes, s.masks))
               if not mask & mask >> 1 & positive]  # drop tautologies
     if len(inputs) < len(s):
+        # start at the largest variable a kept clause holds (-1 for none): a
+        # variable that only dropped tautologies hold has an empty bucket
         used = 0
         for _, mask, _ in inputs:
             used |= mask
-        names = [name for k, name in enumerate(every) if used >> 2 * k & 3]
-        v = len(names) - 1
-        if len(names) < len(every):
-            # the kept variables ranked again; a dropped one's codes no longer occur
-            rank = {name: 2 * k for k, name in enumerate(names)}
-            recode = [rank.get(name, 0) + negated for name in every for negated in (0, 1)]
-            recoded = []
-            for clause_lits, _, k in inputs:
-                clause_lits = tuple([recode[lit] for lit in clause_lits])
-                recoded.append((clause_lits, sum(1 << lit for lit in clause_lits), k))
-            inputs = recoded
+        v = (used.bit_length() - 1) >> 1
     check_time()  # each pass over the inputs, this one and the sort, is as long as the input
     inputs.sort(key=lambda entry: sorted(entry[0]))
 
@@ -214,7 +204,7 @@ def refute(
             if not clause_lits:
                 return returned(UNSAT, [index])  # {} sorts first and subsumes every later input
 
-    for v in range(len(names) - 1, -1, -1):
+    for v in range(v, -1, -1):
         # bucket v: the retained clauses on v with no bit above v's two literals;
         # its resolvents lack v and so fall into lower buckets, never this one
         above = 2 * v + 2

@@ -169,6 +169,24 @@ def greedy_free_sites(g: StrandGraph) -> list[Site]:
     return [s for s in sites if s not in bound]
 
 
+def forward_greedy_chain(labels: list[int]) -> list[tuple[int, int]]:
+    """The greedy chain on one row of integer labels, code ^ 1 the complement
+    of code: each site in order, if free, takes the first later free site of
+    the complementary label.  Pairs of site ids in order of their first site;
+    O(n^2), a scan per site."""
+    bound = [False] * len(labels)
+    chain = []
+    for s, label in enumerate(labels):
+        if bound[s]:
+            continue
+        for t in range(s + 1, len(labels)):
+            if not bound[t] and labels[t] == label ^ 1:
+                bound[s] = bound[t] = True
+                chain.append((s, t))
+                break
+    return chain
+
+
 def is_tautology(clause: Clause) -> bool:
     """The clause holds a literal and its complement."""
     pairs = frozenset((lit.variable, lit.negated) for lit in clause)

@@ -374,7 +374,12 @@ class TestCompare:
     def test_non_positive_bounds_are_an_error(self, monkeypatch, capsys, flag, source):
         import io
 
+        def unreached(*args, **kwargs):
+            raise AssertionError("the bound is checked before either engine runs")
+
         monkeypatch.setattr("sys.stdin", io.StringIO(ANCHORED))
+        monkeypatch.setattr(resolution, "refute", unreached)
+        monkeypatch.setattr(compiler, "free_sites", unreached)
         code, out, err = run(capsys, "compare", *source, flag, "0")
         assert code == cli.EXIT_INDETERMINATE
         assert out == ""

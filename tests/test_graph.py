@@ -266,6 +266,33 @@ class TestStrandGraphValidation:
             outcomes["anchored"] += any(ix.anchors)
         assert min(outcomes[k] for k in ("toehold", "anchored", "chain", "empty")) > 0, outcomes
 
+    def test_bind_chain_is_the_forward_greedy_on_long_rows(self):
+        # hundreds of sites per label, some rows skewed to one label first, so
+        # that long runs of a label wait for their complements
+        rng = random.Random(29)
+        for _ in range(60):
+            names = rng.randint(1, 3)
+            skew = rng.choice([0.5, 0.8, 0.95])
+            length = rng.randint(250, 400) * names
+            flat = []
+            for k in range(length):
+                name = rng.randrange(names)
+                # the first half leans to the plain labels, the second to their complements
+                plain = (rng.random() < skew) == (k < length // 2)
+                flat.append(2 * name + (not plain))
+            cuts = sorted(rng.sample(range(1, length), rng.randint(0, 5)))
+            rows = [flat[a:b] for a, b in zip([0] + cuts, cuts + [length])]
+            assert max(Counter(flat).values()) >= 100
+            assert bind_chain(rows) == oracles.forward_greedy_chain(flat)
+            # toehold codes: a name whose complement never occurs changes
+            # nothing; a name with both labels present gives up
+            extra = 2 * names
+            lonely = rows + [[extra] * rng.randint(1, 3)]
+            assert bind_chain(lonely, [extra, extra + 1]) == oracles.forward_greedy_chain(flat + lonely[-1])
+            name = rng.randrange(names)
+            assert {2 * name, 2 * name + 1} <= set(flat)
+            assert bind_chain(rows, [2 * name, 2 * name + 1]) is None
+
     def test_the_shape_is_indexed_once(self, monkeypatch):
         calls = []
         build_index = graph_module._build_index
