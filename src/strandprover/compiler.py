@@ -12,7 +12,7 @@ the question has a closed-form answer: each variable occurs as often
 positive as negative.  graph.bind_chain gives it from integer site labels
 alone, where code ^ 1 is a label's complement: hybridization_verdict decides
 a bond-free process whose toehold labels meet no complement without
-exploring, on its labels coded by name and toehold flag, and free_sites
+exploring, on the label codes of the graph's index, and free_sites
 decides a clause set from its literal codes (ClauseSet.codes) as they are,
 without building strands or a graph.
 """
@@ -287,11 +287,8 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         raise ValueError("empty strand system has no hybridization behaviour")
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    # a label is coded 2 * (rank of its name and toehold flag) + complemented
-    rank: dict[tuple[str, bool], int] = {}
-    labels = [[2 * rank.setdefault((d.name, d.toehold), len(rank)) + d.complemented for d in row] for row in g.domains]
-    toeholds = {2 * k + c for (_, toehold), k in rank.items() if toehold for c in (0, 1)}
-    chain = None if g.current else bind_chain(labels, toeholds)
+    # the graph's index codes its labels as bind_chain reads them, all sites in one row
+    chain = None if g.current else bind_chain([g._index.labels], g._index.toehold_labels)
     if chain is not None:
         sites = g.sites()
         edges = [Edge(sites[a], sites[b]) for a, b in chain]
@@ -302,10 +299,11 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
     report = explore(g, max_states=max_states)
     # every explored state binds each site at most once, so it binds all of
     # them exactly when it has half as many edges as there are sites
-    for i, edges in enumerate(report.states):  # discovery order: shortest first
-        if 2 * len(edges) == len(all_sites):
+    sizes = []
+    for i, edges in enumerate(report.states):  # each decoded once, in discovery order: shortest first
+        sizes.append(2 * len(edges))
+        if sizes[i] == len(all_sites):
             return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(i), frozenset(), g)
-    pool = report.terminals if report.terminals else range(len(report.states))
-    best = max(pool, key=lambda i: (len(report.states[i]), -i))
+    best = max(report.terminals or range(len(sizes)), key=lambda i: (sizes[i], -i))
     free = all_sites - sites_of(report.states[best])
     return Verdict(SAT_BY_HYBRIDIZATION, report.trace_to(best), free, g)

@@ -11,20 +11,22 @@ edge sets.  Enumeration and exploration run on integer edge ranks instead,
 over one integer index of the shape that the constructor builds, in one pass
 over site ids, and every state shares: a state is a bitmask over the ranked
 admissible edges (see explore).  Each migration ring is walked once, from
-its lowest-ranked edge in one direction.  The report gives states as edge
-sets and moves as Move objects.  Where no edge is bound and none can ever
-unbind, every terminal state is a largest binding, and bind_chain finds one,
-the greedy chain, from the site labels alone, coded as integers whose
-complement is code ^ 1, with no graph: one pass with a first-in first-out
-queue per label.
+its lowest-ranked edge in one direction.  The report decodes states into
+edge sets and moves into Move objects when they are read.  Where no edge is
+bound and none can ever unbind, every terminal state is a largest binding,
+and bind_chain finds one, the greedy chain, from the site labels alone,
+coded as integers whose complement is code ^ 1 (as the index codes them),
+with no graph: one pass with a first-in first-out queue per label.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
 
@@ -218,11 +220,12 @@ class StrandGraph:
 
 class _Index(NamedTuple):
     """A shape on integers, built once by the constructor and shared by every
-    state: its sites numbered in Site order, its admissible edges ranked in
-    sorted order, and what moves and explore read of them.  bind_chain needs
-    none of it: it reads the labels."""
+    state: its sites numbered in Site order, its labels coded, its admissible
+    edges ranked in sorted order, and what moves and explore read of them."""
 
     sites: list[Site]  # site id -> site
+    labels: list[int]  # site id -> 2 * rank of (name, toehold) + complemented, as bind_chain reads it
+    toehold_labels: frozenset[int]  # the codes of toehold labels
     edges: list[Edge]  # rank -> edge
     rank: dict[Edge, int]
     ends: list[tuple[int, int]]  # rank -> its two site ids, ascending
@@ -235,10 +238,12 @@ class _Index(NamedTuple):
 def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
     """The shape that bond-free labels give, indexed in one pass over site ids."""
     sites = [Site(v, n) for v, row in enumerate(domains, start=1) for n in range(1, len(row) + 1)]
-    labels = [d for row in domains for d in row]
-    by_label: dict[Domain, list[int]] = {}
-    for s, d in enumerate(labels):
-        by_label.setdefault(d, []).append(s)
+    names: dict[tuple[str, bool], int] = {}
+    labels = [2 * names.setdefault((d.name, d.toehold), len(names)) + d.complemented for row in domains for d in row]
+    toehold_labels = frozenset(2 * k + c for (_, toehold), k in names.items() if toehold for c in (0, 1))
+    by_label: dict[int, list[int]] = {}
+    for s, code in enumerate(labels):
+        by_label.setdefault(code, []).append(s)
     # union-find over vertices: anchors join edges on one vertex pair and every
     # other premise joins edges that share a site, so no move spans two components
     root = list(range(len(domains) + 1))
@@ -254,11 +259,11 @@ def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
     partners: list[dict[int, int]] = [{} for _ in sites]
     # each site paired with the later sites of the complementary label
     # (Domain.matches), in order: as site ids follow Site order, edges come sorted
-    pairs = ((s, t) for s, d in enumerate(labels) for t in by_label.get(d.complement(), ()) if t > s)
+    pairs = ((s, t) for s, code in enumerate(labels) for t in by_label.get(code ^ 1, ()) if t > s)
     for r, (s, t) in enumerate(pairs):
         (v1, n1), (v2, n2) = sites[s], sites[t]
         ends.append((s, t))
-        toeholds.append(labels[s].toehold)
+        toeholds.append(labels[s] in toehold_labels)
         partners[s][t] = partners[t][s] = r
         root[find(v1)] = find(v2)
         # the antiparallel neighbour on ids s-1 and t+1 ranks first, so it is
@@ -273,7 +278,7 @@ def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
     components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
     edges = [_sorted_edge(sites[s], sites[t]) for s, t in ends]
     rank = {e: r for r, e in enumerate(edges)}
-    return _Index(sites, edges, rank, ends, anchors, toeholds, partners, components)
+    return _Index(sites, labels, toehold_labels, edges, rank, ends, anchors, toeholds, partners, components)
 
 
 def from_process(p: Process) -> StrandGraph:
@@ -540,21 +545,49 @@ def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int
 MAX_STATES = 50_000  # default state budget of explore() and hybridization_verdict()
 
 
+class _Decoded(Sequence):
+    """A read-only list of items decoded from integer codes when read; a slice is a list."""
+
+    def __init__(self, codes: list, decode: Callable):
+        self._codes, self._decode = codes, decode
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, k):
+        return list(map(self._decode, self._codes[k])) if isinstance(k, slice) else self._decode(self._codes[k])
+
+    def __iter__(self):
+        return map(self._decode, self._codes)
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
+def _edges_of(edges: list[Edge], mask: int) -> frozenset[Edge]:
+    return frozenset([e for r, e in enumerate(edges) if mask >> r & 1])
+
+
+def _link(move: Callable[[_RankMove], Move], link: tuple[int, _RankMove] | None) -> tuple[int, Move] | None:
+    return link and (link[0], move(link[1]))
+
+
 @dataclass
 class ExploreReport:
+    """States as edge sets and links to parents as (index, Move), each
+    decoded from explore's integer walk when it is read."""
+
     graph: StrandGraph
-    states: list[frozenset[Edge]]
+    states: Sequence[frozenset[Edge]]
     depths: list[int]
-    parents: list[tuple[int, Move] | None]
+    parents: Sequence[tuple[int, Move] | None]
     terminals: list[int]
 
     def trace_to(self, index: int) -> Trace:
-        moves_back: list[Move] = []
-        k = index
-        while self.parents[k] is not None:
-            parent, move = self.parents[k]
+        moves_back, k = [], index
+        while (link := self.parents[k]) is not None:
+            k, move = link
             moves_back.append(move)
-            k = parent
         return Trace(self.states[0], tuple(reversed(moves_back)), self.states[index])
 
 
@@ -568,21 +601,18 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     successor went over; no partial verdicts are produced.  A state at depth
     d has d ancestors, so max_states bounds the depth too.
 
-    The search runs on edge ranks: a state is a bitmask over the ranked
-    admissible edges, and a move flips the bits of the edges it removes and
-    adds.  Move lists are cached per vertex-connected component of the
-    admissible edges, since no move touches two components.  With several
-    components, a state keeps only the moves of each part's list that reach
-    a new state, and sorts those into the order moves() gives; as a state's
-    moves all reach distinct states, the discovery order is that of the full
-    merged list.  Only a new state becomes an edge set, and only a move that
-    reaches a new state becomes a Move.  The walk reads the list of state
-    bitmasks in discovery order as it grows, and checks each state there:
-    every bit must be a ranked edge, and no site may be bound twice.
-    The second check runs in the move enumerator, on each component's part of
-    the state the first time that part is seen; as components share no site,
-    a state passes exactly when each of its parts does.  A state that fails
-    raises GraphError.
+    The search runs on integers only: a state is a bitmask over the ranked
+    admissible edges, a move flips the bits of the edges it removes and
+    adds, and a state keeps its depth and a link to its parent (index, move
+    on ranks).  The report decodes a state into an edge set, and a move into
+    a Move, when it is read.  Move lists are cached per vertex-connected
+    component of the admissible edges, since no move touches two; a state's
+    moves are its parts' lists, sorted into the order moves() gives.  The
+    walk reads the list of state bitmasks in discovery order as it grows,
+    and checks each state there: every bit must be a ranked edge, and no
+    site may be bound twice, which the move enumerator checks on each
+    component's part of the state the first time that part is seen.  A
+    state that fails raises GraphError.
     """
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
@@ -591,15 +621,10 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     # single component, whose part is the whole state and never comes back
     single = ix.components[0][1] if len(ix.components) == 1 else None
     parts = [(mask, ranks, {}) for mask, ranks in ix.components]
-    start = sum(1 << ix.rank[e] for e in g.current)
-    # states hold the ranked edge objects, so set operations on them find
-    # each edge by identity and never call Edge.__eq__
-    states = [frozenset(e for e in ix.edges if e in g.current)]
-    masks = [start]
+    masks = [sum(1 << ix.rank[e] for e in g.current)]
     depths = [0]
-    parents: list[tuple[int, Move] | None] = [None]
-    index = {start: 0}
-    decoded: dict[_RankMove, Move] = {}  # a move recurs while other components change
+    links: list[tuple[int, _RankMove] | None] = [None]
+    index = {masks[0]: 0}
     terminals: list[int] = []
     # masks grows as states are discovered, and the loop reads it in that
     # order: breadth first, as each new state is one deeper than state i
@@ -608,38 +633,30 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
             raise GraphError(f"state {state:#x} has a bit past the last edge rank")
         if single is not None:
             available = _component_moves(ix, single, state)
-            terminal = not available
         else:
-            available, terminal = [], True  # the moves to states not seen yet
+            available = []
             for mask, ranks, cache in parts:
                 part = state & mask
                 found = cache.get(part)
                 if found is None:
                     found = cache[part] = _component_moves(ix, ranks, part)
-                if found:
-                    terminal = False
-                    for m in found:
-                        if state ^ m[3] not in index:
-                            available.append(m)
+                available += found
             available.sort()  # the order moves() gives
-        if terminal:
+        if not available:
             terminals.append(i)
-            continue
         for m in available:
             nxt = state ^ m[3]
             if nxt in index:
                 continue
-            if len(states) >= max_states:
+            if len(masks) >= max_states:
                 raise ExplorationLimitError(f"more than {max_states} states, at depth {depths[i]}")
-            move = decoded.get(m)
-            if move is None:
-                move = decoded[m] = _decode(ix, m)
-            index[nxt] = len(states)
-            states.append((states[i] - move.removed) | move.added)
+            index[nxt] = len(masks)
             masks.append(nxt)
             depths.append(depths[i] + 1)
-            parents.append((i, move))
-    return ExploreReport(g, states, depths, parents, terminals)
+            links.append((i, m))
+    move = lru_cache(maxsize=None)(partial(_decode, ix))  # per report, as a move recurs on many links
+    states = _Decoded(masks, partial(_edges_of, ix.edges))
+    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, move)), terminals)
 
 
 # --- interchange formats -----------------------------------------------------

@@ -51,7 +51,7 @@ class Domain:
         )
 
     def free(self) -> "Domain":
-        return self if self.bond is None else replace(self, bond=None)
+        return self if self.bond is None else Domain(self.name, self.complemented, self.toehold)
 
     def __str__(self) -> str:
         return format_domain(self)

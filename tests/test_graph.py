@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from collections import Counter, deque
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -208,6 +209,11 @@ class TestStrandGraphValidation:
             edges = sorted(Edge(s, t) for s, t in combinations(sites, 2) if g.label(s).matches(g.label(t)))
             ix = g._index
             assert g.sites() == sites
+            # label codes: equal labels share a code, and code ^ 1 is the complement
+            for (s, a), (t, b) in combinations(enumerate(sites), 2):
+                assert (ix.labels[s] == ix.labels[t], ix.labels[s] ^ 1 == ix.labels[t]) == (
+                    g.label(a) == g.label(b), g.label(a).matches(g.label(b)))
+            assert [code in ix.toehold_labels for code in ix.labels] == [g.label(a).toehold for a in sites]
             assert g.admissible == frozenset(edges)
             assert ix.edges == edges
             assert ix.toeholds == [g.label(e.a).toehold for e in edges]
@@ -550,6 +556,13 @@ def hairpin_and_fourway_graph() -> StrandGraph:
     return from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
 
 
+# a hairpin and two four-way junctions, renamed per copy: three components
+HAIRPIN_AND_FOURWAYS = HAIRPIN_AND_FOURWAY + (
+    " | <a_3^!i_3 b_3!j1_3 c_3^*> | <d_3^* b_3*!j1_3 a_3^*!i_3> | "
+    "<c_3^ b_3*!j2_3 e_3^!k_3> | <e_3^*!k_3 b_3!j2_3 d_3^>"
+)
+
+
 # two hairpins and a four-way junction, renamed per copy and interleaved
 HAIRPINS_AND_FOURWAY = (
     "<p_2!y1_2 q_2!z1_2 r_2 q_2*!z1_2 p_2*!y1_2 t_2^*> | <e_3^*!k_3 b_3!j2_3 d_3^> | <t_2^ p_2> | "
@@ -725,6 +738,15 @@ class TestReferenceExploration:
             explore(g, max_states=100)
         assert str(info.value) == "more than 100 states, at depth 5"
 
+    @pytest.mark.parametrize("max_states, depth", [(100, 3), (1000, 8), (1407, 14)])
+    def test_budget_messages_on_three_components(self, max_states, depth):
+        g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAYS))
+        assert len(g._index.components) == 3
+        assert len(explore(g).states) == 22 * 8 * 8
+        with pytest.raises(ExplorationLimitError) as info:
+            explore(g, max_states=max_states)
+        assert str(info.value) == f"more than {max_states} states, at depth {depth}"
+
 
 # --- exploration -------------------------------------------------------------
 
@@ -830,6 +852,63 @@ class TestExplore:
         report = explore(hairpin_graph())
         for k in range(len(report.states)):
             assert report.trace_to(k).replay() == report.states[k]
+
+
+class TestLazyReport:
+    """explore walks on integers; the report decodes states and moves when
+    they are read, and reads like the lists reference_explore builds."""
+
+    def counted_decode(self, monkeypatch) -> list:
+        calls = []
+        decode = graph_module._decode
+
+        def counted(t, move):
+            calls.append(move)
+            return decode(t, move)
+
+        monkeypatch.setattr(graph_module, "_decode", counted)
+        return calls
+
+    def test_explore_decodes_no_move(self, monkeypatch):
+        calls = self.counted_decode(monkeypatch)
+        report = explore(hairpin_and_fourway_graph())
+        assert len(report.states) == 176
+        assert calls == []
+
+    def test_a_trace_decodes_only_its_own_moves(self, monkeypatch):
+        calls = self.counted_decode(monkeypatch)
+        report = explore(hairpin_and_fourway_graph())
+        k = len(report.states) - 1
+        trace = report.trace_to(k)
+        assert len(trace.moves) == report.depths[k] == len(calls)
+        assert trace.replay() == report.states[k]
+        report.trace_to(k)  # a move is decoded once per report
+        assert len(calls) == report.depths[k]
+
+    def test_states_and_parents_read_as_lists(self):
+        g = hairpin_and_fourway_graph()
+        report = explore(g)
+        states, depths, parents, terminals = reference_explore(g)
+        assert (report.states, report.parents) == (states, parents)
+        assert report.states != states[:-1] and report.parents != parents[::-1]
+        for seq, ref in ((report.states, states), (report.parents, parents)):
+            assert len(seq) == len(ref) == 176
+            assert list(seq) == ref and list(reversed(seq)) == ref[::-1]
+            assert seq[-1] == ref[-1] and seq[-176] == ref[0]
+            assert seq[3:9] == ref[3:9] and type(seq[3:9]) is list
+            assert seq[:2] + [ref[5]] == ref[:2] + [ref[5]]
+            assert ref[7] in seq and seq.index(ref[7]) == 7
+            with pytest.raises(IndexError):
+                seq[176]
+        assert frozenset() not in report.states
+
+    def test_a_report_with_replaced_states_still_traces(self):
+        report = explore(hairpin_graph())
+        copy = replace(report, states=list(report.states))
+        assert type(copy.states) is list and copy == report
+        for k in report.terminals:
+            assert copy.trace_to(k) == report.trace_to(k)
+            assert copy.trace_to(k).replay() == copy.states[k]
 
 
 class TestTrace:

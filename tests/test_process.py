@@ -61,6 +61,12 @@ class TestDomain:
     def test_complement_drops_the_bond(self):
         assert Domain("a", bond="x").complement() == Domain("a", True)
 
+    def test_free_drops_only_the_bond(self):
+        bound = Domain("t", True, True, "x")
+        assert bound.free() == Domain("t", True, True)
+        unbound = Domain("a", False, True)
+        assert unbound.free() is unbound
+
     def test_matches_requires_same_name_and_kind(self):
         assert Domain("a").matches(Domain("a", True))
         assert not Domain("a").matches(Domain("a"))
