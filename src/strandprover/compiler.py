@@ -298,12 +298,12 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)
     report = explore(g, max_states=max_states)
     # every explored state binds each site at most once, so it binds all of
-    # them exactly when it has half as many edges as there are sites
-    sizes = []
-    for i, edges in enumerate(report.states):  # each decoded once, in discovery order: shortest first
-        sizes.append(2 * len(edges))
-        if sizes[i] == len(all_sites):
-            return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(i), frozenset(), g)
+    # them exactly when it has half as many edges as there are sites; a
+    # state's edge count is its bitmask's, and only the states returned or
+    # traced to are decoded
+    sizes = [2 * mask.bit_count() for mask in report.masks]
+    if len(all_sites) in sizes:  # the first such state in discovery order is a shallowest
+        return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(sizes.index(len(all_sites))), frozenset(), g)
     best = max(report.terminals or range(len(sizes)), key=lambda i: (sizes[i], -i))
-    free = all_sites - sites_of(report.states[best])
-    return Verdict(SAT_BY_HYBRIDIZATION, report.trace_to(best), free, g)
+    witness = report.trace_to(best)
+    return Verdict(SAT_BY_HYBRIDIZATION, witness, all_sites - sites_of(witness.final), g)

@@ -11,12 +11,15 @@ edge sets.  Enumeration and exploration run on integer edge ranks instead,
 over one integer index of the shape that the constructor builds, in one pass
 over site ids, and every state shares: a state is a bitmask over the ranked
 admissible edges (see explore).  Each migration ring is walked once, from
-its lowest-ranked edge in one direction.  The report decodes states into
-edge sets and moves into Move objects when they are read.  Where no edge is
-bound and none can ever unbind, every terminal state is a largest binding,
-and bind_chain finds one, the greedy chain, from the site labels alone,
-coded as integers whose complement is code ^ 1 (as the index codes them),
-with no graph: one pass with a first-in first-out queue per label.
+its lowest-ranked edge in one direction.  explore walks the closure of each
+connected component once, all of them in lockstep a depth at a time, and
+builds their product a depth at a time from the moves by which each closure
+first found its parts, with one sort per depth.  The report decodes states
+into edge sets and moves into Move objects when they are read.  Where no
+edge is bound and none can ever unbind, every terminal state is a largest
+binding, and bind_chain finds one, the greedy chain, from the site labels
+alone, coded as integers whose complement is code ^ 1 (as the index codes
+them), with no graph: one pass with a first-in first-out queue per label.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
@@ -568,20 +571,30 @@ def _edges_of(edges: list[Edge], mask: int) -> frozenset[Edge]:
     return frozenset([e for r, e in enumerate(edges) if mask >> r & 1])
 
 
-def _link(move: Callable[[_RankMove], Move], link: tuple[int, _RankMove] | None) -> tuple[int, Move] | None:
-    return link and (link[0], move(link[1]))
+def _link(t: _Index, decoded: dict[_RankMove, Move], link: tuple[int, _RankMove] | None) -> tuple[int, Move] | None:
+    """The link with its move decoded once per report, as a move recurs on many links."""
+    if link is None:
+        return None
+    i, m = link
+    if m not in decoded:
+        decoded[m] = _decode(t, m)
+    return i, decoded[m]
 
 
 @dataclass
 class ExploreReport:
     """States as edge sets and links to parents as (index, Move), each
-    decoded from explore's integer walk when it is read."""
+    decoded from explore's integer walk when it is read.  masks holds the
+    states as the walk keeps them, bitmasks over the ranks of the graph's
+    admissible edges in sorted order: a state's edge count is its mask's
+    bit count."""
 
     graph: StrandGraph
     states: Sequence[frozenset[Edge]]
     depths: list[int]
     parents: Sequence[tuple[int, Move] | None]
     terminals: list[int]
+    masks: list[int]
 
     def trace_to(self, index: int) -> Trace:
         moves_back, k = [], index
@@ -589,6 +602,50 @@ class ExploreReport:
             k, move = link
             moves_back.append(move)
         return Trace(self.states[0], tuple(reversed(moves_back)), self.states[index])
+
+
+class _Closure:
+    """One component's states, its parts, found breadth first: each part's
+    bitmask, depth and link to its parent in discovery order, the moves by
+    which each expanded part found parts first (its children), and the
+    expanded parts with no move at all (terminals)."""
+
+    def __init__(self, t: _Index, component: tuple[int, list[int]], state: int):
+        self.t = t
+        self.mask, self.ranks = component
+        part = state & self.mask
+        self.parts, self.depths, self.links = [part], [0], [None]
+        self.index = {part: 0}
+        self.children: dict[int, list[_RankMove]] = {}
+        self.terminals: list[int] = []
+
+    def walk(self, max_states: int) -> Iterator[None]:
+        """Expand the parts in discovery order, enumerating each one's moves
+        once, which finds the parts one depth deeper; pause after each depth."""
+        t, ranks, parts, index, links, depths = self.t, self.ranks, self.parts, self.index, self.links, self.depths
+        width = len(t.edges)
+        end = 1  # the parts before end have a depth, the others are one deeper
+        for i, part in enumerate(parts):
+            if i == end:
+                depths += [depths[-1] + 1] * (len(parts) - end)
+                end = len(parts)
+                yield
+            if part >> width:
+                raise GraphError(f"state {part:#x} has a bit past the last edge rank")
+            found = _component_moves(t, ranks, part)
+            if not found:
+                self.terminals.append(i)
+            children = self.children[part] = []
+            for m in found:
+                nxt = part ^ m[3]
+                if nxt in index:
+                    continue
+                if len(parts) >= max_states:
+                    raise ExplorationLimitError(f"more than {max_states} states, at depth {depths[i]}")
+                index[nxt] = len(parts)
+                parts.append(nxt)
+                links.append((i, m))
+                children.append(m)
 
 
 def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
@@ -605,58 +662,82 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     admissible edges, a move flips the bits of the edges it removes and
     adds, and a state keeps its depth and a link to its parent (index, move
     on ranks).  The report decodes a state into an edge set, and a move into
-    a Move, when it is read.  Move lists are cached per vertex-connected
-    component of the admissible edges, since no move touches two; a state's
-    moves are its parts' lists, sorted into the order moves() gives.  The
-    walk reads the list of state bitmasks in discovery order as it grows,
-    and checks each state there: every bit must be a ranked edge, and no
-    site may be bound twice, which the move enumerator checks on each
-    component's part of the state the first time that part is seen.  A
-    state that fails raises GraphError.
+    a Move, when it is read.
+
+    No move touches two vertex-connected components of the admissible
+    edges, so the states are the product of each component's states, its
+    parts, and a state's depth is the sum of its parts' depths.  Each
+    component's closure is walked once, breadth first on its parts, so each
+    reachable part's moves are enumerated once.  The closures advance in
+    lockstep, one depth at a time, so one that passes max_states names the
+    depth the product would.  With one component the closure is the report.
+
+    Otherwise the product is assembled a depth at a time.  Only a forward
+    move, one that reaches a part one depth deeper, can reach a new state,
+    and the state it reaches is one depth deeper.  Of the forward moves,
+    only a part's children, the moves by which its closure found other parts
+    first, can be a state's first link: by induction on depth, of two states
+    at one depth that differ in one part only, the one whose part its
+    closure found first is found first, so a state's earliest parent among
+    those that differ from it in one component holds the closure parent of
+    its part there.  Each child is tested against the states of the next
+    depth only, and one sort on (parent index, move) puts that depth in
+    breadth-first order, each state's moves in the order moves() gives.  A
+    state is terminal when all its parts are.
+
+    Every part is checked on its bitmask before its moves are enumerated:
+    each bit must be a ranked edge, and no site may be bound twice, which
+    the move enumerator checks.  A part that fails raises GraphError.
     """
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
     ix: _Index = g._index
-    # each component's moves are cached per part of the state, except for a
-    # single component, whose part is the whole state and never comes back
-    single = ix.components[0][1] if len(ix.components) == 1 else None
-    parts = [(mask, ranks, {}) for mask, ranks in ix.components]
-    masks = [sum(1 << ix.rank[e] for e in g.current)]
-    depths = [0]
-    links: list[tuple[int, _RankMove] | None] = [None]
-    index = {masks[0]: 0}
-    terminals: list[int] = []
-    # masks grows as states are discovered, and the loop reads it in that
-    # order: breadth first, as each new state is one deeper than state i
-    for i, state in enumerate(masks):
-        if state >> len(ix.edges):
-            raise GraphError(f"state {state:#x} has a bit past the last edge rank")
-        if single is not None:
-            available = _component_moves(ix, single, state)
-        else:
-            available = []
-            for mask, ranks, cache in parts:
-                part = state & mask
-                found = cache.get(part)
-                if found is None:
-                    found = cache[part] = _component_moves(ix, ranks, part)
-                available += found
-            available.sort()  # the order moves() gives
-        if not available:
-            terminals.append(i)
-        for m in available:
-            nxt = state ^ m[3]
-            if nxt in index:
-                continue
-            if len(masks) >= max_states:
-                raise ExplorationLimitError(f"more than {max_states} states, at depth {depths[i]}")
-            index[nxt] = len(masks)
-            masks.append(nxt)
-            depths.append(depths[i] + 1)
-            links.append((i, m))
-    move = lru_cache(maxsize=None)(partial(_decode, ix))  # per report, as a move recurs on many links
+    state = sum(1 << ix.rank[e] for e in g.current)
+    closures = [_Closure(ix, component, state) for component in ix.components]
+    if len(closures) == 1:
+        (c,) = closures
+        for _ in c.walk(max_states):
+            pass
+        masks, depths, links, terminals = c.parts, c.depths, c.links, c.terminals
+    else:
+        masks, depths, links, terminals = _product(closures, state, max_states)
     states = _Decoded(masks, partial(_edges_of, ix.edges))
-    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, move)), terminals)
+    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix, {})), terminals, masks)
+
+
+def _product(closures: list[_Closure], state: int, max_states: int):
+    """The product of the components' closures from state, breadth first,
+    as explore describes: bitmasks, depths, links and terminals."""
+    walks = [c.walk(max_states) for c in closures]
+    trees = [(c.mask, c.children) for c in closures]
+    masks, depths, links = [state], [0], [None]
+    start = depth = 0
+    while start < len(masks):
+        end = len(masks)
+        for walk in walks:  # each component's parts of this depth get their children
+            next(walk, None)
+        first: dict[int, tuple[int, _RankMove]] = {}  # state of the next depth -> its first link
+        for i in range(start, end):
+            s = masks[i]
+            for mask, children in trees:
+                for m in children[s & mask]:
+                    nxt = s ^ m[3]
+                    if nxt not in first:
+                        first[nxt] = (i, m)
+            if end + len(first) > max_states:
+                raise ExplorationLimitError(f"more than {max_states} states, at depth {depth}")
+        found = sorted(first.values())  # breadth-first order: by parent, then as moves() lists moves
+        masks += [masks[i] ^ m[3] for i, m in found]
+        links += found
+        depth += 1
+        depths += [depth] * len(found)
+        start = end
+    # a state is terminal when all its parts are
+    terminals = list(range(len(masks)))
+    for c in closures:
+        ends = {c.parts[k] for k in c.terminals}
+        terminals = [i for i in terminals if masks[i] & c.mask in ends] if ends else []
+    return masks, depths, links, terminals
 
 
 # --- interchange formats -----------------------------------------------------

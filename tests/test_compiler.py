@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 import oracles
+from strandprover import graph as graph_module
 from strandprover.compiler import (
     SAT_BY_HYBRIDIZATION,
     UNSAT_BY_HYBRIDIZATION,
@@ -24,9 +25,16 @@ from strandprover.compiler import (
     reverse_complement,
 )
 from strandprover.fixtures import CLAUSES_S, clause_set_s, fourway, hairpin
-from strandprover.graph import ExplorationLimitError, Site, apply_move, explore, from_process, sites_of
+from strandprover.graph import MAX_STATES, ExplorationLimitError, Site, apply_move, explore, from_process, sites_of
 from strandprover.logic import Clause, ClauseSet, Literal, parse_formula, to_clausal_form
 from strandprover.process import Process, parse_process
+
+# a hairpin and two four-way junctions, renamed per copy: three components, 22 * 8 * 8 states
+HAIRPIN_AND_FOURWAYS = (
+    "<t_1^ p_1> | <r_1* q_1* p_1*> | <p_1!y1_1 q_1!z1_1 r_1 q_1*!z1_1 p_1*!y1_1 t_1^*> | "
+    "<a_2^!i_2 b_2!j1_2 c_2^*> | <d_2^* b_2*!j1_2 a_2^*!i_2> | <c_2^ b_2*!j2_2 e_2^!k_2> | <e_2^*!k_2 b_2!j2_2 d_2^> | "
+    "<a_3^!i_3 b_3!j1_3 c_3^*> | <d_3^* b_3*!j1_3 a_3^*!i_3> | <c_3^ b_3*!j2_3 e_3^!k_3> | <e_3^*!k_3 b_3!j2_3 d_3^>"
+)
 
 ROW_1 = "ACGTAGTCACGAATTGACTGTCAGTCGAAT"   # P ~Q R
 ROW_2 = "ATGGACCTAGGATCGTGCATATTCGACTGA"   # ~U V ~R
@@ -294,6 +302,29 @@ class TestHybridizationVerdict:
     def test_bind_only_fixture_decides_under_any_budget(self):
         p, _ = compile_clauses(clause_set_s(), default_codebook())
         assert hybridization_verdict(p, max_states=2) == hybridization_verdict(p)
+
+    @pytest.mark.parametrize("text, outcome", [
+        (HAIRPIN_AND_FOURWAYS, SAT_BY_HYBRIDIZATION),
+        ("<a!x b> | <b* c a*!x> | <c*>", UNSAT_BY_HYBRIDIZATION),
+    ], ids=["1408-states-none-terminal", "fully-bound-at-depth-2"])
+    def test_explore_path_decodes_only_the_states_it_returns(self, monkeypatch, text, outcome):
+        """Sizes are read off the state bitmasks: only the witness's first
+        and last states are decoded into edge sets."""
+        decoded = []
+        edges_of = graph_module._edges_of
+
+        def counted(edges, mask):
+            decoded.append(mask)
+            return edges_of(edges, mask)
+
+        p = parse_process(text)
+        monkeypatch.setattr(graph_module, "_edges_of", counted)
+        verdict = hybridization_verdict(p)
+        assert len(decoded) == 2
+        monkeypatch.undo()
+        assert verdict.outcome == outcome
+        assert verdict == explored_verdict(p, MAX_STATES)
+        assert replayed(verdict) == verdict.witness.final
 
     @pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_states": -1}])
     def test_non_positive_bounds_are_rejected_on_both_paths(self, bounds):

@@ -572,6 +572,13 @@ HAIRPINS_AND_FOURWAY = (
 )
 
 
+# three renamed hairpins: three components, 22 ** 3 states
+THREE_HAIRPINS = " | ".join(
+    f"<t_{k}^ p_{k}> | <r_{k}* q_{k}* p_{k}*> | <p_{k}!y1_{k} q_{k}!z1_{k} r_{k} q_{k}*!z1_{k} p_{k}*!y1_{k} t_{k}^*>"
+    for k in (1, 2, 3)
+)
+
+
 def report_digest(report) -> str:
     h = hashlib.sha256()
     for i, state in enumerate(report.states):
@@ -748,6 +755,48 @@ class TestReferenceExploration:
         assert str(info.value) == f"more than {max_states} states, at depth {depth}"
 
 
+class TestBudgetMessages:
+    """The component closures advance in lockstep, so whether the product
+    or one closure passes max_states first, the message names the depth of
+    the state whose successor went over."""
+
+    def assert_messages_match(self, g: StrandGraph, depths: list[int]):
+        """Under every budget below the closure's size, the message names
+        the least depth D at which the unbounded exploration, whose state
+        depths are given, has more than max_states states at depth D + 1 or
+        less."""
+        for max_states in range(1, len(depths)):
+            depth = next(d for d in range(max(depths)) if sum(k <= d + 1 for k in depths) > max_states)
+            with pytest.raises(ExplorationLimitError) as info:
+                explore(g, max_states=max_states)
+            assert str(info.value) == f"more than {max_states} states, at depth {depth}"
+
+    def test_disjoint_unions(self):
+        def part(rng: random.Random) -> pr.Process:
+            while True:
+                p = oracles.random_process(rng, strands=3, max_len=4, bond_fraction=0.7)
+                if 1 < len(explore(from_process(p)).states) <= 6:
+                    return p
+
+        rng = random.Random(37)
+        for _ in range(12):
+            parts = [part(rng) for _ in range(rng.randint(2, 3))]
+            g = from_process(disjoint_union(rng, parts))
+            self.assert_messages_match(g, reference_explore(g)[1])
+
+    def test_a_closure_that_overflows_first(self):
+        # the duplex beside the chain has one state, so the chain's closure
+        # passes each budget first, while its parts of the named depth expand
+        g = from_process(pr.parse_process(oracles.branch_migration(40) + " | <bb!xx> | <bb*!xx>"))
+        assert len(g._index.components) == 2
+        depths = explore(g).depths  # the reference's ring search over 40 bonds is too slow here
+        assert len(depths) == 42
+        self.assert_messages_match(g, depths)
+        for max_states, depth in ((10, 8), (30, 28), (41, 39)):
+            with pytest.raises(ExplorationLimitError, match=f"^more than {max_states} states, at depth {depth}$"):
+                explore(g, max_states=max_states)
+
+
 # --- exploration -------------------------------------------------------------
 
 
@@ -817,6 +866,25 @@ class TestExplore:
     def test_nonpositive_bounds_rejected(self):
         with pytest.raises(ValueError):
             explore(theorem_graph(), max_states=0)
+
+    @pytest.mark.parametrize("text, parts, states", [
+        (HAIRPIN_AND_FOURWAYS, 22 + 8 + 8, 22 * 8 * 8),
+        (THREE_HAIRPINS, 3 * 22, 22 ** 3),
+    ], ids=["hairpin-and-two-fourways", "three-hairpins"])
+    def test_each_part_is_enumerated_once(self, monkeypatch, text, parts, states):
+        """Moves are enumerated once per reachable part of each component,
+        not once per state of the product."""
+        calls = []
+        component_moves = graph_module._component_moves
+
+        def counted(t, ranks, state):
+            calls.append((ranks[0], state))  # the part, keyed by its component's first rank
+            return component_moves(t, ranks, state)
+
+        monkeypatch.setattr(graph_module, "_component_moves", counted)
+        report = explore(from_process(pr.parse_process(text)))
+        assert len(report.states) == states
+        assert len(calls) == len(set(calls)) == parts
 
     @pytest.mark.parametrize("make", [hairpin_graph, hairpin_and_fourway_graph], ids=["1-component", "2-components"])
     @pytest.mark.parametrize("extra, error", [
