@@ -2,19 +2,11 @@
 
 Each clause becomes one strand with one long domain per literal; negative
 literals are the complemented domains (clause_process).  Base sequences are
-only the wet-lab encoding, which compile_clauses adds from a Codebook.  No
-toeholds are emitted, so no edge ever unbinds (GU).  A clause set is refuted
-when the closure of the compiled system reaches a state with every site
-bound, the strand-level image of the empty clause.  Without GU only binding
-changes how many edges a domain name has (displacement and migration swap
-edges within one name), so every terminal state is a largest binding and
-the question has a closed-form answer: each variable occurs as often
-positive as negative.  graph.bind_chain gives it from integer site labels
-alone, where code ^ 1 is a label's complement: hybridization_verdict decides
-a bond-free process whose toehold labels meet no complement without
-exploring, on the label codes of the graph's index, and free_sites
-decides a clause set from its literal codes (ClauseSet.codes) as they are,
-without building strands or a graph.
+only the wet-lab encoding, which compile_clauses adds from a Codebook.  A
+clause set is refuted when its strands can reach a state with every site
+bound, the strand-level image of the empty clause.  No toeholds are emitted,
+so every compiled set is decided in closed form (hybridization_verdict,
+free_sites).
 """
 
 from __future__ import annotations

@@ -7,19 +7,8 @@ rewrite E only.  Rule names follow the trace vocabulary GB (bind), GU
 (unbind), G3 (displace), GM (ring migration).
 
 The rule appliers (bind, unbind, displace, migrate) check their premises on
-edge sets.  Enumeration and exploration run on integer edge ranks instead,
-over one integer index of the shape that the constructor builds, in one pass
-over site ids, and every state shares: a state is a bitmask over the ranked
-admissible edges (see explore).  Each migration ring is walked once, from
-its lowest-ranked edge in one direction.  explore walks the closure of each
-connected component once, all of them in lockstep a depth at a time, and
-builds their product a depth at a time from the moves by which each closure
-first found its parts, with one sort per depth.  The report decodes states
-into edge sets and moves into Move objects when they are read.  Where no
-edge is bound and none can ever unbind, every terminal state is a largest
-binding, and bind_chain finds one, the greedy chain, from the site labels
-alone, coded as integers whose complement is code ^ 1 (as the index codes
-them), with no graph: one pass with a first-in first-out queue per label.
+edge sets.  moves and explore run on the shape's integer index (_Index)
+instead, and the appliers stay their independent cross-check.
 """
 
 from __future__ import annotations
@@ -167,10 +156,9 @@ class StrandGraph:
 
     The labels fix the rest of the shape: each vertex's length, its colour
     (strand types numbered by first appearance) and the admissible edges,
-    every complementary site pair.  Every vertex needs a label.  The edges are
-    derived once, in the pass over site ids that indexes the shape on integers
-    (_Index: sites, edges by rank, anchor bitmasks, toehold flags, components);
-    with_current shares it and checks only the new edge set, in O(|E|)."""
+    every complementary site pair.  Every vertex needs a label.  The shape is
+    derived and indexed once, in the constructor (_build_index); with_current
+    shares it and checks only the new edge set, in O(|E|)."""
 
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
     current: frozenset[Edge]
@@ -287,12 +275,8 @@ def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
 def from_process(p: Process) -> StrandGraph:
     """Strand graph of a process: one vertex per strand in order, the
     strands' bond-free labels, current edges from bonds."""
-    ends: dict[str, list[Site]] = {}
-    for (s, n), d in p.occurrences():
-        if d.bond is not None:
-            ends.setdefault(d.bond, []).append(Site(s, n))
     labels = tuple(tuple(d.free() for d in s.domains) for s in p.strands)
-    return StrandGraph(labels, frozenset(Edge(*pair) for pair in ends.values()))
+    return StrandGraph(labels, frozenset(Edge(*pair) for pair in p._bond_ends.values()))
 
 
 def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) -> list[tuple[int, int]] | None:
@@ -605,46 +589,45 @@ class ExploreReport:
 
 
 class _Closure:
-    """One component's states, its parts, found breadth first: each part's
-    bitmask, depth and link to its parent in discovery order, the moves by
+    """One component's closure, its parts walked breadth first: the moves by
     which each expanded part found parts first (its children), and the
     expanded parts with no move at all (terminals)."""
 
-    def __init__(self, t: _Index, component: tuple[int, list[int]], state: int):
+    def __init__(self, t: _Index, component: tuple[int, list[int]]):
         self.t = t
         self.mask, self.ranks = component
-        part = state & self.mask
-        self.parts, self.depths, self.links = [part], [0], [None]
-        self.index = {part: 0}
         self.children: dict[int, list[_RankMove]] = {}
-        self.terminals: list[int] = []
+        self.terminals: set[int] = set()
 
-    def walk(self, max_states: int) -> Iterator[None]:
-        """Expand the parts in discovery order, enumerating each one's moves
-        once, which finds the parts one depth deeper; pause after each depth."""
-        t, ranks, parts, index, links, depths = self.t, self.ranks, self.parts, self.index, self.links, self.depths
+    def walk(self, state: int, max_states: int) -> Iterator[None]:
+        """Expand the parts reachable from state's part in discovery order,
+        enumerating each one's moves once, which finds the parts one depth
+        deeper; pause after each depth.  Each part is checked on its bitmask
+        first: every bit must be a ranked edge, and _component_moves raises
+        GraphError on a site bound twice."""
+        t, ranks = self.t, self.ranks
         width = len(t.edges)
-        end = 1  # the parts before end have a depth, the others are one deeper
+        parts = [state & self.mask]
+        seen = set(parts)
+        depth, end = 0, 1  # the parts before end are at most depth deep
         for i, part in enumerate(parts):
             if i == end:
-                depths += [depths[-1] + 1] * (len(parts) - end)
-                end = len(parts)
+                depth, end = depth + 1, len(parts)
                 yield
             if part >> width:
                 raise GraphError(f"state {part:#x} has a bit past the last edge rank")
             found = _component_moves(t, ranks, part)
             if not found:
-                self.terminals.append(i)
+                self.terminals.add(part)
             children = self.children[part] = []
             for m in found:
                 nxt = part ^ m[3]
-                if nxt in index:
+                if nxt in seen:
                     continue
                 if len(parts) >= max_states:
-                    raise ExplorationLimitError(f"more than {max_states} states, at depth {depths[i]}")
-                index[nxt] = len(parts)
+                    raise ExplorationLimitError(f"more than {max_states} states, at depth {depth}")
+                seen.add(nxt)
                 parts.append(nxt)
-                links.append((i, m))
                 children.append(m)
 
 
@@ -656,7 +639,8 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     request.  If the closure has more than max_states states,
     ExplorationLimitError is raised, naming the depth of the state whose
     successor went over; no partial verdicts are produced.  A state at depth
-    d has d ancestors, so max_states bounds the depth too.
+    d has d ancestors, so max_states bounds the depth too.  GraphError if a
+    reached state has a bit past the last edge rank or binds a site twice.
 
     The search runs on integers only: a state is a bitmask over the ranked
     admissible edges, a move flips the bits of the edges it removes and
@@ -667,15 +651,14 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     No move touches two vertex-connected components of the admissible
     edges, so the states are the product of each component's states, its
     parts, and a state's depth is the sum of its parts' depths.  Each
-    component's closure is walked once, breadth first on its parts, so each
-    reachable part's moves are enumerated once.  The closures advance in
-    lockstep, one depth at a time, so one that passes max_states names the
-    depth the product would.  With one component the closure is the report.
+    component's closure is walked once, so each reachable part's moves are
+    enumerated once.  The closures advance in lockstep, one depth at a
+    time, so one that passes max_states names the depth the product would.
 
-    Otherwise the product is assembled a depth at a time.  Only a forward
-    move, one that reaches a part one depth deeper, can reach a new state,
-    and the state it reaches is one depth deeper.  Of the forward moves,
-    only a part's children, the moves by which its closure found other parts
+    The product is assembled a depth at a time.  Only a forward move, one
+    that reaches a part one depth deeper, can reach a new state, and the
+    state it reaches is one depth deeper.  Of the forward moves, only a
+    part's children, the moves by which its closure found other parts
     first, can be a state's first link: by induction on depth, of two states
     at one depth that differ in one part only, the one whose part its
     closure found first is found first, so a state's earliest parent among
@@ -684,31 +667,13 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     depth only, and one sort on (parent index, move) puts that depth in
     breadth-first order, each state's moves in the order moves() gives.  A
     state is terminal when all its parts are.
-
-    Every part is checked on its bitmask before its moves are enumerated:
-    each bit must be a ranked edge, and no site may be bound twice, which
-    the move enumerator checks.  A part that fails raises GraphError.
     """
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
     ix: _Index = g._index
     state = sum(1 << ix.rank[e] for e in g.current)
-    closures = [_Closure(ix, component, state) for component in ix.components]
-    if len(closures) == 1:
-        (c,) = closures
-        for _ in c.walk(max_states):
-            pass
-        masks, depths, links, terminals = c.parts, c.depths, c.links, c.terminals
-    else:
-        masks, depths, links, terminals = _product(closures, state, max_states)
-    states = _Decoded(masks, partial(_edges_of, ix.edges))
-    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix, {})), terminals, masks)
-
-
-def _product(closures: list[_Closure], state: int, max_states: int):
-    """The product of the components' closures from state, breadth first,
-    as explore describes: bitmasks, depths, links and terminals."""
-    walks = [c.walk(max_states) for c in closures]
+    closures = [_Closure(ix, component) for component in ix.components]
+    walks = [c.walk(state, max_states) for c in closures]
     trees = [(c.mask, c.children) for c in closures]
     masks, depths, links = [state], [0], [None]
     start = depth = 0
@@ -732,12 +697,11 @@ def _product(closures: list[_Closure], state: int, max_states: int):
         depth += 1
         depths += [depth] * len(found)
         start = end
-    # a state is terminal when all its parts are
     terminals = list(range(len(masks)))
-    for c in closures:
-        ends = {c.parts[k] for k in c.terminals}
-        terminals = [i for i in terminals if masks[i] & c.mask in ends] if ends else []
-    return masks, depths, links, terminals
+    for c in closures:  # a state is terminal when all its parts are
+        terminals = [i for i in terminals if masks[i] & c.mask in c.terminals] if c.terminals else []
+    states = _Decoded(masks, partial(_edges_of, ix.edges))
+    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix, {})), terminals, masks)
 
 
 # --- interchange formats -----------------------------------------------------

@@ -10,7 +10,7 @@ pair, both 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
@@ -103,6 +103,7 @@ class Strand:
 @dataclass(frozen=True)
 class Process:
     strands: tuple[Strand, ...]
+    _bond_ends: dict[str, list[Locator]] = field(init=False, repr=False, compare=False)  # in first-use order
 
     def __post_init__(self):
         ends: dict[str, list[Locator]] = {}
@@ -118,6 +119,7 @@ class Process:
                 raise ProcessError(f"bond {bond!r} occurs {len(locs)} time(s), expected 2")
             if not self.domain_at(locs[0]).matches(self.domain_at(locs[1])):
                 raise ProcessError(f"bond {bond!r} joins non-complementary occurrences")
+        object.__setattr__(self, "_bond_ends", ends)
 
     def occurrences(self) -> Iterator[tuple[Locator, Domain]]:
         for s, strand in enumerate(self.strands, start=1):
@@ -132,17 +134,12 @@ class Process:
 
     def bonds(self) -> tuple[str, ...]:
         """Bond names in first-use order, scanning strands 5' to 3'."""
-        seen: list[str] = []
-        for _, d in self.occurrences():
-            if d.bond is not None and d.bond not in seen:
-                seen.append(d.bond)
-        return tuple(seen)
+        return tuple(self._bond_ends)
 
     def bond_ends(self, bond: str) -> tuple[Locator, Locator]:
-        locs = [loc for loc, d in self.occurrences() if d.bond == bond]
-        if len(locs) != 2:
+        if bond not in self._bond_ends:
             raise RuleError(f"no bond named {bond!r}")
-        return locs[0], locs[1]
+        return tuple(self._bond_ends[bond])
 
     def __str__(self) -> str:
         return " | ".join(str(s) for s in self.strands)

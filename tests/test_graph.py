@@ -12,7 +12,7 @@ import pytest
 import oracles
 from strandprover import graph as graph_module
 from strandprover import process as pr
-from strandprover.fixtures import fourway, hairpin, theorem_graph, theorem_process
+from strandprover.fixtures import FOURWAY, HAIRPIN, fourway, hairpin, theorem_graph, theorem_process
 from strandprover.graph import (
     Edge,
     ExplorationLimitError,
@@ -709,9 +709,10 @@ def disjoint_union(rng: random.Random, parts: list[pr.Process]) -> pr.Process:
 
 
 class TestReferenceExploration:
-    """explore() runs on edge-rank bitmasks with move lists cached per
-    connected component; a plain search over edge sets, with the moves the
-    rule appliers accept, must produce the same report."""
+    """explore() runs on edge-rank bitmasks, walks each connected
+    component's closure once and builds their product a depth at a time; a
+    plain search over edge sets, with the moves the rule appliers accept,
+    must produce the same report."""
 
     def assert_matches_reference(self, g: StrandGraph) -> int:
         report = explore(g)
@@ -783,6 +784,19 @@ class TestBudgetMessages:
             parts = [part(rng) for _ in range(rng.randint(2, 3))]
             g = from_process(disjoint_union(rng, parts))
             self.assert_messages_match(g, reference_explore(g)[1])
+
+    @pytest.mark.parametrize("make", [hairpin_graph, fourway_graph], ids=["hairpin", "fourway"])
+    def test_one_component(self, make):
+        g = make()
+        assert len(g._index.components) == 1
+        self.assert_messages_match(g, reference_explore(g)[1])
+
+    def test_one_deep_component(self):
+        g = from_process(pr.parse_process(oracles.branch_migration(40)))
+        assert len(g._index.components) == 1
+        depths = explore(g).depths  # the reference's ring search over 40 bonds is too slow here
+        assert depths == [0, 1, *range(1, 41)]  # the toehold unbound at depth 1, beside 40 migration steps
+        self.assert_messages_match(g, depths)
 
     def test_a_closure_that_overflows_first(self):
         # the duplex beside the chain has one state, so the chain's closure
@@ -870,7 +884,9 @@ class TestExplore:
     @pytest.mark.parametrize("text, parts, states", [
         (HAIRPIN_AND_FOURWAYS, 22 + 8 + 8, 22 * 8 * 8),
         (THREE_HAIRPINS, 3 * 22, 22 ** 3),
-    ], ids=["hairpin-and-two-fourways", "three-hairpins"])
+        (HAIRPIN, 22, 22),
+        (FOURWAY, 8, 8),
+    ], ids=["hairpin-and-two-fourways", "three-hairpins", "hairpin", "fourway"])
     def test_each_part_is_enumerated_once(self, monkeypatch, text, parts, states):
         """Moves are enumerated once per reachable part of each component,
         not once per state of the product."""
