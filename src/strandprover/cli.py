@@ -28,31 +28,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "dot"), with_bounds: bool = True
-    ):
+    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "dot")):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", metavar="PATH", help="input file ('-' for stdin)")
         src.add_argument("--fixture", choices=sorted(fixtures.FIXTURES), help="built-in example")
         if formats:
             p.add_argument("--format", choices=formats, default="text", help="output format")
-        if with_bounds:
-            p.add_argument(
-                "--max-states",
-                type=int,
-                default=graph.MAX_STATES,
-                metavar="N",
-                help="state budget for exploration (default %(default)s)",
-            )
 
     p_prove = sub.add_parser("prove", help="resolution refutation of a formula or clause set")
-    add_common(p_prove, formats=("text", "json"), with_bounds=False)
+    add_common(p_prove, formats=("text", "json"))
     p_prove.add_argument("--goal", metavar="FORMULA", help="prove that the input entails this formula")
     p_prove.add_argument("--trace", action="store_true", help="print every retained deduction step")
     p_prove.set_defaults(func=cmd_prove)
 
     p_compile = sub.add_parser("compile", help="compile a clause set to strands and base sequences")
-    add_common(p_compile, with_bounds=False)
+    add_common(p_compile)
     p_compile.add_argument("--codebook", metavar="PATH", help="variable-to-sequence table")
     p_compile.set_defaults(func=cmd_compile)
 
@@ -61,18 +51,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run both engines and flag disagreement")
-    add_common(p_cmp, formats=(), with_bounds=False)
-    p_cmp.add_argument(
-        "--max-states",
-        type=int,
-        default=graph.MAX_STATES,
-        metavar="N",
-        help="only checked to be positive: compare decides hybridization without exploring",
-    )
+    add_common(p_cmp, formats=())
     p_cmp.set_defaults(func=cmd_compare)
 
+    for p, budget_help in (
+        (p_sim, "state budget for exploration (default %(default)s)"),
+        (p_cmp, "only checked to be positive: compare decides hybridization without exploring"),
+    ):
+        p.add_argument(
+            "--max-states",
+            type=int,
+            default=graph.MAX_STATES,
+            metavar="N",
+            help=budget_help,
+        )
+
     p_exp = sub.add_parser("export", help="write a strand graph as listing, JSON, or DOT")
-    add_common(p_exp, with_bounds=False)
+    add_common(p_exp)
     p_exp.set_defaults(func=cmd_export)
     return parser
 

@@ -66,12 +66,12 @@ class Codebook:
             for ch in seq:
                 if ch not in BASES:
                     raise CodebookError(f"code for {var} contains non-base {ch!r}")
-        entries = list(items.items())
-        for i, (v1, s1) in enumerate(entries):
-            for v2, s2 in entries[i + 1 :]:
+        entries = [(var, seq, reverse_complement(seq)) for var, seq in items.items()]
+        for i, (v1, s1, _) in enumerate(entries):
+            for v2, s2, rc2 in entries[i + 1 :]:
                 if s1 == s2:
                     raise CodebookError(f"{v1} and {v2} share a code")
-                if s1 == reverse_complement(s2):
+                if s1 == rc2:
                     raise CodebookError(f"code for {v1} is the reverse complement of {v2}'s")
         self._codes = items
 
@@ -153,30 +153,22 @@ def generate_codebook(
     accepted: dict[str, str] = dict(base._codes) if base is not None else {}
     if base is not None and base.code_length() != length:
         raise CodebookError("base codebook length disagrees with the requested length")
+    taken = [code for seq in accepted.values() for code in (seq, reverse_complement(seq))]
     attempts_per_variable = 2000
     for var in sorted(set(variables)):
         if var in accepted:
             continue
         for _ in range(attempts_per_variable):
             candidate = "".join(rng.choice(BASES) for _ in range(length))
-            if _compatible(candidate, accepted.values(), min_distance):
+            if all(hamming(candidate, other) >= min_distance for other in taken):
                 accepted[var] = candidate
+                taken += (candidate, reverse_complement(candidate))
                 break
         else:
             raise CodebookError(
                 f"no code found for {var!r} at length {length} and distance {min_distance}"
             )
     return Codebook(accepted)
-
-
-def _compatible(candidate: str, others: Iterable[str], min_distance: int) -> bool:
-    rc = reverse_complement
-    for other in others:
-        if hamming(candidate, other) < min_distance:
-            return False
-        if hamming(candidate, rc(other)) < min_distance:
-            return False
-    return True
 
 
 # --- compilation -------------------------------------------------------------

@@ -439,12 +439,12 @@ def moves(g: StrandGraph) -> list[Move]:
     (GB, GU, G3, GM), then by the sorted ranks of the removed edges, then of
     the added ones.  Migration rings are searched up to MAX_RING edges.
 
-    This decodes the per-component integer enumerator that explore() runs on
-    edge ranks, merged."""
+    This decodes the integer enumerator that explore() runs on each
+    component's edge ranks, run once on every rank and the whole state: no
+    move spans two components, so it finds what the components find."""
     ix: _Index = g._index
     state = sum(1 << ix.rank[e] for e in g.current)
-    found = sorted(m for mask, ranks in ix.components for m in _component_moves(ix, ranks, state & mask))
-    return [_decode(ix, m) for m in found]
+    return [_decode(ix, m) for m in _component_moves(ix, range(len(ix.edges)), state)]
 
 
 # A move on edge ranks: (rule order, sorted removed ranks, sorted added ranks,
@@ -457,10 +457,10 @@ def _decode(t: _Index, move: _RankMove) -> Move:
     return Move(RULES[rule], frozenset([t.edges[r] for r in removed]), frozenset([t.edges[r] for r in added]))
 
 
-def _component_moves(t: _Index, ranks: list[int], state: int) -> list[_RankMove]:
-    """The sorted moves of the component whose edges are ranks, in a state
-    with no current edge outside it.  GraphError if the state binds a site
-    twice."""
+def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankMove]:
+    """The sorted moves of the component whose edges are ranks, or of a union
+    of components, in a state with no current edge outside it.  GraphError if
+    the state binds a site twice."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
     current = []
     owner: dict[int, int] = {}  # bound site id -> its current edge

@@ -187,18 +187,17 @@ class _FormulaParser:
         return _ARROWS[op](left, right)
 
     def _disj(self) -> Formula:
-        parts = [self._conj()]
-        while self.tokens[self.pos][1] == "|":
-            self.pos += 1
-            parts.append(self._conj())
-        return parts[0] if len(parts) == 1 else Or(*parts)
+        return self._chain("|", Or, self._conj)
 
     def _conj(self) -> Formula:
-        parts = [self._neg()]
-        while self.tokens[self.pos][1] == "&":
+        return self._chain("&", And, self._neg)
+
+    def _chain(self, op: str, node: type[Formula], parse: Callable[[], Formula]) -> Formula:
+        parts = [parse()]
+        while self.tokens[self.pos][1] == op:
             self.pos += 1
-            parts.append(self._neg())
-        return parts[0] if len(parts) == 1 else And(*parts)
+            parts.append(parse())
+        return parts[0] if len(parts) == 1 else node(*parts)
 
     def _neg(self) -> Formula:
         tok = self.tokens[self.pos]
@@ -526,10 +525,8 @@ def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[tuple[str, 
             out = _bodies(arg, not positive, memo)
         case And(args=args) | Or(args=args):
             out = _join(isinstance(f, And) == positive, [_bodies(a, positive, memo) for a in args])
-        case Implies(lhs=lhs, rhs=rhs):  # ~lhs | rhs
-            out = _join(not positive, [_bodies(lhs, not positive, memo), _bodies(rhs, positive, memo)])
-        case ImpliedBy(lhs=lhs, rhs=rhs):  # lhs | ~rhs
-            out = _join(not positive, [_bodies(lhs, positive, memo), _bodies(rhs, not positive, memo)])
+        case Implies(lhs=a, rhs=b) | ImpliedBy(lhs=b, rhs=a):  # ~a | b
+            out = _join(not positive, [_bodies(a, not positive, memo), _bodies(b, positive, memo)])
         case Iff(lhs=lhs, rhs=rhs):  # (~lhs | rhs) & (lhs | ~rhs)
             l_pos, l_neg = _bodies(lhs, True, memo), _bodies(lhs, False, memo)
             r_pos, r_neg = _bodies(rhs, True, memo), _bodies(rhs, False, memo)

@@ -165,27 +165,6 @@ def parse_process(text: str) -> Process:
 # --- structural congruence ---------------------------------------------------
 
 
-def canonical_text(p: Process) -> str:
-    """Printer with bonds renamed 1, 2, ... in first-use order.
-
-    Strand order is kept as stored; parsing the result gives a process
-    alpha-equivalent to p.
-    """
-    mapping: dict[str, str] = {}
-    out_strands = []
-    for strand in p.strands:
-        toks = []
-        for d in strand.domains:
-            if d.bond is None:
-                toks.append(format_domain(d))
-            else:
-                if d.bond not in mapping:
-                    mapping[d.bond] = str(len(mapping) + 1)
-                toks.append(format_domain(replace(d, bond=mapping[d.bond])))
-        out_strands.append("<" + " ".join(toks) + ">")
-    return " | ".join(out_strands)
-
-
 _MAX_CANON_PERMUTATIONS = 40_320  # 8!
 
 

@@ -504,6 +504,17 @@ class TestOnlyCompileReadsACodebook:
             cli.main([command, "--help"])
         assert ("--codebook" in capsys.readouterr().out) == (command == "compile")
 
+    @pytest.mark.parametrize("command", ["prove", "compile", "simulate", "compare", "export"])
+    def test_only_simulate_and_compare_list_the_budget_option(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps help text
+        assert ("--max-states" in out) == (command in ("simulate", "compare"))
+        if command == "simulate":
+            assert "--max-states N state budget for exploration (default 50000)" in out
+        if command == "compare":
+            assert "only checked to be positive: compare decides hybridization without exploring" in out
+
     def test_variables_beyond_any_code_search_agree(self, monkeypatch, capsys):
         import io
 

@@ -1,5 +1,6 @@
 """Clause-to-strand compilation, DNA codebooks, and hybridization verdicts."""
 
+import hashlib
 import random
 from collections import Counter
 from math import comb, factorial
@@ -103,12 +104,12 @@ class TestCodebook:
             Codebook({"P": "ACGT", "Q": "ACGTA"})
 
     def test_rejects_duplicate_codes(self):
-        with pytest.raises(CodebookError):
+        with pytest.raises(CodebookError, match="P and Q share a code"):
             Codebook({"P": "ACGT", "Q": "ACGT"})
 
     def test_rejects_reverse_complement_collisions(self):
         # Q's code would also spell ~P, collapsing the two variables
-        with pytest.raises(CodebookError):
+        with pytest.raises(CodebookError, match="code for P is the reverse complement of Q's"):
             Codebook({"P": "AACC", "Q": "GGTT"})
 
     def test_rejects_non_bases(self):
@@ -137,6 +138,15 @@ class TestGenerateCodebook:
         a = generate_codebook(["P", "Q", "R"], seed=9)
         b = generate_codebook(["P", "Q", "R"], seed=9)
         assert a == b
+
+    def test_search_gives_the_pinned_codes(self):
+        # pinned: a change to candidate order or to any accept/reject
+        # decision changes every generated code after it
+        cb = generate_codebook(["P", "Q", "R"], seed=9)
+        assert cb.to_text() == "P TGGCCAGTAG\nQ ATCTTCCCAA\nR CATAGCCTAG\n"
+        many = generate_codebook([f"x{k}" for k in range(1, 101)], base=default_codebook())
+        digest = hashlib.sha256(many.to_text().encode()).hexdigest()
+        assert digest == "36de6963bde8c8d39536cd17bfe19cf3a3c1a1d6bbbbd21fc7c10ce215296bcd"
 
     def test_two_variables_meet_the_distance(self):
         cb = generate_codebook(["P", "Q"], length=10, min_distance=4, seed=1)

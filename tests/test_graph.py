@@ -502,10 +502,28 @@ class TestEnumerateMoves:
         assert [m.rule for m in out] == ["GB", "GB", "GB"]
 
     def test_enumeration_is_deterministic_and_sorted(self):
+        rule_order = graph_module.RULES.index
+
+        def order(m):
+            return (rule_order(m.rule), sorted(m.removed), sorted(m.added))
+
         g = fourway_graph()
         assert moves(g) == moves(g)
-        rule_order = graph_module.RULES.index
-        assert moves(g) == sorted(moves(g), key=lambda m: (rule_order(m.rule), sorted(m.removed), sorted(m.added)))
+        assert moves(g) == sorted(moves(g), key=order)
+        # two components, whose moves interleave in rule order: at every state
+        # the list is sorted and equals the per-component lists merged
+        g = hairpin_and_fourway_graph()
+        ix = g._index
+        states = explore(g).states
+        assert len(states) == 176
+        for state in states:
+            out = moves(g.with_current(state))
+            assert out == sorted(out, key=order)
+            bits = sum(1 << ix.rank[e] for e in state)
+            merged = sorted(
+                m for mask, ranks in ix.components for m in graph_module._component_moves(ix, ranks, bits & mask)
+            )
+            assert out == [graph_module._decode(ix, m) for m in merged]
 
     def test_every_enumerated_move_applies(self):
         rng = random.Random(41)

@@ -15,7 +15,6 @@ from strandprover.process import (
     alpha_equal,
     antiparallel_adjacent,
     bind,
-    canonical_text,
     displace,
     format_domain,
     fresh_bond,
@@ -143,10 +142,6 @@ class TestParseProcess:
 
 
 class TestCanonicalForms:
-    def test_canonical_text_renames_bonds_in_first_use_order(self):
-        p = parse_process("<a!q7 b!k2> | <b*!k2 a*!q7>")
-        assert canonical_text(p) == "<a!1 b!2> | <b*!2 a*!1>"
-
     def test_alpha_equal_ignores_bond_names(self):
         p = parse_process("<a!x> | <a*!x>")
         q = parse_process("<a!zz> | <a*!zz>")
