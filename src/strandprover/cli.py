@@ -147,7 +147,7 @@ def _load_graph(args) -> graph.StrandGraph:
 
 def cmd_prove(args) -> int:
     s = _load_clauses(args)
-    goal = logic.parse_formula(args.goal) if args.goal else None
+    goal = logic.parse_formula(args.goal) if args.goal is not None else None
     result = resolution.refute(s, goal)
     if args.format == "json":
         payload = {
@@ -301,8 +301,9 @@ def cmd_export(args) -> int:
         print("colours: " + ", ".join(f"{v + 1}:{g.colours[v]}" for v in range(n)))
         for v in range(n):
             print(f"strand {v + 1}: <" + " ".join(graph.format_domain(d) for d in g.domains[v]) + ">")
-        print("admissible: " + (", ".join(str(e) for e in sorted(g.admissible)) or "none"))
-        toeholds = [e for e in sorted(g.admissible) if g.toehold(e)]
+        admissible = sorted(g.admissible)
+        print("admissible: " + (", ".join(str(e) for e in admissible) or "none"))
+        toeholds = [e for e in admissible if g.toehold(e)]
         print("toehold edges: " + (", ".join(str(e) for e in toeholds) or "none"))
         print("current: " + (", ".join(str(e) for e in sorted(g.current)) or "none"))
     return EXIT_OK

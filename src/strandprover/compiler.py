@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import MAX_STATES, Edge, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
+from .graph import MAX_STATES, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
 from .logic import Clause, ClauseSet, Literal
 from .process import Domain, Process, Strand
 
@@ -271,11 +271,10 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         raise ValueError("empty strand system has no hybridization behaviour")
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    # the graph's index codes its labels as bind_chain reads them, all sites in one row
-    chain = None if g.current else bind_chain([g._index.labels], g._index.toehold_labels)
+    ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
+    chain = None if g.current else bind_chain([ix.labels], ix.toehold_labels)
     if chain is not None:
-        sites = g.sites()
-        edges = [Edge(sites[a], sites[b]) for a, b in chain]
+        edges = [ix.edges[ix.partners[a][b]] for a, b in chain]
         final = frozenset(edges)
         witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), final)
         free = all_sites - sites_of(final)

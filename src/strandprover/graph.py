@@ -43,26 +43,34 @@ class Site(NamedTuple):
         return f"({self.vertex},{self.position})"
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """An unordered pair of distinct sites; endpoints are stored sorted."""
-
+class _EdgeFields(NamedTuple):
     a: Site
     b: Site
 
-    def __post_init__(self):
-        a = Site(*self.a)
-        b = Site(*self.b)
+
+class Edge(_EdgeFields):
+    """An unordered pair of distinct sites; endpoints are stored sorted.
+
+    A named tuple, it compares, hashes and sorts as the tuple (a, b).  Its
+    one constructor, which copy, pickle (protocol 2 and up) and _replace
+    also call, wraps both endpoints as Sites, refuses endpoints that
+    coincide, and sorts them."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: tuple[int, int], b: tuple[int, int]) -> Edge:
+        a, b = Site(*a), Site(*b)
         if a == b:
             raise GraphError(f"edge endpoints coincide: {a}")
-        if b < a:
-            a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[tuple[int, int]]) -> Edge:
+        return cls(*iterable)
 
     @property
     def sites(self) -> frozenset[Site]:
-        return frozenset((self.a, self.b))
+        return frozenset(self)
 
     def other(self, site: Site) -> Site:
         if site == self.a:
@@ -73,13 +81,6 @@ class Edge:
 
     def __str__(self) -> str:
         return f"{self.a}-{self.b}"
-
-
-def _sorted_edge(a: Site, b: Site) -> Edge:
-    """The Edge a-b for Sites a < b, built without re-checking them."""
-    e = object.__new__(Edge)
-    e.__dict__.update(a=a, b=b)
-    return e
 
 
 RULES = ("GB", "GU", "G3", "GM")
@@ -141,9 +142,7 @@ def sites_of(edges: Iterable[Edge]) -> frozenset[Site]:
 
 def edge_adjacent(e: Edge, edges: Iterable[Edge]) -> frozenset[Edge]:
     """Edges on the same vertex pair as e, offset by one antiparallel step."""
-    return frozenset(
-        f for f in edges if f != e and antiparallel_adjacent((e.a, e.b), (f.a, f.b))
-    )
+    return frozenset(f for f in edges if f != e and antiparallel_adjacent(e, f))
 
 
 def is_anchored(e: Edge, edges: Iterable[Edge]) -> bool:
@@ -267,7 +266,7 @@ def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
     for r, (s, _) in enumerate(ends):
         groups.setdefault(find(sites[s].vertex), []).append(r)
     components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
-    edges = [_sorted_edge(sites[s], sites[t]) for s, t in ends]
+    edges = [Edge(sites[s], sites[t]) for s, t in ends]
     rank = {e: r for r, e in enumerate(edges)}
     return _Index(sites, labels, toehold_labels, edges, rank, ends, anchors, toeholds, partners, components)
 

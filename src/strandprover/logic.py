@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 
 class ParseError(ValueError):
@@ -273,8 +272,10 @@ def format_formula(f: Formula) -> str:
 # --- literals, clauses, clause sets -----------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Literal(NamedTuple):
+    """A variable or its negation; it compares, hashes and sorts as the
+    tuple (variable, negated)."""
+
     variable: str
     negated: bool = False
 

@@ -10,9 +10,9 @@ pair, both 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Locator = tuple[int, int]
 
@@ -25,12 +25,12 @@ class RuleError(ValueError):
     """A reduction rule was applied where its premises do not hold."""
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """One domain occurrence on a strand; bond is None when free.
 
     The toehold flag is a property of the name: well-formed processes never
-    mix toehold and long occurrences of the same name.
+    mix toehold and long occurrences of the same name.  A named tuple, it
+    compares, hashes and sorts as the tuple of its fields.
     """
 
     name: str
@@ -276,7 +276,7 @@ def _rebind(p: Process, changes: dict[Locator, str | None]) -> Process:
         domains = list(strand.domains)
         for n in range(1, len(domains) + 1):
             if (s, n) in changes:
-                domains[n - 1] = replace(domains[n - 1], bond=changes[(s, n)])
+                domains[n - 1] = domains[n - 1]._replace(bond=changes[(s, n)])
         strands.append(Strand(tuple(domains)))
     return Process(tuple(strands))
 

@@ -29,11 +29,16 @@ class DeductionStep:
     def is_input(self) -> bool:
         return self.parents is None
 
-    def describe(self) -> str:
+    @property
+    def note(self) -> str:
+        """[input], or the parents and the pivot of a resolvent."""
         if self.is_input:
-            return f"{self.index}: {self.clause} [input]"
+            return "[input]"
         i, j = self.parents
-        return f"{self.index}: {self.clause} [{i} ⊗ {j} on {self.pivot}]"
+        return f"[{i} ⊗ {j} on {self.pivot}]"
+
+    def describe(self) -> str:
+        return f"{self.index}: {self.clause} {self.note}"
 
 
 @dataclass(frozen=True)
@@ -278,11 +283,8 @@ def render_deduction(result: RefutationResult) -> str:
     while stack:
         index, depth = stack.pop()
         step = steps[index]
-        if step.is_input:
-            note = "[input]"
-        else:
+        if not step.is_input:
             i, j = step.parents
-            note = f"[{i} ⊗ {j} on {step.pivot}]"
             stack += ((j, depth + 1), (i, depth + 1))
-        lines.append("  " * depth + f"{step.clause}  {note}")
+        lines.append("  " * depth + f"{step.clause}  {step.note}")
     return "\n".join(lines)

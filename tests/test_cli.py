@@ -1,5 +1,6 @@
 """Command-line interface: commands, input detection, bounds, exit codes."""
 
+import hashlib
 import json
 from collections import Counter
 
@@ -75,6 +76,13 @@ class TestProve:
         assert code == cli.EXIT_OK
         code, _, _ = run(capsys, "prove", "--input", str(path), "--goal", "Q")
         assert code == cli.EXIT_SAT
+
+    @pytest.mark.parametrize("goal", ["", " "])
+    def test_empty_goal_is_a_parse_error(self, capsys, goal):
+        code, out, err = run(capsys, "prove", "--fixture", "S", "--goal", goal)
+        assert code == cli.EXIT_INDETERMINATE
+        assert out == ""
+        assert err == "error: empty formula\n"
 
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "prove", "--fixture", "S", "--format", "json")
@@ -242,6 +250,13 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--fixture", "theorem", "--format", "dot")
         assert code == cli.EXIT_OK
         assert out.count("// step") == 6  # initial state plus five moves
+
+    def test_fourway_dot_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--fixture", "fourway", "--format", "dot")
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "70e59cd4f937d729ff86cf534028974e3f0b703148ed7c7d414175485c893945"
+        )
 
     def test_state_bound_flag(self, capsys):
         code, _, err = run(capsys, "simulate", "--fixture", "theorem", "--max-states", "4")
@@ -460,6 +475,25 @@ class TestExport:
         code, out, _ = run(capsys, "export", "--fixture", "fourway", "--format", "dot")
         assert code == cli.EXIT_OK
         assert out.startswith("graph strand_system {")
+
+    @pytest.mark.parametrize(
+        "fixture, fmt, digest",
+        [
+            ("hairpin", "text", "ea59b8df6c3d0e8f30d17fdaa8a2472680f18839a670492a744c3ec89d4aaaa6"),
+            ("hairpin", "json", "c4e0629af653bb5316338c1df59c8264b409c9037ed559fb548d5b0aa9a47924"),
+            ("hairpin", "dot", "260eed43a4274d99c61315d2ac52a161774c984091bed0bb9b52d7a3841e1b7e"),
+            ("fourway", "text", "7ed5621670b6f47c682ccc5b6d42c56020773986154526abcd6bf01456145d9e"),
+            ("fourway", "json", "1ddd751b972e5b7793750f610351240efd298d7ffa667c05c8422204043bd34d"),
+            ("fourway", "dot", "1a0d98ccb531dae8cb954bcffa51e5420b0208293a289dce4e04f69a7b1decf8"),
+            ("theorem", "text", "9d7ef657b8aab5a279743c076639905f75b5c17ba9331c0b287050c8d22a2127"),
+            ("theorem", "json", "28c42c049eae55931ec62c873f628dc2d411e67c7eadd80be16d7dc2ff639af2"),
+            ("theorem", "dot", "11e3a8f02f81ad72f5b103f330a4791163d32e2709a2234481b0e0ed7804caf6"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, fixture, fmt, digest):
+        code, out, _ = run(capsys, "export", "--fixture", fixture, "--format", fmt)
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- clause sets without a codebook -------------------------------------------

@@ -1,7 +1,9 @@
 """Strand graphs: structure, moves, exploration, and interchange formats."""
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 from collections import Counter, deque
 from dataclasses import replace
@@ -82,10 +84,42 @@ class TestEdge:
     def test_endpoints_are_stored_sorted(self):
         assert E(3, 1, 1, 2) == E(1, 2, 3, 1)
         assert str(E(3, 1, 1, 2)) == "(1,2)-(3,1)"
+        assert repr(E(3, 1, 1, 2)) == "Edge(a=Site(vertex=1, position=2), b=Site(vertex=3, position=1))"
+        assert sorted([E(2, 1, 3, 1), E(1, 2, 3, 1), E(1, 2, 2, 3)]) == [E(1, 2, 2, 3), E(1, 2, 3, 1), E(2, 1, 3, 1)]
+
+    def test_plain_pairs_are_wrapped_as_sites(self):
+        e = Edge((3, 1), [1, 2])
+        assert type(e.a) is Site and type(e.b) is Site
+        assert e == E(1, 2, 3, 1)
 
     def test_coinciding_endpoints_rejected(self):
         with pytest.raises(GraphError):
             Edge(Site(1, 1), Site(1, 1))
+
+    def test_equal_and_hash_equal_to_the_tuple_of_its_sites(self):
+        e = E(3, 1, 1, 2)
+        assert e == ((1, 2), (3, 1))
+        assert hash(e) == hash(((1, 2), (3, 1)))
+        assert ((1, 2), (3, 1)) in {e}
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        e = E(3, 1, 1, 2)
+        back = pickle.loads(pickle.dumps(e, protocol))
+        assert back == e
+        assert type(back) is Edge and type(back.a) is Site
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_copies_are_edges(self, duplicate):
+        e = E(3, 1, 1, 2)
+        assert duplicate(e) == e
+        assert type(duplicate(e)) is Edge
+
+    def test_replace_goes_through_the_constructor(self):
+        e = E(1, 2, 3, 1)
+        assert e._replace(a=(4, 1)) == E(3, 1, 4, 1)
+        with pytest.raises(GraphError):
+            e._replace(a=e.b)
 
     def test_other_endpoint(self):
         e = E(1, 2, 3, 1)

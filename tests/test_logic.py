@@ -1,6 +1,8 @@
 """Formula parsing and printing, literals, clauses, and clausal conversion."""
 
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -163,6 +165,15 @@ class TestLiteral:
         assert str(Literal.parse("~Q")) == "~Q"
         with pytest.raises(ParseError):
             Literal.parse("~~Q")
+
+    def test_record_contract(self):
+        lit = Literal("P")
+        assert repr(lit) == "Literal(variable='P', negated=False)"
+        assert lit == ("P", False)
+        assert hash(lit) == hash(("P", False))
+        assert sorted([Literal("Q"), Literal("P", True), Literal("P")]) == [Literal("P"), Literal("P", True), Literal("Q")]
+        for back in (pickle.loads(pickle.dumps(lit)), copy.deepcopy(lit)):
+            assert back == lit and type(back) is Literal
 
 
 class TestClause:

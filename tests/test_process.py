@@ -1,5 +1,7 @@
 """Domain-level processes: syntax, bond geometry, and the four reduction rules."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -65,6 +67,16 @@ class TestDomain:
         assert bound.free() == Domain("t", True, True)
         unbound = Domain("a", False, True)
         assert unbound.free() is unbound
+
+    def test_record_contract(self):
+        d = Domain("t", True, True, "x")
+        assert repr(d) == "Domain(name='t', complemented=True, toehold=True, bond='x')"
+        assert str(d) == "t^*!x"
+        assert d == ("t", True, True, "x")
+        assert hash(d) == hash(("t", True, True, "x"))
+        assert sorted([Domain("b"), Domain("a", True), Domain("a")]) == [Domain("a"), Domain("a", True), Domain("b")]
+        for back in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert back == d and type(back) is Domain
 
     def test_matches_requires_same_name_and_kind(self):
         assert Domain("a").matches(Domain("a", True))
