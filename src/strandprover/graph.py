@@ -394,22 +394,16 @@ def migrate(g: StrandGraph, removed: Iterable[Edge], added: Iterable[Edge]) -> S
     owner = {s: e for e in removed for s in (e.a, e.b)}
     if sites_of(added) != frozenset(owner):
         raise MoveError("added edges must repartition exactly the removed endpoints")
-    # each removed edge now meets exactly two added-edge endpoints; the swap
-    # is a ring rotation iff the alternation closes into one cycle
-    links: dict[Edge, list[Edge]] = {e: [] for e in removed}
-    for x in added:
-        links[owner[x.a]].append(x)
-        links[owner[x.b]].append(x)
-    seen = {next(iter(removed))}
-    frontier = list(seen)
-    while frontier:
-        e = frontier.pop()
-        for x in links[e]:
-            for neighbour in (owner[x.a], owner[x.b]):
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-    if len(seen) != n:
+    # n added edges cover the 2n removed endpoints, so each site has one mate;
+    # walk removed -> added -> removed from one removed edge: the edges form
+    # a single ring iff the walk gets back to its start after n removed edges
+    mate = {s: x.other(s) for x in added for s in (x.a, x.b)}
+    first = next(iter(removed))
+    site, walked = mate[first.b], 1
+    while site != first.a:
+        site = mate[owner[site].other(site)]
+        walked += 1
+    if walked != n:
         raise MoveError("removed and added edges do not form a single closed ring")
     result = (g.current - removed) | added
     for x in added:

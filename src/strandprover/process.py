@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, groupby, permutations, product
+from math import factorial, prod
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Locator = tuple[int, int]
 
@@ -172,46 +173,30 @@ def _blind_signature(strand: Strand):
     return tuple((d.name, d.complemented, d.toehold, d.bond is not None) for d in strand.domains)
 
 
-def _serialize(p: Process, order: Sequence[int]):
-    mapping: dict[str, int] = {}
-    out = []
-    for idx in order:
-        row = []
-        for d in p.strands[idx].domains:
-            if d.bond is None:
-                row.append((d.name, d.complemented, d.toehold, None))
-            else:
-                if d.bond not in mapping:
-                    mapping[d.bond] = len(mapping) + 1
-                row.append((d.name, d.complemented, d.toehold, mapping[d.bond]))
-        out.append(tuple(row))
-    return tuple(out)
+def _serialize(p: Process, order: Iterable[int]):
+    """The strands in the given order, bonds numbered 1, 2, ... by first use."""
+    numbers: dict[str, int] = {}
+    return tuple(
+        tuple(
+            (d.name, d.complemented, d.toehold,
+             None if d.bond is None else numbers.setdefault(d.bond, len(numbers) + 1))
+            for d in p.strands[i].domains
+        )
+        for i in order
+    )
 
 
 def canonical_key(p: Process):
     """A value equal for exactly the processes that differ only by strand
     order and bond names.  Strands with identical shapes are disambiguated by
     trying their permutations, so heavily repetitive processes are rejected."""
-    indices = sorted(range(len(p.strands)), key=lambda i: _blind_signature(p.strands[i]))
-    groups: list[list[int]] = []
-    for i in indices:
-        if groups and _blind_signature(p.strands[groups[-1][-1]]) == _blind_signature(p.strands[i]):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    total = 1
-    for g in groups:
-        for k in range(2, len(g) + 1):
-            total *= k
-        if total > _MAX_CANON_PERMUTATIONS:
-            raise ProcessError("too many interchangeable strands to canonicalize")
-    best = None
-    for perm_groups in product(*(permutations(g) for g in groups)):
-        order = [i for g in perm_groups for i in g]
-        serial = _serialize(p, order)
-        if best is None or serial < best:
-            best = serial
-    return best
+    signature = [_blind_signature(strand) for strand in p.strands]
+    indices = sorted(range(len(signature)), key=signature.__getitem__)
+    groups = [list(group) for _, group in groupby(indices, key=signature.__getitem__)]
+    if prod(factorial(len(group)) for group in groups) > _MAX_CANON_PERMUTATIONS:
+        raise ProcessError("too many interchangeable strands to canonicalize")
+    orders = product(*(permutations(group) for group in groups))
+    return min(_serialize(p, chain.from_iterable(order)) for order in orders)
 
 
 def alpha_equal(p: Process, q: Process) -> bool:
@@ -223,24 +208,16 @@ def alpha_equal(p: Process, q: Process) -> bool:
 
 
 def antiparallel_adjacent(ends1: tuple[Locator, Locator], ends2: tuple[Locator, Locator]) -> bool:
-    """True when two bonds (or edges) sit on the same strand pair with both
-    positions offset by one in antiparallel alignment: +1 on one strand pairs
-    with -1 on the other.  Bonds closing a loop within a single strand use the
-    same test with both pairings of their endpoints."""
+    """True when the ends of two bonds (or edges) pair up so that each pair
+    lies on one strand, one position apart, and the two offsets are opposite:
+    +1 on one strand pairs with -1 on the other.  Both ways of pairing the
+    ends are tried, so the order of the arguments and of their ends does not
+    matter."""
     (v1, n1), (v2, n2) = ends1
-    (w1, m1), (w2, m2) = ends2
-    if sorted((v1, v2)) != sorted((w1, w2)):
-        return False
-    if v1 == v2:
-        pairings = [((n1, m1), (n2, m2)), ((n1, m2), (n2, m1))]
-    elif (v1, v2) == (w1, w2):
-        pairings = [((n1, m1), (n2, m2))]
-    else:
-        pairings = [((n1, m2), (n2, m1))]
-    for (a, b), (c, d) in pairings:
-        if (b == a + 1 and d == c - 1) or (b == a - 1 and d == c + 1):
-            return True
-    return False
+    return any(
+        v1 == w1 and v2 == w2 and abs(m1 - n1) == 1 and m2 - n2 == n1 - m1
+        for (w1, m1), (w2, m2) in (ends2, ends2[::-1])
+    )
 
 
 def adjacent_bonds(p: Process, bond: str) -> set[str]:
@@ -271,14 +248,10 @@ def fresh_bond(p: Process) -> str:
 
 
 def _rebind(p: Process, changes: dict[Locator, str | None]) -> Process:
-    strands = []
-    for s, strand in enumerate(p.strands, start=1):
-        domains = list(strand.domains)
-        for n in range(1, len(domains) + 1):
-            if (s, n) in changes:
-                domains[n - 1] = domains[n - 1]._replace(bond=changes[(s, n)])
-        strands.append(Strand(tuple(domains)))
-    return Process(tuple(strands))
+    rows = [list(strand.domains) for strand in p.strands]
+    for (s, n), bond in changes.items():
+        rows[s - 1][n - 1] = rows[s - 1][n - 1]._replace(bond=bond)
+    return Process(tuple(Strand(tuple(row)) for row in rows))
 
 
 def bind(p: Process, a: Locator, b: Locator) -> Process:
@@ -338,23 +311,11 @@ def migrate_ring(p: Process, ring: Sequence[str]) -> Process:
         raise RuleError("a migration ring needs at least two bonds")
     if len(set(ring)) != len(ring):
         raise RuleError("duplicate bond in migration ring")
-    plain: list[Locator] = []
-    starred: list[Locator] = []
-    names = set()
-    for bond in ring:
-        e1, e2 = p.bond_ends(bond)
-        if p.domain_at(e1).complemented:
-            e1, e2 = e2, e1
-        plain.append(e1)
-        starred.append(e2)
-        names.add(p.domain_at(e1).name)
-    if len(names) != 1:
+    ends = [p.bond_ends(bond) for bond in ring]
+    if len({p.domain_at(e1).name for e1, _ in ends}) != 1:  # both ends of a bond share its name
         raise RuleError("migration ring bonds must share a single domain name")
-    changes: dict[Locator, str | None] = {}
-    n = len(ring)
-    for k in range(n):
-        changes[starred[(k + 1) % n]] = ring[k]
-    q = _rebind(p, changes)
+    starred = [e1 if p.domain_at(e1).complemented else e2 for e1, e2 in ends]
+    q = _rebind(p, dict(zip(starred[1:] + starred[:1], ring)))
     for bond in ring:
         if not is_anchored(q, bond):
             raise RuleError(f"bond {bond!r} is not anchored after migration")

@@ -160,8 +160,6 @@ def refute(
     sources: list[int] = []  # per input step: its clause's index in s
 
     def admit(clause_lits: tuple[int, ...], mask: int, origin: tuple[int, int, int] | None) -> int | None:
-        if mask in known:
-            return None
         # forward subsumption: D subsumes C when D's bits are all in C's; a
         # non-empty D then holds a literal of C (the empty clause ends the search)
         outside = ~mask

@@ -1,5 +1,6 @@
 """Command-line interface: commands, input detection, bounds, exit codes."""
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -320,6 +321,19 @@ class TestCompare:
         assert "DISAGREE" in out
         assert "free site (3,1): Q, can never bind" in out
 
+    def test_resolution_budget_makes_compare_indeterminate(self, monkeypatch, capsys):
+        # the only way compare exits 2 on a valid input: resolution gives up
+        monkeypatch.setattr(resolution, "refute", functools.partial(resolution.refute, max_clauses=1))
+        code, out, err = run(capsys, "compare", "--fixture", "S")
+        assert code == cli.EXIT_INDETERMINATE
+        assert out.splitlines() == [
+            "resolution: INDETERMINATE",
+            "hybridization: UNSAT",
+            "resolution indeterminate: clause budget of 1 exhausted at variable V with 1 clauses retained",
+            "INDETERMINATE",
+        ]
+        assert err == ""
+
     def test_anchored_sets_decide_under_any_budget(self, monkeypatch, capsys):
         import io
 
@@ -463,6 +477,14 @@ class TestExport:
         code, _, err = run(capsys, "export", "--input", str(path))
         assert code == cli.EXIT_INDETERMINATE
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "export"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_clause_fixture_is_compiled_first(self, capsys, command, fmt):
+        # S compiles to the theorem's strand system
+        want = run(capsys, command, "--fixture", "theorem", "--format", fmt)
+        assert run(capsys, command, "--fixture", "S", "--format", fmt) == want
+        assert want[0] == cli.EXIT_OK
 
     def test_deeply_nested_graph_json_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "graph.json"

@@ -423,6 +423,10 @@ class TestDisplaceMove:
         with pytest.raises(MoveError):
             displace(g, E(3, 2, 3, 4), E(1, 2, 3, 5))
 
+    def test_non_current_edge_rejected(self):
+        with pytest.raises(MoveError, match=r"^\(1,1\)-\(3,6\) is not a current edge$"):
+            displace(hairpin_graph(), E(1, 1, 3, 6), E(1, 2, 3, 5))
+
 
 class TestMigrateMove:
     def swapped(self) -> StrandGraph:
@@ -467,13 +471,27 @@ class TestMigrateMove:
         with pytest.raises(MoveError):
             migrate(g, [E(1, 1, 2, 1), E(3, 1, 4, 1)], [E(1, 1, 4, 1), E(2, 1, 3, 1)])
 
+    def duplexes(self) -> StrandGraph:
+        # b-b* duplexes (1,1)-(2,1), (3,1)-(4,1), ...: any b meets any b*
+        return from_process(pr.parse_process(" | ".join(f"<b!x{k}> | <b*!x{k}>" for k in range(1, 5))))
+
     def test_endpoints_must_be_repartitioned(self):
-        with pytest.raises(MoveError):
+        with pytest.raises(MoveError, match="^added edges must repartition exactly the removed endpoints$"):
             migrate(
-                self.swapped(),
-                [E(1, 2, 2, 2), E(3, 2, 4, 2)],
-                [E(1, 2, 3, 2), E(3, 3, 4, 1)],  # second edge leaves the ring
+                self.duplexes(),
+                [E(1, 1, 2, 1), E(3, 1, 4, 1)],
+                [E(1, 1, 4, 1), E(2, 1, 5, 1)],  # second edge leaves the ring
             )
+
+    def test_two_rings_at_once_rejected(self):
+        # two 2-rings are refused; one 4-ring passes the ring check and fails
+        # only on anchoring
+        g = self.duplexes()
+        removed = [E(1, 1, 2, 1), E(3, 1, 4, 1), E(5, 1, 6, 1), E(7, 1, 8, 1)]
+        with pytest.raises(MoveError, match="^removed and added edges do not form a single closed ring$"):
+            migrate(g, removed, [E(1, 1, 4, 1), E(2, 1, 3, 1), E(5, 1, 8, 1), E(6, 1, 7, 1)])
+        with pytest.raises(MoveError, match="would not be anchored after migration$"):
+            migrate(g, removed, [E(1, 1, 4, 1), E(3, 1, 6, 1), E(5, 1, 8, 1), E(2, 1, 7, 1)])
 
     def test_unbound_removed_edge_rejected(self):
         g = fourway_graph()  # toehold edges not yet bound
@@ -1209,6 +1227,24 @@ class TestJson:
         data = to_json_dict(theorem_graph())
         data["current"] = [[[1, 2]]]
         with pytest.raises(GraphError):
+            from_json(data)
+
+    def test_bonded_label_rejected(self):
+        data = to_json_dict(fourway_graph())
+        data["vertices"][0]["domains"][0] += "!x"
+        with pytest.raises(GraphError, match="^graph site labels carry no bonds$"):
+            from_json(data)
+
+    def test_non_string_domain_token_rejected(self):
+        data = to_json_dict(theorem_graph())
+        data["vertices"][0]["domains"][0] = 5
+        with pytest.raises(GraphError, match="^vertex 1: malformed domain token"):
+            from_json(data)
+
+    def test_short_toehold_list_rejected(self):
+        data = to_json_dict(fourway_graph())
+        data["toehold"].pop()
+        with pytest.raises(GraphError, match="^toehold flags must align with the admissible list$"):
             from_json(data)
 
 

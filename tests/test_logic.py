@@ -90,6 +90,15 @@ class TestParseFormula:
             parse_formula("P @ Q")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("P Q", "unexpected 'Q' (at position 2)"), ("(P Q", "expected ')', found 'Q' (at position 3)")],
+    )
+    def test_juxtaposed_atoms_rejected(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
     def test_tokens_are_those_of_the_reference_tokenizer(self):
         # the single-regex tokenizer against the per-character one kept in
         # oracles: the same tokens, or the same message at the same position

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from strandprover.process import (
     alpha_equal,
     antiparallel_adjacent,
     bind,
+    canonical_key,
     displace,
     format_domain,
     fresh_bond,
@@ -135,6 +137,10 @@ class TestParseProcess:
         with pytest.raises(ProcessError):
             parse_process("<a b")
 
+    def test_blank_text_rejected(self):
+        with pytest.raises(ProcessError, match="^empty process text$"):
+            parse_process("  ")
+
     def test_one_based_locators(self):
         p = hairpin()
         assert p.domain_at((1, 1)).name == "t"
@@ -190,6 +196,17 @@ class TestCanonicalForms:
             )
             assert alpha_equal(p, q)
 
+    @pytest.mark.parametrize("shapes", [("a",) * 8, ("a",) * 6 + ("b",) * 4])
+    def test_up_to_eight_factorial_orders_are_tried(self, shapes):
+        p = parse_process(" | ".join(f"<{name}>" for name in shapes))
+        assert canonical_key(p) == tuple(((name, False, False, None),) for name in shapes)
+
+    def test_more_orders_are_refused(self):
+        # 6! * 5! orders of two groups of interchangeable strands exceed 8!
+        p = parse_process(" | ".join(["<a>"] * 6 + ["<b>"] * 5))
+        with pytest.raises(ProcessError, match="^too many interchangeable strands to canonicalize$"):
+            canonical_key(p)
+
 
 # --- geometry predicates -----------------------------------------------------
 
@@ -200,6 +217,17 @@ class TestGeometry:
         assert antiparallel_adjacent(((1, 1), (2, 3)), ((1, 2), (2, 2)))
         assert not antiparallel_adjacent(((1, 1), (2, 2)), ((1, 2), (2, 3)))
         assert not antiparallel_adjacent(((1, 1), (2, 3)), ((1, 2), (3, 2)))
+
+    def test_antiparallel_adjacent_ignores_argument_and_end_order(self):
+        locators = list(product(range(1, 4), range(1, 6)))  # 3 strands x 5 positions
+        adjacent = 0
+        for a, b, c, d in product(locators, repeat=4):
+            want = antiparallel_adjacent((a, b), (c, d))
+            assert antiparallel_adjacent((c, d), (a, b)) == want
+            assert antiparallel_adjacent((b, a), (c, d)) == want
+            assert antiparallel_adjacent((a, b), (d, c)) == want
+            adjacent += want
+        assert adjacent == 540
 
     def test_hairpin_intra_strand_neighbours(self):
         assert adjacent_bonds(hairpin(), "y1") == {"z1"}
@@ -253,6 +281,10 @@ class TestBind:
     def test_unknown_locator_rejected(self):
         with pytest.raises(ProcessError):
             bind(parse_process("<a>"), (9, 9), (1, 1))
+
+    def test_self_bind_rejected(self):
+        with pytest.raises(RuleError, match="^cannot bind an occurrence to itself$"):
+            bind(parse_process("<a a*>"), (1, 1), (1, 1))
 
 
 class TestUnbind:
@@ -323,6 +355,10 @@ class TestMigrateRing:
     def test_degenerate_ring_rejected(self):
         with pytest.raises(RuleError):
             migrate_ring(fourway(), ["j1"])
+
+    def test_duplicate_bond_rejected(self):
+        with pytest.raises(RuleError, match="^duplicate bond in migration ring$"):
+            migrate_ring(fourway(), ["j1", "j1"])
 
     def test_mixed_domain_names_rejected(self):
         with pytest.raises(RuleError):
