@@ -92,9 +92,10 @@ def entry() -> None:
 
 
 def _read_input(path: str) -> str:
+    """The text of a file, or of stdin for '-', without a leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(path, encoding="utf-8-sig") as handle:
         return handle.read()
 
 

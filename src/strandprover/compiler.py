@@ -103,7 +103,7 @@ class Codebook:
     @classmethod
     def from_text(cls, text: str) -> "Codebook":
         """Lines of 'VARIABLE SEQUENCE'; '#' starts a comment."""
-        codes, seen = {}, set()
+        codes = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -112,9 +112,8 @@ class Codebook:
             if len(fields) != 2:
                 raise CodebookError(f"line {lineno}: expected 'VARIABLE SEQUENCE'")
             var, seq = fields
-            if var in seen:
+            if var in codes:
                 raise CodebookError(f"line {lineno}: duplicate entry for {var}")
-            seen.add(var)
             codes[var] = seq.upper()
         return cls(codes)
 

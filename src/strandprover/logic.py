@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 
@@ -21,102 +22,66 @@ _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class Formula:
-    """Base class of the formula AST.  Nodes are immutable and hashable."""
-
-    __slots__ = ()
-
-    def _key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self), self._key()))
+    """Base class of the formula AST.  Nodes are frozen dataclasses: two are
+    equal when they are of one type with equal operands, equal nodes hash
+    equal, and assigning to a field raises dataclasses.FrozenInstanceError."""
 
     def __str__(self):
         return format_formula(self)
 
 
+@dataclass(frozen=True)
 class Var(Formula):
-    __slots__ = ("name",)
+    name: str
 
-    def __init__(self, name: str):
-        if not isinstance(name, str) or not _ATOM_RE.fullmatch(name):
-            raise ValueError(f"invalid variable name: {name!r}")
-        self.name = name
-
-    def _key(self):
-        return self.name
-
-    def __repr__(self):
-        return f"Var({self.name!r})"
+    def __post_init__(self):
+        if not isinstance(self.name, str) or not _ATOM_RE.fullmatch(self.name):
+            raise ValueError(f"invalid variable name: {self.name!r}")
 
 
+@dataclass(frozen=True)
 class Not(Formula):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Formula):
-        self.arg = arg
-
-    def _key(self):
-        return self.arg
-
-    def __repr__(self):
-        return f"Not({self.arg!r})"
+    arg: Formula
 
 
+@dataclass(frozen=True, init=False)
 class _Nary(Formula):
     """Shared shape of And/Or: two or more operands, order preserved."""
 
-    __slots__ = ("args",)
+    args: tuple[Formula, ...]
 
     def __init__(self, *args: Formula):
         if len(args) < 2:
             raise ValueError(f"{type(self).__name__} needs at least two operands")
-        self.args = args
-
-    def _key(self):
-        return self.args
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self.args))})"
+        object.__setattr__(self, "args", args)
 
 
 class And(_Nary):
-    __slots__ = ()
+    """args[0] & args[1] & ..."""
 
 
 class Or(_Nary):
-    __slots__ = ()
+    """args[0] | args[1] | ..."""
 
 
+@dataclass(frozen=True)
 class _Arrow(Formula):
     """Shared shape of the three conditional connectives."""
 
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def _key(self):
-        return (self.lhs, self.rhs)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.lhs!r}, {self.rhs!r})"
+    lhs: Formula
+    rhs: Formula
 
 
 class Implies(_Arrow):
-    __slots__ = ()
+    """lhs -> rhs"""
 
 
 class ImpliedBy(_Arrow):
-    __slots__ = ()
+    """lhs <- rhs"""
 
 
 class Iff(_Arrow):
-    __slots__ = ()
+    """lhs <-> rhs"""
 
 
 # --- formula text ------------------------------------------------------------
@@ -235,6 +200,12 @@ def parse_formula(text: str) -> Formula:
 # Binding strength used by the printer; higher binds tighter.
 _PREC_ARROW, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 0, 1, 2, 3, 4
 
+# Separator and binding strength of each connective printed between operands.
+_INFIX = {node: (f" {op} ", _PREC_ARROW) for op, node in _ARROWS.items()} | {
+    Or: (" | ", _PREC_OR),
+    And: (" & ", _PREC_AND),
+}
+
 
 def _fmt(f: Formula) -> tuple[str, int]:
     match f:
@@ -245,22 +216,14 @@ def _fmt(f: Formula) -> tuple[str, int]:
             if prec < _PREC_NOT:
                 text = f"({text})"
             return "~" + text, _PREC_NOT
-        case And(args=args) | Or(args=args):
-            own = _PREC_AND if isinstance(f, And) else _PREC_OR
-            sep = " & " if isinstance(f, And) else " | "
+        case _Nary() | _Arrow():
+            sep, own = _INFIX[type(f)]
             parts = []
-            for arg in args:
-                text, prec = _fmt(arg)
+            for operand in f.args if isinstance(f, _Nary) else (f.lhs, f.rhs):
+                text, prec = _fmt(operand)
                 # equal precedence is parenthesized so the tree round-trips
                 parts.append(f"({text})" if prec <= own else text)
             return sep.join(parts), own
-        case Implies() | ImpliedBy() | Iff():
-            op = {"Implies": "->", "ImpliedBy": "<-", "Iff": "<->"}[type(f).__name__]
-            sides = []
-            for side in (f.lhs, f.rhs):
-                text, prec = _fmt(side)
-                sides.append(f"({text})" if prec <= _PREC_ARROW else text)
-            return f"{sides[0]} {op} {sides[1]}", _PREC_ARROW
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -583,6 +583,42 @@ class TestOnlyCompileReadsACodebook:
         assert err == ""
 
 
+# --- byte-order marks ---------------------------------------------------------
+
+# Each input kind the readers tell apart, with the command that reads it; the
+# codebook case reads its text through --codebook, the others through --input.
+BOM_CASES = {
+    "clause lines": (["prove"], CLAUSES_S),
+    "dimacs": (["prove"], "c fixture S\np cnf 5 6\n1 -2 3 0\n-4 5 -3 0\n2 0\n-5 0\n-1 0\n4 0\n"),
+    "formula": (["prove"], "(P | ~Q | R) & (~U | V | ~R) & Q & ~V & ~P & U\n"),
+    "process": (["simulate"], THEOREM + "\n"),
+    "graph json": (["simulate"], json.dumps(to_json_dict(theorem_graph()))),
+    "codebook": (["compile", "--fixture", "S"], compiler.generate_codebook(["P", "Q", "R", "U", "V"], seed=5).to_text()),
+}
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("via", ["path", "stdin"])
+    @pytest.mark.parametrize("kind", sorted(BOM_CASES))
+    def test_a_leading_bom_is_ignored(self, monkeypatch, tmp_path, capsys, kind, via):
+        import io
+
+        argv, text = BOM_CASES[kind]
+        option = "--codebook" if kind == "codebook" else "--input"
+        results = []
+        for prefix in ("", "\ufeff"):
+            if via == "path":
+                path = tmp_path / f"input{len(prefix)}.txt"
+                path.write_bytes((prefix + text).encode("utf-8"))
+                results.append(run(capsys, *argv, option, str(path)))
+            else:
+                monkeypatch.setattr("sys.stdin", io.StringIO(prefix + text))
+                results.append(run(capsys, *argv, option, "-"))
+        plain, marked = results
+        assert plain[0] == cli.EXIT_OK and plain[2] == ""
+        assert marked == plain
+
+
 # --- top level ---------------------------------------------------------------
 
 

@@ -129,8 +129,9 @@ class TestCodebook:
             Codebook.from_text("P ACGT extra\n")
 
     def test_from_text_rejects_duplicates(self):
-        with pytest.raises(CodebookError):
-            Codebook.from_text("P ACGT\nP TTTT\n")
+        with pytest.raises(CodebookError) as err:
+            Codebook.from_text("# codes\nP ACGT\n\nQ AAAA\np CCCC\nP TTTT\n")
+        assert str(err.value) == "line 6: duplicate entry for P"
 
 
 class TestGenerateCodebook:

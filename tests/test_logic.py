@@ -154,10 +154,78 @@ class TestFormatFormula:
         assert parse_formula(format_formula(f)) == f
 
     def test_nary_constructors_need_two_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^And needs at least two operands$"):
             And(P)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Or needs at least two operands$"):
             Or()
+
+
+# --- the formula records -----------------------------------------------------
+
+
+def every_node_type():
+    """One node of each of the seven types, built afresh on each call."""
+    p, q = Var("P"), Var("Q")
+    return [p, Not(p), And(p, q, p), Or(p, Not(q)), Implies(p, q), ImpliedBy(p, q), Iff(Not(p), And(p, q))]
+
+
+class TestFormulaRecords:
+    def test_connectives_on_the_same_operands_are_unequal(self):
+        assert And(P, Q) != Or(P, Q)
+        arrows = [Implies(P, Q), ImpliedBy(P, Q), Iff(P, Q)]
+        for a in arrows:
+            for b in arrows:
+                assert (a == b) == (a is b), (a, b)
+        assert Implies(P, Q) != Implies(Q, P)
+        assert And(P, Q) != And(Q, P)
+
+    def test_equal_nodes_hash_equal_and_are_set_members(self):
+        first, second = every_node_type(), every_node_type()
+        for a, b in zip(first, second):
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+        assert set(first) == set(second) and len(set(first + second)) == len(first)
+        assert all(node in set(first) for node in second)
+
+    @pytest.mark.parametrize("name", ["1x", "", "_P", "P-Q", 3, None])
+    def test_invalid_variable_names_rejected(self, name):
+        with pytest.raises(ValueError, match=r"^invalid variable name: "):
+            Var(name)
+
+    def test_str_is_the_printed_formula(self):
+        rng = random.Random(11)
+        for f in every_node_type() + [oracles.random_formula(rng, 5, 4) for _ in range(200)]:
+            assert str(f) == format_formula(f)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips_every_node_type(self, protocol):
+        for node in every_node_type():
+            back = pickle.loads(pickle.dumps(node, protocol))
+            assert back == node and type(back) is type(node) and hash(back) == hash(node)
+
+    def test_deepcopy_round_trips_every_node_type(self):
+        for node in every_node_type():
+            back = copy.deepcopy(node)
+            assert back == node and type(back) is type(node)
+
+    def test_fields_cannot_be_assigned(self):
+        assigned = 0
+        for node in every_node_type():
+            before = format_formula(node), hash(node)
+            for field in ("name", "arg", "args", "lhs", "rhs"):
+                if hasattr(node, field):
+                    with pytest.raises(AttributeError):
+                        setattr(node, field, getattr(node, field))
+                    assigned += 1
+            assert (format_formula(node), hash(node)) == before
+        assert assigned == 1 + 1 + 2 + 3 * 2
+
+    @pytest.mark.parametrize("bad", [42, And(P, 42), Not("P")])
+    def test_non_formulas_rejected(self, bad):
+        with pytest.raises(TypeError, match=r"^not a formula: "):
+            format_formula(bad)
+        with pytest.raises(TypeError, match=r"^not a formula: "):
+            to_clausal_form(bad)
 
 
 # --- literals and clauses ----------------------------------------------------
