@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class ParseError(ValueError):
@@ -86,14 +86,14 @@ class Iff(_Arrow):
 
 # --- formula text ------------------------------------------------------------
 #
-# Grammar, loosest to tightest binding:
-#   formula := disj (('->' | '<-' | '<->') disj)?      arrows do not chain
-#   disj    := conj ('|' conj)*
-#   conj    := neg ('&' neg)*
-#   neg     := '~' neg | atom
-#   atom    := NAME | '(' formula ')'
+# Grammar, with OP any connective of _BINARY:
+#   formula := unary (OP unary)*
+#   unary   := NAME | '~' unary | '(' formula ')'
+# A connective of higher binding strength binds tighter.  A run of one '&' or
+# '|' is one node; the three arrows bind alike and take two operands, so no
+# arrow chains with another.
 
-_ARROWS = {"->": Implies, "<-": ImpliedBy, "<->": Iff}
+_BINARY = {"<->": (Iff, 0), "->": (Implies, 0), "<-": (ImpliedBy, 0), "|": (Or, 1), "&": (And, 2)}
 
 # Deepest run of nested negations and parentheses the parser accepts.  Parsing,
 # clausal form and printing all recurse on nesting, so the bound keeps every
@@ -103,7 +103,7 @@ MAX_NESTING = 100
 
 # One token after optional whitespace: an atom, an operator, or any other
 # character, which is an error.  Tokens are contiguous, so finditer walks them.
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|(<->|->|<-|[~&|()])|(\S))")
+_TOKEN_RE = re.compile(rf"\s*(?:({_ATOM_RE.pattern})|(<->|->|<-|[~&|()])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -130,64 +130,51 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
+    def _strength(self) -> int:
+        """Binding strength of the next token, or -1 if it is no binary connective."""
+        entry = _BINARY.get(self.tokens[self.pos][1])
+        return -1 if entry is None else entry[1]
+
     def parse(self) -> Formula:
         if len(self.tokens) == 1:
             raise ParseError("empty formula")
-        f = self._arrow()
+        f = self._binary(0)
         tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return f
 
-    def _arrow(self) -> Formula:
-        left = self._disj()
-        if self.tokens[self.pos][1] not in _ARROWS:
-            return left
-        op = self._take()[1]
-        right = self._disj()
-        tok = self.tokens[self.pos]
-        if tok[1] in _ARROWS:
-            raise ParseError("conditionals do not chain; add parentheses", tok[2])
-        return _ARROWS[op](left, right)
+    def _binary(self, floor: int) -> Formula:
+        """Operands joined by connectives that bind at least as tightly as floor."""
+        left = self._unary()
+        while (strength := self._strength()) >= floor:
+            node = _BINARY[self.tokens[self.pos][1]][0]
+            parts = [left]
+            while self._strength() == strength:
+                if len(parts) == 2 and issubclass(node, _Arrow):
+                    raise ParseError("conditionals do not chain; add parentheses", self.tokens[self.pos][2])
+                self.pos += 1
+                parts.append(self._binary(strength + 1))
+            left = node(*parts)
+        return left
 
-    def _disj(self) -> Formula:
-        return self._chain("|", Or, self._conj)
-
-    def _conj(self) -> Formula:
-        return self._chain("&", And, self._neg)
-
-    def _chain(self, op: str, node: type[Formula], parse: Callable[[], Formula]) -> Formula:
-        parts = [parse()]
-        while self.tokens[self.pos][1] == op:
-            self.pos += 1
-            parts.append(parse())
-        return parts[0] if len(parts) == 1 else node(*parts)
-
-    def _neg(self) -> Formula:
-        tok = self.tokens[self.pos]
-        if tok[1] == "~":
-            self.pos += 1
-            return Not(self._nested(self._neg, tok))
-        return self._atom()
-
-    def _atom(self) -> Formula:
-        tok = self._take()
-        kind, value, pos = tok
+    def _unary(self) -> Formula:
+        """A variable, a negation or a parenthesised formula."""
+        kind, value, pos = self._take()
         if kind == "atom":
             return Var(value)
-        if value == "(":
-            f = self._nested(self._arrow, tok)
+        if value != "~" and value != "(":
+            raise ParseError(f"unexpected {value!r}", pos)
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        if value == "~":
+            f = Not(self._unary())
+        else:
+            f = self._binary(0)
             closing = self._take()
             if closing[1] != ")":
                 raise ParseError(f"expected ')', found {closing[1]!r}", closing[2])
-            return f
-        raise ParseError(f"unexpected {value!r}", pos)
-
-    def _nested(self, parse: Callable[[], Formula], opener: tuple[str, str, int]) -> Formula:
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", opener[2])
-        self.depth += 1
-        f = parse()
         self.depth -= 1
         return f
 
@@ -197,25 +184,21 @@ def parse_formula(text: str) -> Formula:
     return _FormulaParser(text).parse()
 
 
-# Binding strength used by the printer; higher binds tighter.
-_PREC_ARROW, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_ATOM = 0, 1, 2, 3, 4
-
-# Separator and binding strength of each connective printed between operands.
-_INFIX = {node: (f" {op} ", _PREC_ARROW) for op, node in _ARROWS.items()} | {
-    Or: (" | ", _PREC_OR),
-    And: (" & ", _PREC_AND),
-}
+# Separator and binding strength of each connective printed between operands;
+# a variable or a negation binds tighter than any of them.
+_INFIX = {node: (f" {op} ", strength) for op, (node, strength) in _BINARY.items()}
+_TIGHTEST = 1 + max(strength for _, strength in _INFIX.values())
 
 
 def _fmt(f: Formula) -> tuple[str, int]:
     match f:
         case Var(name=name):
-            return name, _PREC_ATOM
+            return name, _TIGHTEST
         case Not(arg=arg):
             text, prec = _fmt(arg)
-            if prec < _PREC_NOT:
+            if prec < _TIGHTEST:
                 text = f"({text})"
-            return "~" + text, _PREC_NOT
+            return "~" + text, _TIGHTEST
         case _Nary() | _Arrow():
             sep, own = _INFIX[type(f)]
             parts = []

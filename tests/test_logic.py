@@ -17,6 +17,7 @@ from strandprover.logic import (
     Iff,
     ImpliedBy,
     Implies,
+    MAX_NESTING,
     Literal,
     Not,
     Or,
@@ -98,6 +99,72 @@ class TestParseFormula:
         with pytest.raises(ParseError) as err:
             parse_formula(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "empty formula", None),
+            ("   ", "empty formula", None),
+            ("P $ Q", "unexpected character '$'", 2),
+            ("P -> Q -> R", "conditionals do not chain; add parentheses", 7),
+            ("P -> Q <- R", "conditionals do not chain; add parentheses", 7),
+            ("P -> Q <-> R", "conditionals do not chain; add parentheses", 7),
+            ("P <- Q -> R", "conditionals do not chain; add parentheses", 7),
+            ("P <- Q <- R", "conditionals do not chain; add parentheses", 7),
+            ("P <- Q <-> R", "conditionals do not chain; add parentheses", 7),
+            ("P <-> Q -> R", "conditionals do not chain; add parentheses", 8),
+            ("P <-> Q <- R", "conditionals do not chain; add parentheses", 8),
+            ("P <-> Q <-> R", "conditionals do not chain; add parentheses", 8),
+            ("P | Q -> R -> S", "conditionals do not chain; add parentheses", 11),
+            ("P & Q <- R | S <-> U", "conditionals do not chain; add parentheses", 15),
+            ("(P -> Q <- R)", "conditionals do not chain; add parentheses", 8),
+            ("()", "unexpected ')'", 1),
+            (")P", "unexpected ')'", 0),
+            ("P )", "unexpected ')'", 2),
+            ("-> P", "unexpected '->'", 0),
+            ("P & & Q", "unexpected '&'", 4),
+            ("P ~", "unexpected '~'", 2),
+            ("~", "unexpected end of formula", 1),
+            ("P & ~", "unexpected end of formula", 5),
+            ("P &", "unexpected end of formula", 3),
+            ("(P", "unexpected end of formula", 2),
+            ("(P (", "expected ')', found '('", 3),
+            *(
+                pytest.param(text, "formula nests deeper than 100 levels", 100, id=name)
+                for name, text in [
+                    ("101 negations", "~" * 101 + "P"),
+                    ("100 negations, then (", "~" * 100 + "(P)"),
+                    ("101 parentheses", "(" * 101 + "P" + ")" * 101),
+                    ("100 parentheses, then ~", "(" * 100 + "~P" + ")" * 100),
+                ]
+            ),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert (str(err.value), err.value.position) == (str(ParseError(message, position)), position)
+
+    @pytest.mark.parametrize(
+        "level, build",
+        [("(", lambda f: f), ("(P & ", lambda f: And(P, f)), ("(P | ", lambda f: Or(P, f)), ("~", Not)],
+        ids=["parentheses", "conjunctions", "disjunctions", "negations"],
+    )
+    def test_deepest_formulas_parse_under_a_deep_caller(self, level, build):
+        # a library caller 400 frames deep still gets a formula or a ParseError
+        def under(frames, text):
+            return under(frames - 1, text) if frames else parse_formula(text)
+
+        def nested(depth):
+            return level * depth + "P" + (")" * depth if level != "~" else "")
+
+        want = P
+        for _ in range(MAX_NESTING):
+            want = build(want)
+        assert under(400, nested(MAX_NESTING)) == want
+        with pytest.raises(ParseError) as err:
+            under(400, nested(MAX_NESTING + 1))
+        assert err.value.position == len(level) * MAX_NESTING
 
     def test_tokens_are_those_of_the_reference_tokenizer(self):
         # the single-regex tokenizer against the per-character one kept in
