@@ -1,7 +1,7 @@
 """Propositional theorem proving two ways.
 
-The classical route converts a formula to clauses and saturates them under
-resolution.  The molecular route compiles the clauses to DNA strands, one
+The classical route converts a formula to clauses and refutes them by
+conflict-driven resolution, or finds a model.  The molecular route compiles the clauses to DNA strands, one
 domain per literal, and explores the strand graph; reaching a fully bound
 state refutes the clause set.  The two verdicts can be cross-checked, and
 they deliberately do not always agree.

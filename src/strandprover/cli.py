@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove = sub.add_parser("prove", help="resolution refutation of a formula or clause set")
     add_common(p_prove, formats=("text", "json"))
     p_prove.add_argument("--goal", metavar="FORMULA", help="prove that the input entails this formula")
-    p_prove.add_argument("--trace", action="store_true", help="print every retained deduction step")
+    p_prove.add_argument("--trace", action="store_true", help="print every deduction step of the result")
     p_prove.set_defaults(func=cmd_prove)
 
     p_compile = sub.add_parser("compile", help="compile a clause set to strands and base sequences")
@@ -154,6 +154,7 @@ def cmd_prove(args) -> int:
         payload = {
             "verdict": result.verdict,
             "empty_step": result.empty_step,
+            "model": None if result.model is None else [str(lit) for lit in result.model],
             "steps": [
                 {
                     "index": step.index,
@@ -170,7 +171,8 @@ def cmd_prove(args) -> int:
             print("UNSAT: the clause set is refuted")
             print(resolution.render_deduction(result))
         else:
-            print("SATISFIABLE: saturation finished without the empty clause")
+            print("SATISFIABLE: the clause set has a model")
+            print("model: " + " ".join(str(lit) for lit in result.model))
         if args.trace:
             for line in result.trace_lines():
                 print(line)

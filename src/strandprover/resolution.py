@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +19,7 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeductionStep:
-    """One retained clause: either an input or a resolvent of two earlier steps."""
+    """One logged clause: either an input or a resolvent of two earlier steps."""
 
     index: int
     clause: Clause
@@ -50,12 +51,14 @@ class RefutationResult:
     verdict: str
     steps: tuple[DeductionStep, ...]
     empty_step: int | None
+    model: tuple[Literal, ...] | None = None  # on SATURATED: one literal per variable, true in a model
 
     @classmethod
-    def _deferred(cls, verdict: str, empty_step: int | None, build: Callable[[], tuple[DeductionStep, ...]]):
+    def _deferred(cls, verdict: str, empty_step: int | None, build: Callable[[], tuple[DeductionStep, ...]],
+                  model: tuple[Literal, ...] | None = None):
         """A result whose steps build() returns when they are first read."""
         result = object.__new__(cls)
-        result.__dict__.update(verdict=verdict, empty_step=empty_step, _build=build)
+        result.__dict__.update(verdict=verdict, empty_step=empty_step, model=model, _build=build)
         return result
 
     def __getattr__(self, name: str):
@@ -67,7 +70,7 @@ class RefutationResult:
         return steps
 
     def __getstate__(self) -> dict:
-        return {"verdict": self.verdict, "steps": self.steps, "empty_step": self.empty_step}
+        return {"verdict": self.verdict, "steps": self.steps, "empty_step": self.empty_step, "model": self.model}
 
     @property
     def is_unsat(self) -> bool:
@@ -97,26 +100,21 @@ def refute(
     max_clauses: int = MAX_CLAUSES,
     max_seconds: float | None = 10.0,
 ) -> RefutationResult:
-    """Decide unsatisfiability of s by ordered (Davis-Putnam bucket) resolution.
+    """Decide unsatisfiability of s by conflict-driven clause learning.
 
-    If a goal formula is given, its negation is converted to clauses and added
-    first, so an UNSAT verdict means s entails the goal.  Each clause sits in
-    the bucket of its largest variable in name order, and the variables are
-    eliminated from the largest to the smallest: every positive clause of a
-    bucket is resolved with every negative one, so each resolvent falls into a
-    lower bucket.  Tautologies and forward-subsumed clauses are discarded and
-    the rest admitted in a fixed lexicographic order, so two runs on the same
-    input produce identical step lists.  Exceeding max_clauses or max_seconds
-    raises ResourceLimitError rather than guessing a verdict; its message
-    names the variable being eliminated (the largest while the inputs are
-    admitted) and the clauses retained.
-
-    The search reads the set's integer literal codes (ClauseSet.codes), and
-    tautologies are dropped on the clause bitmasks.  It keeps only codes,
-    parents and pivots; Literal, Clause and DeductionStep objects are built
-    only for the steps returned, when they are first read.  An input step
-    holds the set's Clause, in its written literal order: the caller's, for
-    a set built from Clauses.  The time budget starts when refute is called.
+    A goal's negation is converted to clauses and added first, so UNSAT
+    means s entails the goal.  Unit propagation watches two literals per
+    clause, and a decision makes the unassigned variable of highest activity
+    false, ties going to the smallest name.  Each resolution that first-UIP
+    conflict analysis performs is logged as a step, and a conflict with no
+    decision left is resolved down to {}: an UNSAT result keeps the steps {}
+    derives from, a satisfiable one every step and a model, one literal per
+    variable in name order.  The inputs, tautologies dropped, are the first
+    steps, in bitmask order, so equal inputs give equal step lists.  Past
+    max_clauses steps, inputs included, or max_seconds from the call, it
+    raises ResourceLimitError with the conflicts and steps it reached.  The
+    search reads the set's codes and masks; step objects are built when
+    first read, and an input step holds the set's own Clause.
     """
     monotonic = time.monotonic
     deadline = None if max_seconds is None else monotonic() + max_seconds
@@ -125,132 +123,223 @@ def refute(
     if len(s) == 0:
         raise ValueError("clause set is empty")
 
-    names = s.names
-    masks: list[int] = []  # per step: bitmask
-    v = len(names) - 1  # the variable being eliminated
+    names, codes = s.names, s.codes
+    conflicts = 0
 
-    def reached() -> str:
-        variable = names[v] if v >= 0 else "{}"  # only {} has no variable
-        return f"at variable {variable} with {len(masks)} clauses retained"
+    def stop(budget: str) -> None:
+        raise ResourceLimitError(f"{budget} exhausted after {conflicts} conflicts with {len(origins)} steps logged")
 
-    def check_time() -> None:
-        if deadline is not None and monotonic() > deadline:
-            raise ResourceLimitError(f"time budget exhausted {reached()}")
-
-    # A literal is coded 2 * (rank of its variable in name order) + negated:
-    # integer order is Literal order and l ^ 1 is the complement of l.  A
-    # clause is also a bitmask with bit l set for each of its literals.
+    # A literal is coded 2 * (rank of its variable in name order) + negated,
+    # so l ^ 1 is its complement and l >> 1 its variable.  A clause is also a
+    # bitmask with bit l set for each of its literals.
     positive = (4 ** len(names) - 1) // 3  # bits 0, 2, 4, ...: the unnegated literals
-    inputs = [(clause_lits, mask, k) for k, (clause_lits, mask) in enumerate(zip(s.codes, s.masks))
-              if not mask & mask >> 1 & positive]  # drop tautologies
-    if len(inputs) < len(s):
-        # start at the largest variable a kept clause holds (-1 for none): a
-        # variable that only dropped tautologies hold has an empty bucket
-        used = 0
-        for _, mask, _ in inputs:
-            used |= mask
-        v = (used.bit_length() - 1) >> 1
-    check_time()  # each pass over the inputs, this one and the sort, is as long as the input
-    inputs.sort(key=lambda entry: sorted(entry[0]))
+    sources = [k for k, mask in enumerate(s.masks) if not mask & mask >> 1 & positive]  # drop tautologies
+    sources.sort(key=s.masks.__getitem__)  # per input step: its clause's index in s, {} first
+    # per step, the inputs first: its bitmask, and (i, j, pivot) for a
+    # resolvent of steps i < j on clause i's literal pivot, None for an input
+    masks: list[int] = list(map(s.masks.__getitem__, sources[:max_clauses]))
+    origins: list[tuple[int, int, int] | None] = [None] * len(masks)
+    if deadline is not None and monotonic() > deadline:
+        stop("time budget")  # each pass over the inputs above is as long as the input
+    if len(sources) > max_clauses:
+        stop(f"clause budget of {max_clauses}")
 
-    lits: list[tuple[int, ...]] = []  # per step: literal codes in stored order
-    origins: list[tuple[int, int, int] | None] = []  # per step: (i, j, pivot code), None for an input
-    occurs: list[list[int]] = [[] for _ in range(2 * len(names))]  # per literal: the steps holding it, ascending
-    known: set[int] = set()  # the bitmasks of the steps
-    sources: list[int] = []  # per input step: its clause's index in s
+    def resolve(a: int, b: int, pivot: int) -> int:
+        """Log the resolvent of steps a and b on a's literal pivot."""
+        if len(origins) >= max_clauses:
+            stop(f"clause budget of {max_clauses}")
+        origins.append((a, b, pivot) if a < b else (b, a, pivot ^ 1))
+        masks.append((masks[a] | masks[b]) & ~(1 << pivot | 1 << (pivot ^ 1)))
+        work.append(None)
+        return len(origins) - 1
 
-    def admit(clause_lits: tuple[int, ...], mask: int, origin: tuple[int, int, int] | None) -> int | None:
-        # forward subsumption: D subsumes C when D's bits are all in C's; a
-        # non-empty D then holds a literal of C (the empty clause ends the search)
-        outside = ~mask
-        for lit in clause_lits:
-            for d in occurs[lit]:
-                if not masks[d] & outside:
-                    return None
-        index = len(masks)
-        if index >= max_clauses:
-            raise ResourceLimitError(f"clause budget of {max_clauses} exhausted {reached()}")
-        lits.append(clause_lits)
-        masks.append(mask)
-        origins.append(origin)
-        known.add(mask)
-        for lit in clause_lits:
-            occurs[lit].append(index)
-        return index
-
-    def returned(verdict: str, order: list[int]) -> RefutationResult:
+    def returned(verdict: str, order: list[int], model: tuple[Literal, ...] | None = None) -> RefutationResult:
         def build() -> tuple[DeductionStep, ...]:
             # the steps in order, renumbered from 0: the only ones built as
-            # objects; on UNSAT the last is {}
+            # objects; on UNSAT the last is {}.  A resolvent's literals are
+            # clause i's without the pivot, then those of clause j that
+            # clause i lacks, as Clause.union orders them.
             literal = [Literal(name, negated) for name in names for negated in (False, True)]
-            renumber = {old: new for new, old in enumerate(order)}
+            renumber: dict[int, int] = {}
+            rows: dict[int, list[int] | tuple[int, ...]] = {}  # per step: its literal codes in stored order
             steps = []
             for new, old in enumerate(order):
-                origin = origins[old]
-                if origin is None:
+                renumber[old] = new
+                if origins[old] is None:
+                    rows[old] = codes[sources[old]]
                     steps.append(DeductionStep(new, s.clauses[sources[old]]))
-                else:
-                    i, j, pivot = origin
-                    clause = Clause([literal[lit] for lit in lits[old]])
-                    steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
+                    continue
+                i, j, pivot = origins[old]
+                mask_i, complement = masks[i], pivot ^ 1
+                row = rows[old] = ([lit for lit in rows[i] if lit != pivot]
+                                   + [lit for lit in rows[j] if lit != complement and not mask_i >> lit & 1])
+                clause = Clause([literal[lit] for lit in row])
+                steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
             return tuple(steps)
 
-        return RefutationResult._deferred(verdict, len(order) - 1 if verdict == UNSAT else None, build)
+        return RefutationResult._deferred(verdict, len(order) - 1 if verdict == UNSAT else None, build, model)
 
-    for clause_lits, mask, k in inputs:
-        # inlined, as in the partner loop: forward subsumption makes admission quadratic
+    value = [0] * (2 * len(names))  # per literal: 1 true, -1 false, 0 unassigned
+    level = [0] * len(names)  # per assigned variable: its decision level
+    reason = [0] * len(names)  # per assigned variable not decided: the step that implied it
+    trail: list[int] = []  # the true literals in the order assigned
+    starts: list[int] = []  # per decision level above 0: where it starts on the trail
+    watches: list[list[int]] = [[] for _ in value]  # per literal: the steps watching it
+    work: list[list[int] | None] = [None] * len(masks)  # per watched step: its literals, the two watched first
+    conflict = None  # the step all of whose literals are false
+    for index, k in enumerate(sources):
         if deadline is not None and monotonic() > deadline:
-            check_time()
-        index = admit(clause_lits, mask, None)
-        if index is not None:
-            sources.append(k)
-            if not clause_lits:
-                return returned(UNSAT, [index])  # {} sorts first and subsumes every later input
+            stop("time budget")
+        clause_lits = codes[k]
+        if len(clause_lits) > 1:
+            work[index] = list(clause_lits)
+            watches[clause_lits[0]].append(index)
+            watches[clause_lits[1]].append(index)
+        elif not clause_lits:
+            return returned(UNSAT, [index])  # {} sorts first
+        elif value[clause_lits[0]] < 0:
+            conflict = index  # the complement of an earlier unit
+            break
+        else:
+            value[clause_lits[0]], value[clause_lits[0] ^ 1] = 1, -1
+            reason[clause_lits[0] >> 1] = index
+            trail.append(clause_lits[0])
 
-    for v in range(v, -1, -1):
-        # bucket v: the retained clauses on v with no bit above v's two literals;
-        # its resolvents lack v and so fall into lower buckets, never this one
-        above = 2 * v + 2
-        clash = 3 << 2 * v
-        positives = [k for k in occurs[2 * v] if not masks[k] >> above]
-        negatives = [k for k in occurs[2 * v + 1] if not masks[k] >> above]
-        # resolvent bitmask -> its least (i, j, pivot): a later candidate for
-        # the same clause sorts after it and is never admitted
-        first: dict[int, tuple[int, int, int]] = {}
-        for p in positives:
-            check_time()
-            mask_p = masks[p]
-            for n in negatives:
-                if deadline is not None and monotonic() > deadline:  # inlined: the hottest loop
-                    check_time()
-                mask = (mask_p | masks[n]) & ~clash
-                if mask & (mask >> 1) & positive or mask in known:
-                    continue  # a tautology, or a clause already retained
-                # i < j, and the pivot is v's literal as it occurs in clause i
-                candidate = (p, n, 2 * v) if p < n else (n, p, 2 * v + 1)
-                best = first.get(mask)
-                if best is None or candidate < best:
-                    first[mask] = candidate
-        # candidates in the order of (sorted literals, parents, pivot); each
-        # literal tuple is the one Clause.union builds: clause i without the
-        # pivot, then the literals of clause j it does not already hold
-        candidates = []
-        for mask, origin in first.items():
-            if deadline is not None and monotonic() > deadline:  # inlined, as in the partner loop
-                check_time()
-            i, j, pivot = origin
-            mask_i = masks[i]
-            complement = pivot ^ 1
-            clause_lits = tuple([lit for lit in lits[i] if lit != pivot]
-                                + [lit for lit in lits[j] if lit != complement and not mask_i >> lit & 1])
-            candidates.append((sorted(clause_lits), origin, clause_lits, mask))
-        candidates.sort()
-        for _, origin, clause_lits, mask in candidates:
-            check_time()
-            index = admit(clause_lits, mask, origin)
-            if index is not None and not clause_lits:
-                return returned(UNSAT, _backtrace(origins, index))
-    return returned(SATURATED, list(range(len(masks))))
+    activity = [0.0] * len(names)
+    bump = 1.0  # grows by 1 / 0.95 per conflict, so recent conflicts weigh more
+    heap = list(zip(activity, range(len(names))))  # (-activity, variable), stale once the activity moved on
+    queued = [True] * len(names)  # per variable: the heap holds an entry at its activity
+    head = 0  # the trail position of the next literal to propagate
+    while True:
+        while conflict is None and head < len(trail):
+            if deadline is not None and monotonic() > deadline:
+                stop("time budget")
+            false = trail[head] ^ 1
+            head += 1
+            watching = watches[false]
+            kept = []
+            for position, index in enumerate(watching):
+                if deadline is not None and monotonic() > deadline:
+                    stop("time budget")
+                clause = work[index]
+                other = clause[0]
+                if other == false:
+                    other = clause[0] = clause[1]
+                    clause[1] = false
+                if value[other] > 0:
+                    kept.append(index)
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] >= 0:  # watch lit instead
+                        clause[1], clause[k] = lit, false
+                        watches[lit].append(index)
+                        break
+                else:
+                    kept.append(index)
+                    if value[other] < 0:
+                        conflict = index
+                        kept += watching[position + 1:]
+                        break
+                    value[other], value[other ^ 1] = 1, -1
+                    level[other >> 1] = len(starts)
+                    reason[other >> 1] = index
+                    trail.append(other)
+            watches[false] = kept
+
+        if conflict is None:
+            while heap:  # decide
+                if deadline is not None and monotonic() > deadline:
+                    stop("time budget")
+                negated, v = heapq.heappop(heap)
+                if -negated == activity[v]:
+                    queued[v] = False
+                    if not value[2 * v]:
+                        break
+            else:
+                model = tuple([Literal(name, value[2 * v] < 0) for v, name in enumerate(names)])
+                return returned(SATURATED, list(range(len(origins))), model)
+            starts.append(len(trail))
+            value[2 * v + 1], value[2 * v] = 1, -1
+            level[v] = len(starts)
+            trail.append(2 * v + 1)
+            continue
+
+        conflicts += 1
+        clause = antecedent = conflict
+        if not starts:  # resolve the conflict with the reasons of its literals, latest first, down to {}
+            for true in reversed(trail):
+                if deadline is not None and monotonic() > deadline:
+                    stop("time budget")
+                if masks[clause] >> (true ^ 1) & 1:
+                    clause = resolve(clause, reason[true >> 1], true ^ 1)
+            return returned(UNSAT, _backtrace(origins, clause))
+        # first-UIP analysis: resolve the conflict with the reasons of its
+        # literals of this level, latest first, until one of them is left;
+        # the learned clause is that literal and those below this level
+        current = len(starts)
+        seen = set()
+        count = 0  # literals of this level in the clause
+        below: list[int] = []  # literals below this level in the clause
+        back = top = 0  # the highest level in below, and its first place there
+        position = len(trail)
+        while True:
+            if deadline is not None and monotonic() > deadline:
+                stop("time budget")
+            for lit in work[antecedent]:
+                v = lit >> 1
+                if v not in seen:
+                    seen.add(v)
+                    activity[v] += bump
+                    queued[v] = False
+                    if level[v] == current:
+                        count += 1
+                    else:
+                        if level[v] > back:
+                            back, top = level[v], len(below)
+                        below.append(lit)
+            position -= 1
+            while trail[position] >> 1 not in seen:
+                if deadline is not None and monotonic() > deadline:
+                    stop("time budget")
+                position -= 1
+            true = trail[position]
+            count -= 1
+            if not count:
+                break
+            antecedent = reason[true >> 1]
+            clause = resolve(clause, antecedent, true ^ 1)
+        bump /= 0.95
+        if bump > 1e100:
+            activity = [a * 1e-100 for a in activity]
+            bump *= 1e-100
+            heap = [(-a, v) for v, a in enumerate(activity)]
+            heapq.heapify(heap)
+            queued = [True] * len(names)
+
+        # backjump to the highest level below this one in the learned clause,
+        # where it is a unit: watch its asserted literal and one of that level
+        for lit in trail[starts[back]:]:
+            if deadline is not None and monotonic() > deadline:
+                stop("time budget")
+            value[lit] = value[lit ^ 1] = 0
+            if not queued[lit >> 1]:
+                heapq.heappush(heap, (-activity[lit >> 1], lit >> 1))
+                queued[lit >> 1] = True
+        del trail[starts[back]:]
+        del starts[back:]
+        head = len(trail)
+        asserted = true ^ 1
+        if below:
+            below[0], below[top] = below[top], below[0]
+            work[clause] = [asserted] + below
+            watches[asserted].append(clause)
+            watches[below[0]].append(clause)
+        value[asserted], value[true] = 1, -1
+        level[asserted >> 1] = back
+        reason[asserted >> 1] = clause
+        trail.append(asserted)
+        conflict = None
 
 
 def _backtrace(origins: list[tuple[int, int, int] | None], empty_index: int) -> list[int]:

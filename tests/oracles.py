@@ -308,12 +308,10 @@ def _pairs(clause: Clause) -> set[tuple[str, bool]]:
     return {(lit.variable, lit.negated) for lit in clause}
 
 
-def check_refutation(inputs: ClauseSet, result) -> None:
-    """Fail unless result's steps refute inputs: each input step is a clause
-    of inputs, each resolvent is its two earlier parents minus the pivot and
-    its complement, and the chain ends in {}."""
+def _check_steps(inputs: ClauseSet, steps) -> None:
+    """Fail unless each input step is a clause of inputs and each resolvent
+    is its two earlier parents minus the pivot and its complement."""
     allowed = {frozenset(_pairs(c)) for c in inputs}
-    steps = result.steps
     for index, step in enumerate(steps):
         assert step.index == index
         body = _pairs(step.clause)
@@ -327,34 +325,49 @@ def check_refutation(inputs: ClauseSet, result) -> None:
         assert (name, negated) in left and (name, not negated) in right, f"step {index}: no pivot pair"
         assert body == (left - {(name, negated)}) | (right - {(name, not negated)}), (
             f"step {index}: {step.clause} is not the resolvent of steps {i} and {j}")
+
+
+def check_refutation(inputs: ClauseSet, result) -> None:
+    """Fail unless result's steps refute inputs: each input step is a clause
+    of inputs, each resolvent is its two earlier parents minus the pivot and
+    its complement, and the chain ends in {}."""
+    steps = result.steps
+    _check_steps(inputs, steps)
     assert result.empty_step == len(steps) - 1 and not steps[-1].clause.literals
 
 
-def saturation_model(retained: Iterable[Clause], variables: Iterable[str]) -> Assignment:
-    """A model of a clause set saturated under ordered resolution, read off
-    bucket by bucket with no backtracking.  Every variable starts False; from
-    the smallest name up, each takes the first of False, True that satisfies
-    every retained clause whose largest variable it is."""
-    model = dict.fromkeys(sorted(variables), False)
-    buckets: dict[str, list[Clause]] = {}
-    for clause in retained:
-        assert clause.literals, "a saturated set holds no {}"
-        buckets.setdefault(max(lit.variable for lit in clause), []).append(clause)
-    for name in sorted(buckets):
-        for value in (False, True):
-            model[name] = value
-            if all(eval_clause(c, model) for c in buckets[name]):
-                break
-        else:
-            raise AssertionError(f"no value of {name} satisfies its bucket")
-    return model
+def check_model(inputs: ClauseSet, model) -> None:
+    """Fail unless model gives every variable of inputs one value, in name
+    order, and satisfies every clause of inputs."""
+    assert model is not None, "a satisfiable result carries no model"
+    assert [lit.variable for lit in model] == sorted(inputs.variables()), "the model is not one literal per variable"
+    assignment = {lit.variable: not lit.negated for lit in model}
+    assert eval_clause_set(inputs, assignment), "the model falsifies an input clause"
 
 
 def check_certificate(inputs: ClauseSet, result) -> None:
-    """An UNSAT result must refute inputs step by step; a saturated one must
-    yield a model of inputs."""
+    """An UNSAT result must refute inputs step by step; a satisfiable one
+    must log only sound steps and carry a model of inputs."""
     if result.is_unsat:
         check_refutation(inputs, result)
     else:
-        model = saturation_model((step.clause for step in result.steps), inputs.variables())
-        assert eval_clause_set(inputs, model), "the saturation model falsifies an input clause"
+        _check_steps(inputs, result.steps)
+        check_model(inputs, result.model)
+
+
+# --- hard families ---------------------------------------------------------------
+
+
+def pigeonhole(holes: int) -> ClauseSet:
+    """PHP(holes + 1 -> holes): holes + 1 pigeons, each in some hole, and no
+    two in one hole; unsatisfiable, and every resolution refutation is
+    exponential in holes (Haken, TCS 1985).  Variable p<i>_<j> says that
+    pigeon i sits in hole j."""
+    pigeons = range(holes + 1)
+
+    def p(i: int, j: int, negated: bool = False) -> Literal:
+        return Literal(f"p{i}_{j}", negated)
+
+    somewhere = [Clause(p(i, j) for j in range(holes)) for i in pigeons]
+    apart = [Clause([p(i, j, True), p(k, j, True)]) for j in range(holes) for i in pigeons for k in pigeons if i < k]
+    return ClauseSet(somewhere + apart)

@@ -35,7 +35,8 @@ class TestProve:
     def test_trace_flag_appends_numbered_steps(self, capsys):
         code, out, _ = run(capsys, "prove", "--fixture", "S", "--trace")
         assert code == cli.EXIT_OK
-        assert "0: {P, ~Q, R} [input]" in out
+        assert "0: {~P} [input]" in out
+        assert "2: {P, ~Q, R} [input]" in out
 
     def test_satisfiable_input_exits_one(self, tmp_path, capsys):
         path = tmp_path / "clauses.txt"
@@ -43,6 +44,22 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "--input", str(path))
         assert code == cli.EXIT_SAT
         assert "SATISFIABLE" in out
+
+    def test_satisfiable_input_prints_its_model(self, monkeypatch, capsys):
+        import io
+
+        # Z occurs only in a dropped tautology and still gets a value
+        text = "P ~P Z\nP Q\n~Q R\n~R\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "prove", "--input", "-")
+        assert code == cli.EXIT_SAT
+        assert out.splitlines() == ["SATISFIABLE: the clause set has a model", "model: P ~Q ~R ~Z"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run(capsys, "prove", "--input", "-", "--format", "json")
+        assert code == cli.EXIT_SAT
+        payload = json.loads(out)
+        assert payload["verdict"] == "saturated" and payload["empty_step"] is None
+        assert payload["model"] == ["P", "~Q", "~R", "~Z"]
 
     def test_stdin_clause_lines(self, monkeypatch, capsys):
         import io
@@ -89,13 +106,16 @@ class TestProve:
         code, out, _ = run(capsys, "prove", "--fixture", "S", "--format", "json")
         assert code == cli.EXIT_OK
         payload = json.loads(out)
-        assert payload["verdict"] == "unsat"
+        assert payload["verdict"] == "unsat" and payload["model"] is None
         last = payload["steps"][payload["empty_step"]]
         assert last["clause"] == [] and last["on"] is not None
         inputs = [s for s in payload["steps"] if s["parents"] is None]
         assert len(inputs) == 6
         assert payload["steps"][0] == {
-            "index": 0, "clause": ["P", "~Q", "R"], "parents": None, "on": None,
+            "index": 0, "clause": ["~P"], "parents": None, "on": None,
+        }
+        assert payload["steps"][2] == {
+            "index": 2, "clause": ["P", "~Q", "R"], "parents": None, "on": None,
         }
 
     def test_malformed_input_exits_indeterminate(self, tmp_path, capsys):
@@ -329,7 +349,7 @@ class TestCompare:
         assert out.splitlines() == [
             "resolution: INDETERMINATE",
             "hybridization: UNSAT",
-            "resolution indeterminate: clause budget of 1 exhausted at variable V with 1 clauses retained",
+            "resolution indeterminate: clause budget of 1 exhausted after 0 conflicts with 1 steps logged",
             "INDETERMINATE",
         ]
         assert err == ""

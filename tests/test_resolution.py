@@ -1,4 +1,4 @@
-"""Binary resolution, the bucket elimination loop, its certificates, and deduction rendering."""
+"""Binary resolution, the conflict-driven search, its certificates, and deduction rendering."""
 
 import hashlib
 import itertools
@@ -159,18 +159,22 @@ class TestRefute:
                 assert step.pivot.complement() in result.steps[j].clause
 
     def test_tautologies_are_dropped(self):
-        # {P, ~P} contributes nothing; the rest saturates without it
+        # {P, ~P} contributes nothing; the rest is satisfiable without it
         result = refute(ClauseSet.parse("P ~P\nQ\n"))
         assert result.verdict == SATURATED
         assert all(not oracles.is_tautology(s.clause) for s in result.steps)
 
-    def test_subsumed_resolvents_are_not_admitted(self):
-        result = refute(ClauseSet.parse("P Q\n~P Q\nQ R\n"))
-        assert result.verdict == SATURATED
-        clauses = [s.clause for s in result.steps]
-        for k, clause in enumerate(clauses):
-            for other in clauses[:k]:
-                assert not oracles.subsumes(other, clause)
+    def test_satisfiable_input_ends_with_a_model(self):
+        # decisions go in name order while no conflict has raised an
+        # activity, each to its negative literal first: ~P makes {P, Q} a
+        # unit, Q follows, and ~R is decided; no conflict, so no resolvent
+        s = ClauseSet.parse("P Q\n~P Q\nQ R\n")
+        result = refute(s)
+        assert result.verdict == SATURATED and result.empty_step is None
+        assert result.model == (Literal("P", True), Literal("Q"), Literal("R", True))
+        assert result.trace_lines() == ["0: {P, Q} [input]", "1: {~P, Q} [input]", "2: {Q, R} [input]"]
+        oracles.check_model(s, result.model)
+        assert refute(ClauseSet.parse("P\n~P\n")).model is None
 
     def test_clause_budget_is_enforced(self):
         wide = ClauseSet.parse(
@@ -187,22 +191,28 @@ class TestRefute:
             refute(ClauseSet.parse("P Q\n~P Q\nP ~Q\n~P ~Q\n"), max_seconds=0.0)
 
     def test_clause_budget_message_says_how_far_it_got(self):
-        # the inputs fill the budget; the first resolvent, {P, Q} on R, overflows it
-        wide = ClauseSet.parse("P Q R\n~P Q R\nP ~Q R\nP Q ~R\n")
-        assert refute(wide).verdict == SATURATED
-        with pytest.raises(ResourceLimitError) as info:
-            refute(wide, max_clauses=4)
-        assert str(info.value) == "clause budget of 4 exhausted at variable R with 4 clauses retained"
+        # the four inputs, then the learned unit {P} on Q (conflict 1), then
+        # {~P} and {} at level 0 (conflict 2): each budget stops the search
+        # at the step that would pass it
+        s = ClauseSet.parse("P Q\nP ~Q\n~P Q\n~P ~Q\n")
+        assert len(refute(s, max_clauses=7).steps) == 7
+        for budget, conflicts in ((3, 0), (4, 1), (5, 2), (6, 2)):
+            with pytest.raises(ResourceLimitError) as info:
+                refute(s, max_clauses=budget)
+            assert str(info.value) == (
+                f"clause budget of {budget} exhausted after {conflicts} conflicts with {budget} steps logged"
+            )
 
-    def test_time_budget_is_checked_during_admission(self, monkeypatch):
-        # the six inputs are admitted first, and then bucket R, the first one
-        # eliminated, yields two resolvents, {P} and {Q}; on a clock that
-        # passes the deadline at its k-th read, some k stops the search before
-        # each input and after {P} is retained and before {Q} is: the search
-        # can stop before each clause it admits, with the count it reached
+    def test_time_budget_is_checked_throughout_the_search(self, monkeypatch):
+        # ~P is decided and {P, Q} makes Q true, so {P, ~Q} conflicts
+        # (conflict 1): it resolves with {P, Q} into the learned unit {P}.
+        # At level 0, P and then Q make {~P, ~Q} conflict (conflict 2),
+        # which resolves with {~P, Q} and {P} down to {}.  On a clock that
+        # passes the deadline at its k-th read, some k stops the search at
+        # every stage, with the counts it reached
         from strandprover import resolution
 
-        s = ClauseSet.parse("P R\nQ R\n~R\n~P ~Q\n~P Q\nP ~Q\n")
+        s = ClauseSet.parse("P Q\nP ~Q\n~P Q\n~P ~Q\n")
         stops = []
         for k in itertools.count(1):
             reads = itertools.count(1)
@@ -214,10 +224,10 @@ class TestRefute:
                 stops.append(str(exc))
             else:
                 break
-        assert result.is_unsat
+        assert result.is_unsat and len(result.steps) == 7
         assert list(dict.fromkeys(stops)) == [
-            f"time budget exhausted at variable {variable} with {retained} clauses retained"
-            for variable, retained in [("R", k) for k in range(8)] + [("Q", 8), ("P", 9)]
+            f"time budget exhausted after {conflicts} conflicts with {logged} steps logged"
+            for conflicts, logged in [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6)]
         ]
 
     def test_the_deadline_starts_before_the_goal_is_converted(self, monkeypatch):
@@ -241,13 +251,17 @@ class TestRefute:
         assert result.is_unsat
         assert events[:2] == ["clock", "goal"]
 
-    def test_time_budget_is_checked_while_candidates_are_built(self, monkeypatch):
-        # bucket Z, the first one eliminated, resolves twelve clauses {Ak, Z}
-        # with twelve {~Z, Bk} into 144 candidates; on a clock that counts the
+    def test_time_budget_is_checked_within_100_lines(self, monkeypatch):
+        # {~W} makes W false at level 0, and 12 clauses {W, Uk, Uk+1} watch
+        # W: a long watch list.  ~A is then decided, and {A, X1} starts a
+        # chain X1 -> ... -> X10 that {~X10, A} refutes: conflict analysis
+        # resolves back along all 10 links to the learned unit {A}.  At level
+        # 0, A starts a chain Y1 -> ... -> Y10 that {~Y10, ~A} refutes, and
+        # that chain is resolved down to {}.  On a clock that counts the
         # lines run in the resolution module, the search must stop within 100
-        # lines of its deadline wherever the deadline falls: while the inputs
-        # are admitted, while partners are paired, while the candidates are
-        # built, and while they are admitted
+        # lines of its deadline wherever the deadline falls.  A one-line pass
+        # over the inputs or the variables reads no clock, so the set keeps
+        # fewer than 100 of each
         from strandprover import resolution
 
         lines = [0]
@@ -266,9 +280,16 @@ class TestRefute:
             return lines[0]
 
         monkeypatch.setattr(resolution, "time", types.SimpleNamespace(monotonic=now))
-        s = ClauseSet.parse("\n".join([f"A{k} Z" for k in range(12)] + [f"~Z B{k}" for k in range(12)]))
+        chain = 10
+        s = ClauseSet.parse("\n".join(
+            ["~W"] + [f"W U{k} U{k + 1}" for k in range(12)]
+            + ["A X1"] + [f"~X{k} X{k + 1}" for k in range(1, chain)] + [f"~X{chain} A"]
+            + ["~A Y1"] + [f"~Y{k} Y{k + 1}" for k in range(1, chain)] + [f"~Y{chain} ~A"]
+        ))
+        result = refute(s)
+        assert result.is_unsat and len([step for step in result.steps if not step.is_input]) == 2 * chain + 1
         overruns = []
-        for budget in itertools.count(0, 53):
+        for budget in itertools.count(0, 7):
             lines[0] = 0
             reads.clear()
             sys.settrace(trace)
@@ -284,20 +305,18 @@ class TestRefute:
         assert max(overruns) <= 100
 
     def test_input_edge_cases(self):
-        # Z occurs only in the tautology, which is dropped, so Z is never named
-        # and R is the largest variable: the inputs fill a budget of 3, and
-        # bucket R's resolvent {~Q} fills a budget of 4
+        # Z occurs only in the tautology, which is dropped, so no step holds
+        # Z, but the model still gives it a value: the three inputs left pass
+        # a budget of 2 and decide the set with no conflict under a budget of 3
         s = ClauseSet.parse("P ~P Z\nP Q\n~Q R\n~R\n")
-        for budget, variable in ((3, "R"), (4, "Q")):
-            with pytest.raises(ResourceLimitError) as info:
-                refute(s, max_clauses=budget)
-            assert str(info.value) == (
-                f"clause budget of {budget} exhausted at variable {variable} with {budget} clauses retained"
-            )
-        result = refute(s)
+        with pytest.raises(ResourceLimitError) as info:
+            refute(s, max_clauses=2)
+        assert str(info.value) == "clause budget of 2 exhausted after 0 conflicts with 2 steps logged"
+        result = refute(s, max_clauses=3)
         assert result.verdict == SATURATED
         assert [step.clause for step in result.steps if step.is_input] == [C("P Q"), C("~Q R"), C("~R")]
         assert all(lit.variable != "Z" for step in result.steps for lit in step.clause)
+        assert [str(lit) for lit in result.model] == ["P", "~Q", "~R", "~Z"]
 
         # a goal that repeats an input adds no step, and the input steps are the
         # caller's clauses in their written order, not the goal's sorted one
@@ -342,15 +361,15 @@ class TestRefute:
         for text in texts:
             result = refute(ClauseSet.parse(text))
             assert pickle.loads(pickle.dumps(result)) == copy.copy(result) == result
-            eager = RefutationResult(result.verdict, tuple(result.steps), result.empty_step)
+            eager = RefutationResult(result.verdict, tuple(result.steps), result.empty_step, result.model)
             assert result == eager and repr(result) == repr(eager) and hash(result) == hash(eager)
         with pytest.raises(AttributeError, match="'RefutationResult' object has no attribute 'stepz'"):
             refute(ClauseSet.parse("P\n")).stepz
 
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
-        # trace lines, stored literal order and the empty step reach the CLI's
-        # output, so they must not drift; the digest was recorded from the
-        # bucket elimination loop
+        # trace lines, stored literal order, the empty step and the model
+        # reach the CLI's output, so they must not drift; the digest was
+        # recorded from the conflict-driven search
         digest = hashlib.sha256()
         for s, goal in pinned_corpus():
             result = refute(s, goal)
@@ -359,8 +378,9 @@ class TestRefute:
                 result.trace_lines(),
                 [[(lit.variable, lit.negated) for lit in step.clause.literals] for step in result.steps],
                 result.empty_step,
+                result.model,
             )).encode() + b"\n")
-        assert digest.hexdigest() == "28d609c0568684521b3ba7ec4933794cc7ad36627291992443e94e8420e12413"
+        assert digest.hexdigest() == "ee80c8f135511429e893a6664ef6a79c8695efc914edfe97d1ba03fdc0111e99"
 
     def test_resolvents_are_those_of_resolve_pair(self):
         for s, goal in pinned_corpus():
@@ -407,14 +427,43 @@ class TestCertificates:
             oracles.check_certificate(s, refute(s))
 
     def test_goal_eliminated_last_is_decided_past_a_14_variable_3cnf(self):
-        # A sorts before every x, so its bucket is eliminated last, after the
-        # whole 3-CNF, although {A} and {~A} alone give {}
+        # A sorts before every x, so an engine that eliminates variables in
+        # reverse name order reaches it last, although {A} and {~A} alone
+        # give {}
         rng = random.Random(1960)
         for _ in range(3):
             s = random_3cnf(rng, 14, 4.3).union(ClauseSet([C("A")]))
             result = refute(s, Var("A"))
             assert result.is_unsat
             oracles.check_certificate(self.inputs(s, Var("A")), result)
+
+    @pytest.mark.parametrize("variables", [22, 26, 30])
+    def test_a_goal_that_sorts_first_is_refuted_at_once(self, variables):
+        # {A} and the negated goal {~A} are units: propagation refutes them
+        # at level 0 before any decision, whatever the 3-CNF beside them
+        rng = random.Random(variables)
+        for _ in range(3):
+            s = random_3cnf(rng, variables, 4.3).union(ClauseSet([C("A")]))
+            result = refute(s, Var("A"))
+            assert result.is_unsat
+            oracles.check_certificate(self.inputs(s, Var("A")), result)
+
+    def test_random_3cnf_at_50_variables_is_decided(self):
+        rng = random.Random(50)
+        for _ in range(3):
+            s = random_3cnf(rng, 50, 4.3)
+            oracles.check_certificate(s, refute(s))
+
+    def test_pigeonhole_5_into_4_is_refuted(self):
+        s = oracles.pigeonhole(4)
+        assert len(s) == 5 + 4 * 10 and len(s.names) == 20
+        result = refute(s)
+        assert result.is_unsat
+        oracles.check_refutation(s, result)
+
+    def test_pigeonhole_9_into_8_runs_out_of_time_with_a_message(self):
+        with pytest.raises(ResourceLimitError, match=r"^time budget exhausted after \d+ conflicts with \d+ steps logged$"):
+            refute(oracles.pigeonhole(8), max_seconds=0.2)
 
     def test_checkers_reject_a_broken_certificate(self):
         from strandprover.fixtures import clause_set_s
@@ -428,8 +477,12 @@ class TestCertificates:
             oracles.check_refutation(s, broken)
         with pytest.raises(AssertionError):
             oracles.check_refutation(ClauseSet(s.clauses[1:]), result)
-        with pytest.raises(AssertionError):
-            oracles.saturation_model([C("P"), C("~P")], ["P"])
+        sat = ClauseSet.parse("P Q\n~Q\n")
+        result = refute(sat)
+        oracles.check_certificate(sat, result)
+        for model in (None, (Literal("P"),), (Literal("P"), Literal("Q")), (Literal("Q", True), Literal("P"))):
+            with pytest.raises(AssertionError):
+                oracles.check_certificate(sat, RefutationResult(SATURATED, result.steps, None, model))
 
 
 class TestRenderDeduction:
