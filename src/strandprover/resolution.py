@@ -141,8 +141,6 @@ def refute(
     origins: list[tuple[int, int, int] | None] = [None] * len(masks)
     if deadline is not None and monotonic() > deadline:
         stop("time budget")  # each pass over the inputs above is as long as the input
-    if len(sources) > max_clauses:
-        stop(f"clause budget of {max_clauses}")
 
     def resolve(a: int, b: int, pivot: int) -> int:
         """Log the resolvent of steps a and b on a's literal pivot."""
@@ -179,6 +177,10 @@ def refute(
 
         return RefutationResult._deferred(verdict, len(order) - 1 if verdict == UNSAT else None, build, model)
 
+    if masks and not masks[0]:
+        return returned(UNSAT, [0])  # {} sorts first and is the whole refutation
+    if len(sources) > max_clauses:
+        stop(f"clause budget of {max_clauses}")
     value = [0] * (2 * len(names))  # per literal: 1 true, -1 false, 0 unassigned
     level = [0] * len(names)  # per assigned variable: its decision level
     reason = [0] * len(names)  # per assigned variable not decided: the step that implied it
@@ -195,8 +197,6 @@ def refute(
             work[index] = list(clause_lits)
             watches[clause_lits[0]].append(index)
             watches[clause_lits[1]].append(index)
-        elif not clause_lits:
-            return returned(UNSAT, [index])  # {} sorts first
         elif value[clause_lits[0]] < 0:
             conflict = index  # the complement of an earlier unit
             break

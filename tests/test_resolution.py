@@ -328,11 +328,13 @@ class TestRefute:
             if step.is_input:
                 assert any(step.clause is clause for clause in s)
 
-        # {} sorts first, so it is the whole refutation whatever else is given
+        # {} sorts first, so it is the whole refutation whatever else is
+        # given, and a budget of one step is enough for it
         empty = Clause()
         result = refute(ClauseSet([C("P Q"), C("Z ~Z"), empty, C("~P")]), goal=Var("P"))
         assert result.trace_lines() == ["0: {} [input]"]
         assert result.steps[0].clause is empty and result.empty_step == 0
+        assert refute(ClauseSet([C("P Q"), empty, C("~P")]), max_clauses=1).trace_lines() == ["0: {} [input]"]
 
     def test_steps_are_built_when_first_read(self, monkeypatch):
         # a caller that reads only the verdict, as compare does, builds no
