@@ -243,15 +243,10 @@ def cmd_simulate(args) -> int:
 
 def _print_dot_trace(g: graph.StrandGraph, report: graph.ExploreReport) -> None:
     """One DOT graph per state along the shortest trace to the first terminal."""
-    target = report.terminals[0] if report.terminals else 0
-    trace = report.trace_to(target)
-    current = trace.initial
-    print("// step 0 (initial)")
-    print(graph.to_dot(g.with_current(current)), end="")
-    for k, move in enumerate(trace.moves, start=1):
-        current = (current - move.removed) | move.added
-        print(f"// step {k}: {move.describe()}")
-        print(graph.to_dot(g.with_current(current)), end="")
+    trace = report.trace_to(report.terminals[0] if report.terminals else 0)
+    for k, state in enumerate(trace.walk(g)):
+        print(f"// step {k}: {trace.moves[k - 1].describe()}" if k else "// step 0 (initial)")
+        print(graph.to_dot(state), end="")
 
 
 def cmd_compare(args) -> int:

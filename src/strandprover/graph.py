@@ -116,13 +116,20 @@ class Trace:
     moves: tuple[Move, ...]
     final: frozenset[Edge]
 
-    def replay(self) -> frozenset[Edge]:
-        """Re-apply the moves set-wise, checking each is consistent."""
-        current = self.initial
+    def walk(self, g: StrandGraph) -> Iterator[StrandGraph]:
+        """g's shape in each state of the trace, the initial state first; each
+        move is applied by apply_move, so MoveError when a premise fails."""
+        g = g.with_current(self.initial)
+        yield g
         for move in self.moves:
-            if not move.removed <= current or move.added & current:
-                raise MoveError(f"move {move.describe()} does not apply")
-            current = (current - move.removed) | move.added
+            g = apply_move(g, move)
+            yield g
+
+    def replay(self, g: StrandGraph) -> frozenset[Edge]:
+        """The final edges, each move re-applied on g's shape by apply_move;
+        MoveError when a premise fails or the trace ends elsewhere."""
+        for state in self.walk(g):
+            current = state.current
         if current != self.final:
             raise MoveError("trace does not end in its recorded final state")
         return current

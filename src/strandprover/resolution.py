@@ -11,6 +11,7 @@ from .logic import MAX_CLAUSES, Clause, ClauseSet, Formula, Literal, Not, to_cla
 
 UNSAT = "unsat"
 SATURATED = "saturated"
+_ACTIVITY_LIMIT = 1e100  # past this, refute divides every activity and the bump by it
 
 
 class ResourceLimitError(RuntimeError):
@@ -108,15 +109,15 @@ def refute(
     false, ties going to the smallest name.  Each resolution that first-UIP
     conflict analysis performs is logged as a step, and a conflict with no
     decision left is resolved down to {}: an UNSAT result keeps the steps {}
-    derives from, a satisfiable one every step and a model, one literal per
-    variable in name order.  The inputs, tautologies dropped, are the first
+    derives from, a satisfiable one its input steps and a model, one literal
+    per variable in name order.  The inputs, tautologies dropped, are the first
     steps, in bitmask order, so equal inputs give equal step lists.  Past
     max_clauses steps, inputs included, or max_seconds from the call, it
     raises ResourceLimitError with the conflicts and steps it reached.  The
     search reads the set's codes and masks; step objects are built when
     first read, and an input step holds the set's own Clause.
     """
-    monotonic = time.monotonic
+    monotonic, limit = time.monotonic, _ACTIVITY_LIMIT
     deadline = None if max_seconds is None else monotonic() + max_seconds
     if goal is not None:
         s = s.union(to_clausal_form(Not(goal)))
@@ -187,14 +188,13 @@ def refute(
     trail: list[int] = []  # the true literals in the order assigned
     starts: list[int] = []  # per decision level above 0: where it starts on the trail
     watches: list[list[int]] = [[] for _ in value]  # per literal: the steps watching it
-    work: list[list[int] | None] = [None] * len(masks)  # per watched step: its literals, the two watched first
+    work: list[list[int] | None] = [None] * len(masks)  # per input and learned step: its literals, two watched first
     conflict = None  # the step all of whose literals are false
     for index, k in enumerate(sources):
         if deadline is not None and monotonic() > deadline:
             stop("time budget")
-        clause_lits = codes[k]
+        clause_lits = work[index] = list(codes[k])
         if len(clause_lits) > 1:
-            work[index] = list(clause_lits)
             watches[clause_lits[0]].append(index)
             watches[clause_lits[1]].append(index)
         elif value[clause_lits[0]] < 0:
@@ -258,7 +258,7 @@ def refute(
                         break
             else:
                 model = tuple([Literal(name, value[2 * v] < 0) for v, name in enumerate(names)])
-                return returned(SATURATED, list(range(len(origins))), model)
+                return returned(SATURATED, list(range(len(sources))), model)
             starts.append(len(trail))
             value[2 * v + 1], value[2 * v] = 1, -1
             level[v] = len(starts)
@@ -267,16 +267,10 @@ def refute(
 
         conflicts += 1
         clause = antecedent = conflict
-        if not starts:  # resolve the conflict with the reasons of its literals, latest first, down to {}
-            for true in reversed(trail):
-                if deadline is not None and monotonic() > deadline:
-                    stop("time budget")
-                if masks[clause] >> (true ^ 1) & 1:
-                    clause = resolve(clause, reason[true >> 1], true ^ 1)
-            return returned(UNSAT, _backtrace(origins, clause))
         # first-UIP analysis: resolve the conflict with the reasons of its
         # literals of this level, latest first, until one of them is left;
-        # the learned clause is that literal and those below this level
+        # the learned clause is that literal and those below this level.  At
+        # level 0 every literal is resolved, down to {}
         current = len(starts)
         seen = set()
         count = 0  # literals of this level in the clause
@@ -305,14 +299,16 @@ def refute(
                 position -= 1
             true = trail[position]
             count -= 1
-            if not count:
+            if not count and current:
                 break
             antecedent = reason[true >> 1]
             clause = resolve(clause, antecedent, true ^ 1)
+            if not masks[clause]:
+                return returned(UNSAT, _backtrace(origins, clause))
         bump /= 0.95
-        if bump > 1e100:
-            activity = [a * 1e-100 for a in activity]
-            bump *= 1e-100
+        if bump > limit:
+            activity = [a / limit for a in activity]
+            bump /= limit
             heap = [(-a, v) for v, a in enumerate(activity)]
             heapq.heapify(heap)
             queued = [True] * len(names)
@@ -332,9 +328,9 @@ def refute(
         asserted = true ^ 1
         if below:
             below[0], below[top] = below[top], below[0]
-            work[clause] = [asserted] + below
             watches[asserted].append(clause)
             watches[below[0]].append(clause)
+        work[clause] = [asserted] + below
         value[asserted], value[true] = 1, -1
         level[asserted >> 1] = back
         reason[asserted >> 1] = clause
@@ -343,18 +339,14 @@ def refute(
 
 
 def _backtrace(origins: list[tuple[int, int, int] | None], empty_index: int) -> list[int]:
-    """The steps the empty clause derives from, itself included, ascending."""
-    keep: set[int] = set()
-    stack = [empty_index]
-    while stack:
-        k = stack.pop()
-        if k in keep:
-            continue
-        keep.add(k)
-        origin = origins[k]
-        if origin is not None:
-            stack += origin[:2]
-    return sorted(keep)
+    """The steps the empty clause derives from, itself included, ascending:
+    one sweep down from it, as a step's parents come before it."""
+    keep = [False] * empty_index + [True]
+    for k in range(empty_index, -1, -1):
+        if keep[k] and origins[k] is not None:
+            i, j, _ = origins[k]
+            keep[i] = keep[j] = True
+    return [k for k, kept in enumerate(keep) if kept]
 
 
 def render_deduction(result: RefutationResult) -> str:

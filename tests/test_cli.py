@@ -667,6 +667,18 @@ class TestTopLevel:
         assert out == ""
         assert err == "error: input contains no clauses\n"
 
+    def test_the_empty_clause_has_no_strand_image(self, tmp_path, capsys):
+        # DIMACS writes {} as a bare 0: prove refutes the set in one step,
+        # while the strand commands refuse it before printing anything
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 1 2\n1 0\n0\n")
+        code, out, _ = run(capsys, "prove", "--input", str(path), "--trace")
+        assert code == cli.EXIT_OK
+        assert out.splitlines() == ["UNSAT: the clause set is refuted", "{}  [input]", "0: {} [input]"]
+        for command in ("compile", "simulate", "compare", "export"):
+            code, out, err = run(capsys, command, "--input", str(path))
+            assert (code, out, err) == (cli.EXIT_INDETERMINATE, "", "error: the empty clause has no strand image\n")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--help"])

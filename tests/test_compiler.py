@@ -26,7 +26,7 @@ from strandprover.compiler import (
     reverse_complement,
 )
 from strandprover.fixtures import CLAUSES_S, clause_set_s, fourway, hairpin
-from strandprover.graph import MAX_STATES, ExplorationLimitError, Site, apply_move, explore, from_process, sites_of
+from strandprover.graph import MAX_STATES, ExplorationLimitError, Site, explore, from_process, sites_of
 from strandprover.logic import Clause, ClauseSet, Literal, parse_formula, to_clausal_form
 from strandprover.process import Process, parse_process
 
@@ -267,7 +267,7 @@ class TestHybridizationVerdict:
         assert verdict.is_unsat
         assert verdict.free_sites == frozenset()
         assert [m.rule for m in verdict.witness.moves] == ["GB"] * 5
-        assert verdict.witness.replay() == verdict.graph.admissible
+        assert verdict.witness.replay(verdict.graph) == verdict.graph.admissible
 
     def test_single_positive_unit_stays_free(self):
         p, _ = compile_clauses(ClauseSet.parse("P\n"), default_codebook())
@@ -335,7 +335,7 @@ class TestHybridizationVerdict:
         monkeypatch.undo()
         assert verdict.outcome == outcome
         assert verdict == explored_verdict(p, MAX_STATES)
-        assert replayed(verdict) == verdict.witness.final
+        assert verdict.witness.replay(verdict.graph) == verdict.witness.final
 
     @pytest.mark.parametrize("bounds", [{"max_states": 0}, {"max_states": -1}])
     def test_non_positive_bounds_are_rejected_on_both_paths(self, bounds):
@@ -360,16 +360,6 @@ def explored_verdict(p: Process, max_states: int) -> Verdict:
     return Verdict(SAT_BY_HYBRIDIZATION, report.trace_to(best), free, g)
 
 
-def replayed(verdict: Verdict) -> frozenset:
-    """The witness's final state, each move applied through apply_move, which
-    re-checks the rule's premises."""
-    g = verdict.graph.with_current(verdict.witness.initial)
-    for move in verdict.witness.moves:
-        g = apply_move(g, move)
-    assert g.current == verdict.witness.final
-    return g.current
-
-
 def assert_same_binding(verdict: Verdict, explored: Verdict) -> None:
     """Equal outcome, UNSAT witness and free-site labels; a SAT witness may end
     in another largest binding, but it replays and has the explored |E|."""
@@ -379,7 +369,7 @@ def assert_same_binding(verdict: Verdict, explored: Verdict) -> None:
     assert verdict.outcome == explored.outcome
     labels = [Counter(map(v.graph.label, v.free_sites)) for v in (verdict, explored)]
     assert labels[0] == labels[1]
-    assert len(replayed(verdict)) == len(explored.witness.final)
+    assert len(verdict.witness.replay(verdict.graph)) == len(explored.witness.final)
 
 
 def _literal_text(lit: Literal) -> str:
@@ -484,7 +474,7 @@ class TestClosedForm:
             verdict = hybridization_verdict(p)
             assert verdict.outcome == explored.outcome
             assert len(verdict.free_sites) == len(explored.free_sites)
-            assert len(replayed(verdict)) == len(explored.witness.final)
+            assert len(verdict.witness.replay(verdict.graph)) == len(explored.witness.final)
             kinds[verdict.outcome] += 1
             kinds["anchored"] += any(verdict.graph._index.anchors)
         assert kinds["skipped"] < 10 and kinds[UNSAT_BY_HYBRIDIZATION] > 0, kinds
@@ -501,7 +491,7 @@ class TestClosedForm:
         s = ClauseSet(clauses)
         assert reachable_states(s) > 50_000
         verdict = hybridization_verdict(clause_process(s))
-        assert len(verdict.witness.replay()) == largest_matching(s)
+        assert len(verdict.witness.replay(verdict.graph)) == largest_matching(s)
         assert len(verdict.free_sites) == sum(map(len, s)) - 2 * largest_matching(s)
 
     def test_more_binds_than_the_depth_budget(self):
@@ -510,4 +500,4 @@ class TestClosedForm:
         verdict = hybridization_verdict(clause_process(s))
         assert verdict.is_unsat
         assert len(verdict.witness.moves) == 201 > 200
-        assert len(verdict.witness.replay()) == largest_matching(s) == 201
+        assert len(verdict.witness.replay(verdict.graph)) == largest_matching(s) == 201

@@ -910,7 +910,7 @@ class TestExplore:
         assert report.depths[terminal] == 5
         trace = report.trace_to(terminal)
         assert [m.rule for m in trace.moves] == ["GB"] * 5
-        assert trace.replay() == g.admissible
+        assert trace.replay(g) == g.admissible
 
     def test_fourway_swapped_state_within_depth_three(self):
         g = fourway_graph()
@@ -1003,9 +1003,10 @@ class TestExplore:
             assert apply_move(g.with_current(report.states[i]), move).current == report.states[k]
 
     def test_traces_replay_for_every_state(self):
-        report = explore(hairpin_graph())
+        g = hairpin_graph()
+        report = explore(g)
         for k in range(len(report.states)):
-            assert report.trace_to(k).replay() == report.states[k]
+            assert report.trace_to(k).replay(g) == report.states[k]
 
 
 class TestLazyReport:
@@ -1031,11 +1032,12 @@ class TestLazyReport:
 
     def test_a_trace_decodes_only_its_own_moves(self, monkeypatch):
         calls = self.counted_decode(monkeypatch)
-        report = explore(hairpin_and_fourway_graph())
+        g = hairpin_and_fourway_graph()
+        report = explore(g)
         k = len(report.states) - 1
         trace = report.trace_to(k)
         assert len(trace.moves) == report.depths[k] == len(calls)
-        assert trace.replay() == report.states[k]
+        assert trace.replay(g) == report.states[k]
         report.trace_to(k)  # a move is decoded once per report
         assert len(calls) == report.depths[k]
 
@@ -1057,12 +1059,13 @@ class TestLazyReport:
         assert frozenset() not in report.states
 
     def test_a_report_with_replaced_states_still_traces(self):
-        report = explore(hairpin_graph())
+        g = hairpin_graph()
+        report = explore(g)
         copy = replace(report, states=list(report.states))
         assert type(copy.states) is list and copy == report
         for k in report.terminals:
             assert copy.trace_to(k) == report.trace_to(k)
-            assert copy.trace_to(k).replay() == copy.states[k]
+            assert copy.trace_to(k).replay(g) == copy.states[k]
 
 
 class TestTrace:
@@ -1071,13 +1074,24 @@ class TestTrace:
         move = Move("GB", frozenset(), frozenset([E(1, 2, 3, 1)]))
         bad = Trace(frozenset([E(1, 2, 3, 1)]), (move,), frozenset([E(1, 2, 3, 1)]))
         with pytest.raises(MoveError):
-            bad.replay()
+            bad.replay(g)
 
     def test_replay_rejects_wrong_final_state(self):
         move = Move("GB", frozenset(), frozenset([E(1, 2, 3, 1)]))
         bad = Trace(frozenset(), (move,), frozenset())
         with pytest.raises(MoveError):
-            bad.replay()
+            bad.replay(theorem_graph())
+
+    def test_replay_checks_each_premise_through_the_rule_appliers(self):
+        # the second GB adds an edge that no current edge holds, but it binds
+        # site (1,1) again: bind refuses it
+        g = from_process(pr.parse_process("<a> | <a*> | <a*>"))
+        first, second = (Move("GB", frozenset(), frozenset([x])) for x in (E(1, 1, 2, 1), E(1, 1, 3, 1)))
+        twice = Trace(frozenset(), (first, second), frozenset([E(1, 1, 2, 1), E(1, 1, 3, 1)]))
+        assert [state.current for state in Trace(frozenset(), (first,), frozenset()).walk(g)] == [
+            frozenset(), frozenset([E(1, 1, 2, 1)])]
+        with pytest.raises(MoveError, match=r"an endpoint of \(1,1\)-\(3,1\) is already bound"):
+            twice.replay(g)
 
     def test_lines_show_rule_and_edge_count(self):
         report = explore(theorem_graph())

@@ -371,7 +371,8 @@ class TestRefute:
     def test_step_lists_are_pinned_on_a_seeded_corpus(self):
         # trace lines, stored literal order, the empty step and the model
         # reach the CLI's output, so they must not drift; the digest was
-        # recorded from the conflict-driven search
+        # recorded from the conflict-driven search, with a satisfiable result
+        # holding only its input steps
         digest = hashlib.sha256()
         for s, goal in pinned_corpus():
             result = refute(s, goal)
@@ -382,7 +383,7 @@ class TestRefute:
                 result.empty_step,
                 result.model,
             )).encode() + b"\n")
-        assert digest.hexdigest() == "ee80c8f135511429e893a6664ef6a79c8695efc914edfe97d1ba03fdc0111e99"
+        assert digest.hexdigest() == "a07a10afc667813a3b72efa144c79c8afbe993fb1f3162bd1cf54817f35a441c"
 
     def test_resolvents_are_those_of_resolve_pair(self):
         for s, goal in pinned_corpus():
@@ -417,6 +418,8 @@ class TestCertificates:
         for s, goal in pinned_corpus():
             result = refute(s, goal)
             oracles.check_certificate(self.inputs(s, goal), result)
+            if not result.is_unsat:  # its model is the evidence: no resolvent is kept
+                assert all(step.is_input for step in result.steps)
             verdicts[result.verdict] += 1
         assert verdicts == {UNSAT: 207, SATURATED: 710}
 
@@ -462,6 +465,28 @@ class TestCertificates:
         result = refute(s)
         assert result.is_unsat
         oracles.check_refutation(s, result)
+
+    def test_activities_are_rescaled_past_their_limit(self, monkeypatch):
+        # at the real limit one rescale takes thousands of conflicts; at 1.5
+        # the bump passes it every few conflicts, and each time every
+        # variable goes back on a rebuilt heap
+        import heapq
+
+        from strandprover import resolution
+
+        rebuilt = []
+
+        def heapify(heap):
+            rebuilt.append(len(heap))
+            heapq.heapify(heap)
+
+        monkeypatch.setattr(resolution, "_ACTIVITY_LIMIT", 1.5)
+        monkeypatch.setattr(resolution, "heapq", types.SimpleNamespace(
+            heappop=heapq.heappop, heappush=heapq.heappush, heapify=heapify))
+        s = oracles.pigeonhole(4)
+        result = refute(s)
+        assert rebuilt and set(rebuilt) == {len(s.names)}
+        oracles.check_certificate(s, result)
 
     def test_pigeonhole_9_into_8_runs_out_of_time_with_a_message(self):
         with pytest.raises(ResourceLimitError, match=r"^time budget exhausted after \d+ conflicts with \d+ steps logged$"):
