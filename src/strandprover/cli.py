@@ -215,38 +215,27 @@ def cmd_compile(args) -> int:
 def cmd_simulate(args) -> int:
     g = _load_graph(args)
     report = graph.explore(g, max_states=args.max_states)
+    if args.format == "dot":  # one DOT graph per state along the shortest trace to the first terminal
+        trace = report.trace_to(report.terminals[0] if report.terminals else 0)
+        for k, state in enumerate(trace.walk(g)):
+            print(f"// step {k}: {trace.moves[k - 1].describe()}" if k else "// step 0 (initial)")
+            print(graph.to_dot(state), end="")
+        return EXIT_OK
+    terminals = []  # one record per terminal, read off its trace
+    for i in report.terminals:
+        trace = report.trace_to(i)
+        edges = [str(e) for e in sorted(trace.final)]
+        terminals.append({"edges": edges, "depth": report.depths[i], "trace": trace.lines(g)})
     if args.format == "json":
-        payload = {
-            "states": len(report.states),
-            "terminals": [
-                {
-                    "edges": [str(e) for e in sorted(report.states[i])],
-                    "depth": report.depths[i],
-                    "trace": report.trace_to(i).lines(),
-                }
-                for i in report.terminals
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "dot":
-        _print_dot_trace(g, report)
+        print(json.dumps({"states": len(report.states), "terminals": terminals}, indent=2))
     else:
         print(f"states explored: {len(report.states)}")
-        print(f"terminal states: {len(report.terminals)}")
-        for i in report.terminals:
-            edges = ", ".join(str(e) for e in sorted(report.states[i])) or "none"
-            print(f"terminal at depth {report.depths[i]}: |E|={len(report.states[i])} edges: {edges}")
-            for line in report.trace_to(i).lines():
+        print(f"terminal states: {len(terminals)}")
+        for t in terminals:
+            print(f"terminal at depth {t['depth']}: |E|={len(t['edges'])} edges: {', '.join(t['edges']) or 'none'}")
+            for line in t["trace"]:
                 print(f"  {line}")
     return EXIT_OK
-
-
-def _print_dot_trace(g: graph.StrandGraph, report: graph.ExploreReport) -> None:
-    """One DOT graph per state along the shortest trace to the first terminal."""
-    trace = report.trace_to(report.terminals[0] if report.terminals else 0)
-    for k, state in enumerate(trace.walk(g)):
-        print(f"// step {k}: {trace.moves[k - 1].describe()}" if k else "// step 0 (initial)")
-        print(graph.to_dot(state), end="")
 
 
 def cmd_compare(args) -> int:

@@ -14,11 +14,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .graph import MAX_STATES, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
+from .graph import MAX_STATES, Site, StrandGraph, bind_chain, binding_trace, explore, from_process, sites_of
 from .logic import Clause, ClauseSet, Literal
 from .process import Domain, Process, Strand
+
+if TYPE_CHECKING:  # Verdict's annotation only
+    from .graph import Trace
 
 BASES = "ACGT"
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
@@ -234,8 +237,8 @@ class Verdict:
     """A hybridization verdict: the outcome, a witness trace, the sites its
     final state leaves free, and the graph judged.  For a bond-free system
     whose toehold labels meet no complement, the SAT witness is the greedy
-    maximum binding (graph.bind_chain), which need not be terminal: its end
-    may still admit a displacement or a migration."""
+    maximum binding (graph.binding_trace), which need not be terminal: its
+    end may still admit a displacement or a migration."""
 
     outcome: str
     witness: Trace
@@ -259,7 +262,7 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
 
     When p has no bond and no toehold label meets its complement, no edge
     ever unbinds, and the verdict is built in closed form from the greedy
-    maximum binding (graph.bind_chain), read off the site labels in
+    maximum binding (graph.binding_trace), read off the site labels in
     O(sites); its UNSAT witness is the one exploration finds first.  Any
     other process, such as the hairpin, is explored breadth first under
     max_states; that bound must be positive whichever path runs.
@@ -270,22 +273,17 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         raise ValueError("empty strand system has no hybridization behaviour")
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
-    chain = None if g.current else bind_chain([ix.labels], ix.toehold_labels)
-    if chain is not None:
-        edges = [ix.edges[ix.partners[a][b]] for a, b in chain]
-        final = frozenset(edges)
-        witness = Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), final)
-        free = all_sites - sites_of(final)
-        return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)
-    report = explore(g, max_states=max_states)
-    # every explored state binds each site at most once, so it binds all of
-    # them exactly when it has half as many edges as there are sites; a
-    # state's edge count is its bitmask's, and only the states returned or
-    # traced to are decoded
-    sizes = [2 * mask.bit_count() for mask in report.masks]
-    if len(all_sites) in sizes:  # the first such state in discovery order is a shallowest
-        return Verdict(UNSAT_BY_HYBRIDIZATION, report.trace_to(sizes.index(len(all_sites))), frozenset(), g)
-    best = max(report.terminals or range(len(sizes)), key=lambda i: (sizes[i], -i))
-    witness = report.trace_to(best)
-    return Verdict(SAT_BY_HYBRIDIZATION, witness, all_sites - sites_of(witness.final), g)
+    witness = binding_trace(g)
+    if witness is None:
+        report = explore(g, max_states=max_states)
+        # every explored state binds each site at most once, so it binds all
+        # of them exactly when it has half as many edges as there are sites; a
+        # state's edge count is its bitmask's, and only the states returned or
+        # traced to are decoded
+        sizes = [2 * mask.bit_count() for mask in report.masks]
+        if len(all_sites) in sizes:  # the first such state in discovery order is a shallowest
+            witness = report.trace_to(sizes.index(len(all_sites)))
+        else:
+            witness = report.trace_to(max(report.terminals or range(len(sizes)), key=lambda i: (sizes[i], -i)))
+    free = all_sites - sites_of(witness.final)
+    return Verdict(SAT_BY_HYBRIDIZATION if free else UNSAT_BY_HYBRIDIZATION, witness, free, g)

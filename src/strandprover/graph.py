@@ -18,6 +18,7 @@ from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
@@ -134,13 +135,14 @@ class Trace:
             raise MoveError("trace does not end in its recorded final state")
         return current
 
-    def lines(self) -> list[str]:
-        out = []
-        current = self.initial
-        for k, move in enumerate(self.moves, start=1):
-            current = (current - move.removed) | move.added
-            out.append(f"step {k}: {move.describe()} |E|={len(current)}")
-        return out
+    def lines(self, g: StrandGraph) -> list[str]:
+        """One line per move: its rule, its edges and |E| in the state that
+        walk(g) reaches by it, so MoveError when a premise fails."""
+        after = islice(self.walk(g), 1, None)  # the state each move reaches
+        return [
+            f"step {k}: {move.describe()} |E|={len(state.current)}"
+            for k, (move, state) in enumerate(zip(self.moves, after), start=1)
+        ]
 
 
 def sites_of(edges: Iterable[Edge]) -> frozenset[Site]:
@@ -327,6 +329,17 @@ def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) 
             waiting.setdefault(label, deque()).append(t)
     chain.sort()  # pairs come in order of their later site
     return chain
+
+
+def binding_trace(g: StrandGraph) -> Trace | None:
+    """The greedy maximum binding of g (bind_chain) as GB moves in rank order;
+    None when g has a current edge or a toehold label meets its complement."""
+    ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
+    chain = None if g.current else bind_chain([ix.labels], ix.toehold_labels)
+    if chain is None:
+        return None
+    edges = [ix.edges[ix.partners[a][b]] for a, b in chain]
+    return Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), frozenset(edges))
 
 
 # --- moves -------------------------------------------------------------------

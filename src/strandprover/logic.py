@@ -19,6 +19,7 @@ class ParseError(ValueError):
 
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_DIMACS_HEADER = re.compile(r"p\s+cnf\s+[0-9]+\s+[0-9]+")  # the variable and clause counts
 
 
 class Formula:
@@ -419,8 +420,7 @@ class ClauseSet:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
-                fields = line.split()
-                if fields[:2] != ["p", "cnf"] or len(fields) != 4:
+                if not _DIMACS_HEADER.fullmatch(line):
                     raise ParseError(f"line {lineno}: bad DIMACS header {line!r}")
                 saw_header = True
                 continue

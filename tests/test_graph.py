@@ -27,6 +27,7 @@ from strandprover.graph import (
     apply_move,
     bind,
     bind_chain,
+    binding_trace,
     displace,
     edge_adjacent,
     explore,
@@ -1084,21 +1085,62 @@ class TestTrace:
 
     def test_replay_checks_each_premise_through_the_rule_appliers(self):
         # the second GB adds an edge that no current edge holds, but it binds
-        # site (1,1) again: bind refuses it
+        # site (1,1) again: bind refuses it, and no step line counts the
+        # edges of the state it would reach
         g = from_process(pr.parse_process("<a> | <a*> | <a*>"))
         first, second = (Move("GB", frozenset(), frozenset([x])) for x in (E(1, 1, 2, 1), E(1, 1, 3, 1)))
         twice = Trace(frozenset(), (first, second), frozenset([E(1, 1, 2, 1), E(1, 1, 3, 1)]))
         assert [state.current for state in Trace(frozenset(), (first,), frozenset()).walk(g)] == [
             frozenset(), frozenset([E(1, 1, 2, 1)])]
-        with pytest.raises(MoveError, match=r"an endpoint of \(1,1\)-\(3,1\) is already bound"):
-            twice.replay(g)
+        for read in (twice.replay, twice.lines):
+            with pytest.raises(MoveError, match=r"an endpoint of \(1,1\)-\(3,1\) is already bound"):
+                read(g)
 
     def test_lines_show_rule_and_edge_count(self):
-        report = explore(theorem_graph())
-        lines = report.trace_to(report.terminals[0]).lines()
+        g = theorem_graph()
+        report = explore(g)
+        lines = report.trace_to(report.terminals[0]).lines(g)
         assert len(lines) == 5
         assert lines[0].startswith("step 1: GB ")
         assert lines[-1].endswith("|E|=5")
+
+    def test_lines_count_the_edges_of_each_state_walked(self):
+        # on every explored trace of the hairpin, the four-way (which has no
+        # terminal) and the theorem, the counts are those of the set walk
+        # (current - removed) | added; the terminal traces' lines are pinned
+        terminal_lines = []
+        for g in (hairpin_graph(), fourway_graph(), theorem_graph()):
+            report = explore(g)
+            for i in range(len(report.states)):
+                trace = report.trace_to(i)
+                current, want = trace.initial, []
+                for k, move in enumerate(trace.moves, start=1):
+                    current = (current - move.removed) | move.added
+                    want.append(f"step {k}: {move.describe()} |E|={len(current)}")
+                assert trace.lines(g) == want
+                if i in report.terminals:
+                    terminal_lines += want
+        assert len(terminal_lines) == 10
+        digest = hashlib.sha256("\n".join(terminal_lines).encode()).hexdigest()
+        assert digest == "c401d11331d2b52139b3e1661d862e302e5b3de3155a978bdc594eb7884913c7"
+
+    def test_binding_trace_binds_the_greedy_chain(self):
+        g = theorem_graph()
+        witness = binding_trace(g)
+        assert [m.rule for m in witness.moves] == ["GB"] * 5 and not any(m.removed for m in witness.moves)
+        assert [next(iter(m.added)) for m in witness.moves] == [Edge(*pair) for pair in coded_bind_chain(g)]
+        assert witness.initial == frozenset() and witness.final == THEOREM_A
+        assert witness.replay(g) == THEOREM_A
+        # a toehold whose complement is absent changes nothing; no complement at all binds nothing
+        lone = from_process(pr.parse_process("<t^ a> | <a*>"))
+        assert binding_trace(lone).final == {E(1, 2, 2, 1)}
+        assert binding_trace(from_process(pr.parse_process("<a> | <b>"))) == Trace(frozenset(), (), frozenset())
+
+    def test_binding_trace_declines_where_an_edge_might_unbind(self):
+        # a current edge, or a toehold label that meets its complement
+        assert binding_trace(theorem_graph().with_current([E(1, 1, 5, 1)])) is None
+        assert binding_trace(from_process(pr.parse_process("<t^ a> | <a* t^*>"))) is None
+        assert binding_trace(from_process(pr.parse_process("<t^> | <a> | <a*> | <t^*>"))) is None
 
 
 # --- process/graph agreement -------------------------------------------------

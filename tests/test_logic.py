@@ -470,6 +470,8 @@ class TestClauseSet:
             (ClauseSet.from_dimacs, "1 x 0\n", "line 1: non-numeric DIMACS literal"),
             (ClauseSet.from_dimacs, "p cnf 1 1\n1 0\n2 -x\n", "line 3: non-numeric DIMACS literal"),
             (ClauseSet.from_dimacs, "p cnf 1\n1 0\n", "line 1: bad DIMACS header 'p cnf 1'"),
+            (ClauseSet.from_dimacs, "p cnf x y\n1 -2 0\n", "line 1: bad DIMACS header 'p cnf x y'"),
+            (ClauseSet.from_dimacs, "p cnf 2 -1\n1 -2 0\n", "line 1: bad DIMACS header 'p cnf 2 -1'"),
         ]
         for read, text, message in cases:
             with pytest.raises(ParseError) as err:
