@@ -187,7 +187,7 @@ def cmd_compile(args) -> int:
             book.sense(var)  # fail early on missing entries
     else:  # the built-in codes, and generated ones for any other variable
         default = compiler.default_codebook()
-        book = compiler.generate_codebook(s.variables(), length=default.code_length(), base=default)
+        book = compiler.generate_codebook(s.variables(), base=default)
     p, compiled = compiler.compile_clauses(s, book)
     if args.format == "json":
         payload = {

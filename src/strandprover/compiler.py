@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # Verdict's annotation only
 
 BASES = "ACGT"
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
+_DIGITS = str.maketrans("ACGT", "0123")  # a sequence read as a base-4 number
+_LENGTH, _MIN_DISTANCE = 10, 4  # of the codes generate_codebook finds
 
 
 class CodebookError(ValueError):
@@ -52,8 +54,8 @@ def hamming(a: str, b: str) -> int:
 class Codebook:
     """Sense sequences per variable; negated literals read as reverse complements.
 
-    All codes share one length, and no code may equal another code or another
-    code's reverse complement.
+    All codes share one length, and no code may equal another code, another
+    code's reverse complement or its own.
     """
 
     __slots__ = ("_codes",)
@@ -70,12 +72,14 @@ class Codebook:
                 if ch not in BASES:
                     raise CodebookError(f"code for {var} contains non-base {ch!r}")
         entries = [(var, seq, reverse_complement(seq)) for var, seq in items.items()]
-        for i, (v1, s1, _) in enumerate(entries):
+        for i, (v1, s1, rc1) in enumerate(entries):
             for v2, s2, rc2 in entries[i + 1 :]:
                 if s1 == s2:
                     raise CodebookError(f"{v1} and {v2} share a code")
                 if s1 == rc2:
                     raise CodebookError(f"code for {v1} is the reverse complement of {v2}'s")
+            if s1 == rc1:
+                raise CodebookError(f"code for {v1} is its own reverse complement")
         self._codes = items
 
     def variables(self) -> tuple[str, ...]:
@@ -135,41 +139,37 @@ def default_codebook() -> Codebook:
     return Codebook(_DEFAULT_SENSE)
 
 
-def generate_codebook(
-    variables: Iterable[str],
-    length: int = 10,
-    min_distance: int = 4,
-    seed: int = 0,
-    base: Codebook | None = None,
-) -> Codebook:
-    """Search for codes keeping every pair of distinct sequences, senses and
-    reverse complements alike, at Hamming distance >= min_distance; only a
-    code against its own reverse complement is exempt.  Deterministic for a
-    given seed.  Codes from base are kept and new ones must respect them.
-    """
-    if length < 4:
-        raise CodebookError("codes shorter than 4 bases are not supported")
-    if min_distance < 1:
-        raise CodebookError("min_distance must be at least 1")
-    rng = random.Random(seed)
+def generate_codebook(variables: Iterable[str], base: Codebook | None = None) -> Codebook:
+    """Ten-base codes for the variables base lacks, at least 4 bases from every
+    code and reverse complement, their own included.  Each word (an int, 2 bits
+    a base) within 3 bases of a taken code or its reverse complement is marked;
+    each variable in name order takes the first unmarked word from a probe of
+    Random(0) on, wrapping round.  CodebookError exactly when none is left."""
+    if base is not None and base.code_length() != _LENGTH:
+        raise CodebookError(f"base codebook codes must have {_LENGTH} bases")
     accepted: dict[str, str] = dict(base._codes) if base is not None else {}
-    if base is not None and base.code_length() != length:
-        raise CodebookError("base codebook length disagrees with the requested length")
-    taken = [code for seq in accepted.values() for code in (seq, reverse_complement(seq))]
-    attempts_per_variable = 2000
-    for var in sorted(set(variables)):
-        if var in accepted:
-            continue
-        for _ in range(attempts_per_variable):
-            candidate = "".join(rng.choice(BASES) for _ in range(length))
-            if all(hamming(candidate, other) >= min_distance for other in taken):
-                accepted[var] = candidate
-                taken += (candidate, reverse_complement(candidate))
-                break
-        else:
-            raise CodebookError(
-                f"no code found for {var!r} at length {length} and distance {min_distance}"
-            )
+    marked, rng = bytearray(4**_LENGTH), random.Random(0)
+    flips = [sum(x << 2 * at for at, x in zip(places, xs)) for r in range(_MIN_DISTANCE)  # 3 676 masks
+             for places in itertools.combinations(range(_LENGTH), r) for xs in itertools.product((1, 2, 3), repeat=r)]
+
+    def take(seq: str) -> None:
+        for word in (int(seq.translate(_DIGITS), 4), int(reverse_complement(seq).translate(_DIGITS), 4)):
+            for flip in flips:
+                marked[word ^ flip] = 1
+
+    for seq in accepted.values():
+        take(seq)
+    for var in sorted(set(variables) - accepted.keys()):
+        word = rng.randrange(len(marked))
+        while var not in accepted:
+            word = marked.find(0, word)
+            if word < 0 and (word := marked.find(0)) < 0:  # wrap round once
+                raise CodebookError(f"no {_LENGTH}-base code left for {var!r}")
+            marked[word] = 1  # taken, or within 3 bases of its own reverse complement
+            seq = "".join(BASES[word >> 2 * k & 3] for k in range(_LENGTH - 1, -1, -1))
+            if hamming(seq, reverse_complement(seq)) >= _MIN_DISTANCE:
+                accepted[var] = seq
+        take(accepted[var])
     return Codebook(accepted)
 
 

@@ -19,7 +19,7 @@ class ParseError(ValueError):
 
 
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_DIMACS_HEADER = re.compile(r"p\s+cnf\s+[0-9]+\s+[0-9]+")  # the variable and clause counts
+_DIMACS_HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")  # the variable and clause counts
 
 
 class Formula:
@@ -407,12 +407,15 @@ class ClauseSet:
     @classmethod
     def from_dimacs(cls, text: str) -> "ClauseSet":
         """DIMACS CNF; variable n becomes 'x<n>'.  A line starting with '%'
-        ends the input, as in the SATLIB benchmark files."""
+        ends the input, as in the SATLIB benchmark files.  Once the input is
+        read, it must hold as many clauses as its header says, and no
+        variable above the header's count."""
         variables: dict[str, int] = {}
         known: dict[str, int] = {}  # number token -> its code, -1 for a clause end
         rows: list[list[int]] = []
         current: list[int] = []
-        saw_header = False
+        header = None
+        top = 0  # the highest variable number read
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if line.startswith("%"):
@@ -420,9 +423,9 @@ class ClauseSet:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
-                if not _DIMACS_HEADER.fullmatch(line):
+                header = _DIMACS_HEADER.fullmatch(line)
+                if not header:
                     raise ParseError(f"line {lineno}: bad DIMACS header {line!r}")
-                saw_header = True
                 continue
             for tok in line.split():
                 if tok not in known:
@@ -430,6 +433,7 @@ class ClauseSet:
                         n = int(tok)
                     except ValueError:
                         raise ParseError(f"line {lineno}: non-numeric DIMACS literal") from None
+                    top = max(top, abs(n))
                     known[tok] = -1 if n == 0 else 2 * variables.setdefault(f"x{abs(n)}", len(variables)) + (n < 0)
                 lit = known[tok]
                 if lit < 0:
@@ -437,10 +441,15 @@ class ClauseSet:
                     current = []
                 else:
                     current.append(lit)
-        if not saw_header:
+        if header is None:
             raise ParseError("missing 'p cnf' header")
         if current:
             rows.append(current)
+        declared_variables, declared_clauses = map(int, header.groups())
+        if len(rows) != declared_clauses:
+            raise ParseError(f"the header declares {declared_clauses} clauses, the input has {len(rows)}")
+        if top > declared_variables:
+            raise ParseError(f"variable {top} is above the header's {declared_variables}")
         return cls._coded(list(variables), rows)
 
 

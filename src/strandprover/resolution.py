@@ -136,10 +136,9 @@ def refute(
     positive = (4 ** len(names) - 1) // 3  # bits 0, 2, 4, ...: the unnegated literals
     sources = [k for k, mask in enumerate(s.masks) if not mask & mask >> 1 & positive]  # drop tautologies
     sources.sort(key=s.masks.__getitem__)  # per input step: its clause's index in s, {} first
-    # per step, the inputs first: its bitmask, and (i, j, pivot) for a
-    # resolvent of steps i < j on clause i's literal pivot, None for an input
-    masks: list[int] = list(map(s.masks.__getitem__, sources[:max_clauses]))
-    origins: list[tuple[int, int, int] | None] = [None] * len(masks)
+    # per step, the inputs first: (i, j, pivot) for a resolvent of steps
+    # i < j on clause i's literal pivot, None for an input
+    origins: list[tuple[int, int, int] | None] = [None] * len(sources[:max_clauses])
     if deadline is not None and monotonic() > deadline:
         stop("time budget")  # each pass over the inputs above is as long as the input
 
@@ -148,7 +147,6 @@ def refute(
         if len(origins) >= max_clauses:
             stop(f"clause budget of {max_clauses}")
         origins.append((a, b, pivot) if a < b else (b, a, pivot ^ 1))
-        masks.append((masks[a] | masks[b]) & ~(1 << pivot | 1 << (pivot ^ 1)))
         work.append(None)
         return len(origins) - 1
 
@@ -169,16 +167,16 @@ def refute(
                     steps.append(DeductionStep(new, s.clauses[sources[old]]))
                     continue
                 i, j, pivot = origins[old]
-                mask_i, complement = masks[i], pivot ^ 1
+                row_i, complement = set(rows[i]), pivot ^ 1
                 row = rows[old] = ([lit for lit in rows[i] if lit != pivot]
-                                   + [lit for lit in rows[j] if lit != complement and not mask_i >> lit & 1])
+                                   + [lit for lit in rows[j] if lit != complement and lit not in row_i])
                 clause = Clause([literal[lit] for lit in row])
                 steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
             return tuple(steps)
 
         return RefutationResult._deferred(verdict, len(order) - 1 if verdict == UNSAT else None, build, model)
 
-    if masks and not masks[0]:
+    if origins and not s.masks[sources[0]]:
         return returned(UNSAT, [0])  # {} sorts first and is the whole refutation
     if len(sources) > max_clauses:
         stop(f"clause budget of {max_clauses}")
@@ -188,7 +186,7 @@ def refute(
     trail: list[int] = []  # the true literals in the order assigned
     starts: list[int] = []  # per decision level above 0: where it starts on the trail
     watches: list[list[int]] = [[] for _ in value]  # per literal: the steps watching it
-    work: list[list[int] | None] = [None] * len(masks)  # per input and learned step: its literals, two watched first
+    work: list[list[int] | None] = [None] * len(origins)  # per input and learned step: its literals, two watched first
     conflict = None  # the step all of whose literals are false
     for index, k in enumerate(sources):
         if deadline is not None and monotonic() > deadline:
@@ -278,8 +276,6 @@ def refute(
         back = top = 0  # the highest level in below, and its first place there
         position = len(trail)
         while True:
-            if deadline is not None and monotonic() > deadline:
-                stop("time budget")
             for lit in work[antecedent]:
                 v = lit >> 1
                 if v not in seen:
@@ -292,6 +288,10 @@ def refute(
                         if level[v] > back:
                             back, top = level[v], len(below)
                         below.append(lit)
+            if not count:  # at level 0 every literal counts, so the clause is {}
+                return returned(UNSAT, _backtrace(origins, clause))
+            if deadline is not None and monotonic() > deadline:
+                stop("time budget")
             position -= 1
             while trail[position] >> 1 not in seen:
                 if deadline is not None and monotonic() > deadline:
@@ -303,8 +303,6 @@ def refute(
                 break
             antecedent = reason[true >> 1]
             clause = resolve(clause, antecedent, true ^ 1)
-            if not masks[clause]:
-                return returned(UNSAT, _backtrace(origins, clause))
         bump /= 0.95
         if bump > limit:
             activity = [a / limit for a in activity]

@@ -45,6 +45,15 @@ class TestProve:
         assert code == cli.EXIT_SAT
         assert "SATISFIABLE" in out
 
+    def test_dimacs_clauses_beyond_the_header_are_refused(self, monkeypatch, capsys):
+        import io
+
+        # three clauses over three variables under a header of one and one
+        monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 1 1\n1 -2 0\n2 0\n-1 3 0\n"))
+        code, out, err = run(capsys, "prove", "--input", "-")
+        assert code == cli.EXIT_INDETERMINATE and out == ""
+        assert "the header declares 1 clauses, the input has 3" in err
+
     def test_satisfiable_input_prints_its_model(self, monkeypatch, capsys):
         import io
 
@@ -231,7 +240,7 @@ class TestCompile:
         assert "Z" in err
 
     def test_explicit_codebook_sets_the_bases(self, tmp_path, capsys):
-        book = compiler.generate_codebook(["P", "Q", "R", "U", "V"], seed=5)
+        book = compiler.generate_codebook(["P", "Q", "R", "U", "V"])
         path = tmp_path / "codes.txt"
         path.write_text(book.to_text())
         code, out, _ = run(capsys, "compile", "--fixture", "S", "--codebook", str(path), "--format", "json")
@@ -239,6 +248,38 @@ class TestCompile:
         payload = json.loads(out)
         assert payload["codebook"] == {var: book.sense(var) for var in book.variables()}
         assert payload["clauses"][2]["bases"] == book.sense("Q")
+
+    def test_a_code_that_is_its_own_reverse_complement_is_refused(self, tmp_path, capsys):
+        book = tmp_path / "codes.txt"
+        book.write_text("P ACGTACGT\n")
+        clauses = tmp_path / "clauses.txt"
+        clauses.write_text("P\n~P\n")
+        code, out, err = run(capsys, "compile", "--input", str(clauses), "--codebook", str(book))
+        assert code == cli.EXIT_INDETERMINATE and out == ""
+        assert "code for P is its own reverse complement" in err
+
+    def test_a_literal_and_its_negation_get_different_bases(self, monkeypatch, capsys):
+        import io
+
+        # no generated code is its own reverse complement, so ~x33's bases
+        # are not x33's: 40 generated codes include x33's
+        units = "p cnf 40 41\n" + "".join(f"{k} 0\n" for k in range(1, 41)) + "-33 0\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(units))
+        code, out, _ = run(capsys, "compile", "--input", "-", "--format", "json")
+        assert code == cli.EXIT_OK
+        clauses = json.loads(out)["clauses"]
+        assert [clauses[k]["clause"] for k in (32, 40)] == ["x33", "~x33"]
+        assert clauses[32]["bases"] != clauses[40]["bases"]
+        assert clauses[40]["bases"] == compiler.reverse_complement(clauses[32]["bases"])
+
+    def test_seven_hundred_variables_get_codes(self, monkeypatch, capsys):
+        import io
+
+        units = "p cnf 700 700\n" + "".join(f"{k} 0\n" for k in range(1, 701))
+        monkeypatch.setattr("sys.stdin", io.StringIO(units))
+        code, out, err = run(capsys, "compile", "--input", "-", "--format", "json")
+        assert code == cli.EXIT_OK and err == ""
+        assert {f"x{k}" for k in range(1, 701)} <= json.loads(out)["codebook"].keys()
 
 
 # --- simulate ----------------------------------------------------------------
@@ -594,7 +635,7 @@ class TestOnlyCompileReadsACodebook:
     def test_variables_beyond_any_code_search_agree(self, monkeypatch, capsys):
         import io
 
-        # 700 unit clauses: the code search gives up near x682 at ten bases
+        # 700 unit clauses: compare reads no codebook, so no code search runs
         units = "p cnf 700 700\n" + "".join(f"{k} 0\n" for k in range(1, 701))
         monkeypatch.setattr("sys.stdin", io.StringIO(units))
         code, out, err = run(capsys, "compare", "--input", "-")
@@ -613,7 +654,7 @@ BOM_CASES = {
     "formula": (["prove"], "(P | ~Q | R) & (~U | V | ~R) & Q & ~V & ~P & U\n"),
     "process": (["simulate"], THEOREM + "\n"),
     "graph json": (["simulate"], json.dumps(to_json_dict(theorem_graph()))),
-    "codebook": (["compile", "--fixture", "S"], compiler.generate_codebook(["P", "Q", "R", "U", "V"], seed=5).to_text()),
+    "codebook": (["compile", "--fixture", "S"], compiler.generate_codebook(["P", "Q", "R", "U", "V"]).to_text()),
 }
 
 

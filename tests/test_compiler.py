@@ -1,7 +1,9 @@
 """Clause-to-strand compilation, DNA codebooks, and hybridization verdicts."""
 
 import hashlib
+import itertools
 import random
+import time
 from collections import Counter
 from math import comb, factorial
 
@@ -111,6 +113,11 @@ class TestCodebook:
         # Q's code would also spell ~P, collapsing the two variables
         with pytest.raises(CodebookError, match="code for P is the reverse complement of Q's"):
             Codebook({"P": "AACC", "Q": "GGTT"})
+        # a code that spells its own reverse complement would give P and ~P
+        # the same bases
+        for codes in ({"P": "ACGTACGT"}, {"Q": "CAGTCAATTC", "P": "ACGTTAACGT"}):
+            with pytest.raises(CodebookError, match="code for P is its own reverse complement"):
+                Codebook(codes)
 
     def test_rejects_non_bases(self):
         with pytest.raises(CodebookError):
@@ -134,49 +141,57 @@ class TestCodebook:
         assert str(err.value) == "line 6: duplicate entry for P"
 
 
+def assert_codes_apart(cb: Codebook) -> None:
+    """Every code at least 4 bases from every other code and reverse
+    complement, its own reverse complement included."""
+    codes = [cb.sense(v) for v in cb.variables()]
+    pool = [(k, seq) for k, code in enumerate(codes) for seq in (code, reverse_complement(code))]
+    for (i, a), (j, b) in itertools.combinations(pool, 2):
+        assert hamming(a, b) >= 4, (codes[i], codes[j])
+
+
 class TestGenerateCodebook:
-    def test_deterministic_for_a_seed(self):
-        a = generate_codebook(["P", "Q", "R"], seed=9)
-        b = generate_codebook(["P", "Q", "R"], seed=9)
-        assert a == b
+    def test_deterministic(self):
+        assert generate_codebook(["P", "Q", "R"]) == generate_codebook(["R", "Q", "P", "Q"])
 
     def test_search_gives_the_pinned_codes(self):
-        # pinned: a change to candidate order or to any accept/reject
-        # decision changes every generated code after it
-        cb = generate_codebook(["P", "Q", "R"], seed=9)
-        assert cb.to_text() == "P TGGCCAGTAG\nQ ATCTTCCCAA\nR CATAGCCTAG\n"
+        # pinned: a change to the probes, the word order or to any marked
+        # word changes every generated code after it
+        cb = generate_codebook(["P", "Q", "R"])
+        assert cb.to_text() == "P TACCATTGTC\nQ TCCTCCCCAG\nR ACCAGTGGCC\n"
         many = generate_codebook([f"x{k}" for k in range(1, 101)], base=default_codebook())
         digest = hashlib.sha256(many.to_text().encode()).hexdigest()
-        assert digest == "36de6963bde8c8d39536cd17bfe19cf3a3c1a1d6bbbbd21fc7c10ce215296bcd"
+        assert digest == "c8a7062cc5c9855923656e1da54f1f44cdf0b2b94b86ceee9993dfac2e4f7ff2"
 
     def test_two_variables_meet_the_distance(self):
-        cb = generate_codebook(["P", "Q"], length=10, min_distance=4, seed=1)
-        codes = [cb.sense(v) for v in cb.variables()]
-        pool = codes + [reverse_complement(c) for c in codes]
-        for i, a in enumerate(pool):
-            for j, b in enumerate(pool):
-                if i != j and a != reverse_complement(b):
-                    assert hamming(a, b) >= 4
+        assert_codes_apart(generate_codebook(["P", "Q"]))
+
+    @pytest.mark.parametrize("count", [40, 200])
+    def test_every_code_is_apart_from_every_reverse_complement(self, count):
+        cb = generate_codebook([f"x{k}" for k in range(1, count + 1)], base=default_codebook())
+        assert len(cb.variables()) == count + 5
+        assert_codes_apart(cb)
 
     def test_infeasible_search_fails(self):
-        with pytest.raises(CodebookError):
-            generate_codebook([f"x{k}" for k in range(300)], length=4, min_distance=1)
+        # the search fails exactly when no word is left: after the five
+        # built-in codes, 884 more fit and the 885th does not
+        variables = [f"x{k}" for k in range(1, 886)]
+        assert len(generate_codebook(variables[:-1], base=default_codebook()).variables()) == 889
+        start = time.perf_counter()
+        with pytest.raises(CodebookError, match="^no 10-base code left for 'x99'$"):
+            generate_codebook(variables, base=default_codebook())
+        assert time.perf_counter() - start < 2
 
     def test_existing_codes_are_kept(self):
         base = default_codebook()
-        cb = generate_codebook(["P", "Z"], base=base, seed=2)
+        cb = generate_codebook(["P", "Z"], base=base)
         assert cb.sense("P") == base.sense("P")
         assert "Z" in cb
+        assert_codes_apart(cb)
 
     def test_base_length_must_agree(self):
-        with pytest.raises(CodebookError):
-            generate_codebook(["Z"], length=8, base=default_codebook())
-
-    def test_parameter_validation(self):
-        with pytest.raises(CodebookError):
-            generate_codebook(["P"], length=3)
-        with pytest.raises(CodebookError):
-            generate_codebook(["P"], min_distance=0)
+        with pytest.raises(CodebookError, match="10 bases"):
+            generate_codebook(["Z"], base=Codebook({"P": "ACGTAGTC"}))
 
 
 class TestCompileClauses:

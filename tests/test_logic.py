@@ -478,6 +478,25 @@ class TestClauseSet:
                 read(text)
             assert str(err.value) == message and err.value.position is None
 
+    def test_dimacs_input_must_match_its_header(self):
+        # the counts are checked once the input is read, so a bad literal
+        # further on is still reported first, with its line
+        cases = [
+            ("p cnf 1 1\n1 -2 0\n2 0\n-1 3 0\n", "the header declares 1 clauses, the input has 3"),
+            ("p cnf 3 4\n1 -2 0\n2 0\n-1 3 0\n", "the header declares 4 clauses, the input has 3"),
+            ("p cnf 2 3\n1 -2 0\n2 0\n-1 3 0\n", "variable 3 is above the header's 2"),
+            ("p cnf 2 1\n1 -2 0\n%\n0\n", None),  # SATLIB's trailer is not read
+            ("p cnf 3 2\n1 -2\n0 3", None),  # a last clause may lack its 0
+            ("p cnf 9 1\n0\n", None),  # fewer variables than declared is fine
+        ]
+        for text, message in cases:
+            if message is None:
+                ClauseSet.from_dimacs(text)
+                continue
+            with pytest.raises(ParseError) as err:
+                ClauseSet.from_dimacs(text)
+            assert str(err.value) == message and err.value.position is None
+
 
 # --- clausal conversion ------------------------------------------------------
 
