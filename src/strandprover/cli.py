@@ -156,13 +156,8 @@ def cmd_prove(args) -> int:
             "empty_step": result.empty_step,
             "model": None if result.model is None else [str(lit) for lit in result.model],
             "steps": [
-                {
-                    "index": step.index,
-                    "clause": [str(lit) for lit in step.clause],
-                    "parents": list(step.parents) if step.parents else None,
-                    "on": str(step.pivot) if step.pivot is not None else None,
-                }
-                for step in result.steps
+                {"index": k, "clause": literals, "parents": list(pair) if pair else None, "on": pivot}
+                for k, (literals, pair, pivot) in enumerate(result.step_texts())
             ],
         }
         print(json.dumps(payload, indent=2))

@@ -11,6 +11,7 @@ free_sites).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -139,6 +140,15 @@ def default_codebook() -> Codebook:
     return Codebook(_DEFAULT_SENSE)
 
 
+@functools.cache
+def _flips() -> tuple[int, ...]:
+    """The 3 676 xor masks that change at most 3 bases of a word, built on the
+    first code search of a process rather than at import."""
+    return tuple(sum(x << 2 * at for at, x in zip(places, xs)) for r in range(_MIN_DISTANCE)
+                 for places in itertools.combinations(range(_LENGTH), r)
+                 for xs in itertools.product((1, 2, 3), repeat=r))
+
+
 def generate_codebook(variables: Iterable[str], base: Codebook | None = None) -> Codebook:
     """Ten-base codes for the variables base lacks, at least 4 bases from every
     code and reverse complement, their own included.  Each word (an int, 2 bits
@@ -148,9 +158,7 @@ def generate_codebook(variables: Iterable[str], base: Codebook | None = None) ->
     if base is not None and base.code_length() != _LENGTH:
         raise CodebookError(f"base codebook codes must have {_LENGTH} bases")
     accepted: dict[str, str] = dict(base._codes) if base is not None else {}
-    marked, rng = bytearray(4**_LENGTH), random.Random(0)
-    flips = [sum(x << 2 * at for at, x in zip(places, xs)) for r in range(_MIN_DISTANCE)  # 3 676 masks
-             for places in itertools.combinations(range(_LENGTH), r) for xs in itertools.product((1, 2, 3), repeat=r)]
+    marked, rng, flips = bytearray(4**_LENGTH), random.Random(0), _flips()
 
     def take(seq: str) -> None:
         for word in (int(seq.translate(_DIGITS), 4), int(reverse_complement(seq).translate(_DIGITS), 4)):

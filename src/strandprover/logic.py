@@ -293,6 +293,10 @@ class Clause:
     def __repr__(self) -> str:
         return f"Clause([{', '.join(repr(l) for l in self.literals)}])"
 
+    def __reduce__(self):
+        # rebuilt from its literals, so every pickle protocol and copy works
+        return Clause, (self.literals,)
+
     @classmethod
     def parse(cls, line: str) -> "Clause":
         return cls(Literal.parse(tok) for tok in line.split())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .logic import MAX_CLAUSES, Clause, ClauseSet, Formula, Literal, Not, to_clausal_form
 
@@ -31,23 +31,58 @@ class DeductionStep:
     def is_input(self) -> bool:
         return self.parents is None
 
-    @property
-    def note(self) -> str:
-        """[input], or the parents and the pivot of a resolvent."""
-        if self.is_input:
-            return "[input]"
-        i, j = self.parents
-        return f"[{i} ⊗ {j} on {self.pivot}]"
-
     def describe(self) -> str:
-        return f"{self.index}: {self.clause} {self.note}"
+        """The step as trace_lines prints it."""
+        note = "[input]" if self.is_input else f"[{self.parents[0]} ⊗ {self.parents[1]} on {self.pivot}]"
+        return f"{self.index}: {self.clause} {note}"
+
+
+class _Records(NamedTuple):
+    """A result's steps as codes, which its text views format and its steps
+    are built from.  Literal code k reads texts[k]; per step, its literal codes
+    in stored order, its parents (i, j) or None for an input, and its pivot's
+    code or None.  An engine result's input steps are source.clauses[inputs[k]]."""
+
+    texts: Sequence[str]
+    rows: Sequence[Sequence[int]]
+    parents: Sequence[tuple[int, int] | None]
+    pivots: Sequence[int | None]
+    source: ClauseSet | None = None
+    inputs: Sequence[int] = ()
+
+    @classmethod
+    def of(cls, steps: Sequence[DeductionStep]) -> _Records:
+        """The records of a result built from its steps."""
+        code: dict[Literal, int] = {}
+        rows = [[code.setdefault(lit, len(code)) for lit in step.clause] for step in steps]
+        pivots = [None if step.pivot is None else code.setdefault(step.pivot, len(code)) for step in steps]
+        return cls([str(lit) for lit in code], rows, [step.parents for step in steps], pivots)
+
+    def lines(self, gap: str) -> list[str]:
+        """Per step: its clause, gap, then [input] or its parents and pivot."""
+        texts = self.texts
+        return ["{" + ", ".join([texts[lit] for lit in row]) + "}" + gap
+                + ("[input]" if pair is None else f"[{pair[0]} ⊗ {pair[1]} on {texts[pivot]}]")
+                for row, pair, pivot in zip(self.rows, self.parents, self.pivots)]
+
+    def steps(self) -> tuple[DeductionStep, ...]:
+        """An engine result's steps: an input step holds the set's own Clause."""
+        literal = [Literal(name, negated) for name in self.source.names for negated in (False, True)]
+        clauses = self.source.clauses
+        return tuple([
+            DeductionStep(k, clauses[self.inputs[k]]) if pair is None
+            else DeductionStep(k, Clause([literal[lit] for lit in row]), pair, literal[pivot])
+            for k, (row, pair, pivot) in enumerate(zip(self.rows, self.parents, self.pivots))
+        ])
 
 
 @dataclass(frozen=True)
 class RefutationResult:
-    """A verdict and the deduction steps behind it.  refute leaves the steps
-    to be built when they are first read, so a caller that reads only the
-    verdict builds no step objects."""
+    """A verdict and the deduction steps behind it.  refute leaves the steps'
+    records (literal codes, parents and pivots) to be derived when first
+    read: the text views format the records, and steps is built from them
+    when read, so a caller that reads only the verdict derives nothing and
+    one that prints the proof builds no step object."""
 
     verdict: str
     steps: tuple[DeductionStep, ...]
@@ -55,20 +90,27 @@ class RefutationResult:
     model: tuple[Literal, ...] | None = None  # on SATURATED: one literal per variable, true in a model
 
     @classmethod
-    def _deferred(cls, verdict: str, empty_step: int | None, build: Callable[[], tuple[DeductionStep, ...]],
+    def _deferred(cls, verdict: str, empty_step: int | None, build: Callable[[], _Records],
                   model: tuple[Literal, ...] | None = None):
-        """A result whose steps build() returns when they are first read."""
+        """A result whose records build() returns when they are first read."""
         result = object.__new__(cls)
         result.__dict__.update(verdict=verdict, empty_step=empty_step, model=model, _build=build)
         return result
 
     def __getattr__(self, name: str):
-        build = self.__dict__.get("_build") if name == "steps" else None
-        if build is None:
+        # only names not yet set come here: an engine result's records, then
+        # its steps, built from them; a result built from steps reads its
+        # records off them
+        d = self.__dict__
+        if name == "_records" and ("_build" in d or "steps" in d):
+            build = d.pop("_build", None)
+            value = build() if build is not None else _Records.of(d["steps"])
+        elif name == "steps" and ("_build" in d or "_records" in d):
+            value = self._records.steps()
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = self.__dict__["steps"] = build()
-        self.__dict__.pop("_build", None)
-        return steps
+        d[name] = value
+        return value
 
     def __getstate__(self) -> dict:
         return {"verdict": self.verdict, "steps": self.steps, "empty_step": self.empty_step, "model": self.model}
@@ -77,8 +119,15 @@ class RefutationResult:
     def is_unsat(self) -> bool:
         return self.verdict == UNSAT
 
+    def step_texts(self) -> list[tuple[list[str], tuple[int, int] | None, str | None]]:
+        """Per step: its literals, its parents or None for an input, and its
+        pivot or None, as text, read from the records without building steps."""
+        texts, rows, parents, pivots = self._records[:4]
+        return [([texts[lit] for lit in row], pair, None if pivot is None else texts[pivot])
+                for row, pair, pivot in zip(rows, parents, pivots)]
+
     def trace_lines(self) -> list[str]:
-        return [step.describe() for step in self.steps]
+        return [f"{k}: {line}" for k, line in enumerate(self._records.lines(" "))]
 
 
 def resolve_pair(c1: Clause, c2: Clause) -> set[tuple[Clause, Literal]]:
@@ -114,8 +163,9 @@ def refute(
     steps, in bitmask order, so equal inputs give equal step lists.  Past
     max_clauses steps, inputs included, or max_seconds from the call, it
     raises ResourceLimitError with the conflicts and steps it reached.  The
-    search reads the set's codes and masks; step objects are built when
-    first read, and an input step holds the set's own Clause.
+    search reads the set's codes and masks; the steps' records are derived
+    when first read, step objects only when steps is read, and an input step
+    holds the set's own Clause.
     """
     monotonic, limit = time.monotonic, _ACTIVITY_LIMIT
     deadline = None if max_seconds is None else monotonic() + max_seconds
@@ -151,28 +201,32 @@ def refute(
         return len(origins) - 1
 
     def returned(verdict: str, order: list[int], model: tuple[Literal, ...] | None = None) -> RefutationResult:
-        def build() -> tuple[DeductionStep, ...]:
-            # the steps in order, renumbered from 0: the only ones built as
-            # objects; on UNSAT the last is {}.  A resolvent's literals are
-            # clause i's without the pivot, then those of clause j that
-            # clause i lacks, as Clause.union orders them.
-            literal = [Literal(name, negated) for name in names for negated in (False, True)]
+        def build() -> _Records:
+            # the steps in order, renumbered from 0; on UNSAT the last is {}.
+            # A resolvent's literals are clause i's without the pivot, then
+            # those of clause j that clause i lacks, as Clause.union orders them.
             renumber: dict[int, int] = {}
-            rows: dict[int, list[int] | tuple[int, ...]] = {}  # per step: its literal codes in stored order
-            steps = []
+            rows: list[Sequence[int]] = []
+            parents: list[tuple[int, int] | None] = []
+            pivots: list[int | None] = []
+            inputs = []
             for new, old in enumerate(order):
                 renumber[old] = new
                 if origins[old] is None:
-                    rows[old] = codes[sources[old]]
-                    steps.append(DeductionStep(new, s.clauses[sources[old]]))
+                    inputs.append(sources[old])
+                    rows.append(codes[sources[old]])
+                    parents.append(None)
+                    pivots.append(None)
                     continue
                 i, j, pivot = origins[old]
+                i, j = renumber[i], renumber[j]
                 row_i, complement = set(rows[i]), pivot ^ 1
-                row = rows[old] = ([lit for lit in rows[i] if lit != pivot]
-                                   + [lit for lit in rows[j] if lit != complement and lit not in row_i])
-                clause = Clause([literal[lit] for lit in row])
-                steps.append(DeductionStep(new, clause, (renumber[i], renumber[j]), literal[pivot]))
-            return tuple(steps)
+                rows.append([lit for lit in rows[i] if lit != pivot]
+                            + [lit for lit in rows[j] if lit != complement and lit not in row_i])
+                parents.append((i, j))
+                pivots.append(pivot)
+            texts = [text for name in names for text in (name, "~" + name)]
+            return _Records(texts, rows, parents, pivots, s, inputs)
 
         return RefutationResult._deferred(verdict, len(order) - 1 if verdict == UNSAT else None, build, model)
 
@@ -352,16 +406,16 @@ def render_deduction(result: RefutationResult) -> str:
     each resolvent and the leaves are input clauses."""
     if not result.is_unsat:
         raise ValueError("deduction tree exists only for an unsat result")
-    steps = result.steps
+    records = result._records
+    parents, body = records.parents, records.lines("  ")
     lines: list[str] = []
     # depth-first, first parent before second, on an explicit stack so that
     # deep proofs do not hit the recursion limit
     stack = [(result.empty_step, 0)]
     while stack:
         index, depth = stack.pop()
-        step = steps[index]
-        if not step.is_input:
-            i, j = step.parents
-            stack += ((j, depth + 1), (i, depth + 1))
-        lines.append("  " * depth + f"{step.clause}  {step.note}")
+        pair = parents[index]
+        if pair is not None:
+            stack += ((pair[1], depth + 1), (pair[0], depth + 1))
+        lines.append("  " * depth + body[index])
     return "\n".join(lines)

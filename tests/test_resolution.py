@@ -1,7 +1,11 @@
 """Binary resolution, the conflict-driven search, its certificates, and deduction rendering."""
 
+import copy
 import hashlib
+import io
 import itertools
+import json
+import pickle
 import random
 import sys
 import time
@@ -552,6 +556,105 @@ class TestRenderDeduction:
         assert lines[depth] == "  " * depth + f"{{x{depth}}}  [input]"
         assert lines[depth + 1] == "  " * depth + f"{{~x{depth}, x{depth - 1}}}  [input]"
         assert lines[-1] == "  {~x1}  [input]"
+
+
+def formatted_from_objects(result: RefutationResult) -> tuple[str | None, list[str], list[dict]]:
+    """The tree, the trace lines and prove's JSON steps formatted from the
+    step objects alone: an oracle that shares no code with the records the
+    text views read."""
+    steps = result.steps
+
+    def note(step: DeductionStep) -> str:
+        return "[input]" if step.parents is None else f"[{step.parents[0]} ⊗ {step.parents[1]} on {step.pivot}]"
+
+    trace = [f"{step.index}: {step.clause} {note(step)}" for step in steps]
+    payload = [{"index": step.index, "clause": [str(lit) for lit in step.clause],
+                "parents": list(step.parents) if step.parents else None,
+                "on": None if step.pivot is None else str(step.pivot)} for step in steps]
+    if not result.is_unsat:
+        return None, trace, payload
+    tree, stack = [], [(result.empty_step, 0)]
+    while stack:
+        index, depth = stack.pop()
+        tree.append("  " * depth + f"{steps[index].clause}  {note(steps[index])}")
+        if steps[index].parents is not None:
+            i, j = steps[index].parents
+            stack += ((j, depth + 1), (i, depth + 1))
+    return "\n".join(tree), trace, payload
+
+
+class TestProofText:
+    """The text views format an engine result's coded records: they print
+    what an eager copy's step objects say, and build none of them."""
+
+    @staticmethod
+    def clause_sets():
+        from strandprover.fixtures import clause_set_s
+
+        yield clause_set_s()
+        yield oracles.pigeonhole(4)
+        rng = random.Random(32)
+        for k in range(200):
+            yield random_3cnf(rng, 5 + k % 2, (4.3, 6.0)[k // 2 % 2])
+
+    def test_text_views_match_an_eager_copy_and_build_no_objects(self, monkeypatch, capsys):
+        from strandprover import cli, logic, resolution
+
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            return counted
+
+        for cls in (resolution.DeductionStep, logic.Clause):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        verdicts = []
+        for s in self.clause_sets():
+            built.clear()
+            result = refute(s)
+            verdicts.append(result.verdict)
+            tree = render_deduction(result) if result.is_unsat else None
+            trace = result.trace_lines()
+            texts = result.step_texts()
+            assert built == []
+            fresh = refute(s)
+            eager = RefutationResult(fresh.verdict, tuple(fresh.steps), fresh.empty_step, fresh.model)
+            assert built  # the counters see the eager copy's objects
+            want_tree, want_trace, want_json = formatted_from_objects(eager)
+            assert tree == want_tree == (render_deduction(eager) if eager.is_unsat else None)
+            assert trace == want_trace == eager.trace_lines() == [step.describe() for step in eager.steps]
+            assert texts == eager.step_texts()
+            monkeypatch.setattr("sys.stdin", io.StringIO(str(s)))
+            cli.main(["prove", "--input", "-", "--format", "json"])
+            assert json.loads(capsys.readouterr().out)["steps"] == want_json
+            assert result.steps == eager.steps and result == eager
+            assert [step.clause.literals for step in result.steps] == [step.clause.literals for step in eager.steps]
+        assert verdicts[:2] == [UNSAT, UNSAT] and 40 < verdicts.count(SATURATED) < 160
+
+    @pytest.mark.parametrize("copier", [
+        *(pytest.param(lambda r, p=p: pickle.loads(pickle.dumps(r, p)), id=f"pickle{p}")
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        pytest.param(copy.copy, id="copy"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ])
+    def test_results_copy_whether_or_not_their_steps_were_read(self, copier):
+        from strandprover.fixtures import clause_set_s
+
+        for s in (clause_set_s(), oracles.pigeonhole(3), ClauseSet.parse("P Q\n~Q R\n~R\n")):
+            want = refute(s)
+            text = (render_deduction(want) if want.is_unsat else None, want.trace_lines(), want.step_texts())
+            for read in (False, True):
+                result = refute(s)
+                if read:
+                    assert result.steps == want.steps
+                back = copier(result)
+                assert back == want and back.model == want.model and back.empty_step == want.empty_step
+                assert (render_deduction(back) if back.is_unsat else None, back.trace_lines(), back.step_texts()) == text
 
 
 class TestTextbookReplay:
