@@ -3,14 +3,16 @@
 import functools
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
 
 import oracles
 from strandprover import cli, compiler, logic, resolution
-from strandprover.graph import from_json, to_json_dict
+from strandprover.graph import from_json, from_process, to_json_dict
 from strandprover.fixtures import CLAUSES_S, THEOREM, theorem_graph
+from strandprover.process import parse_process
 
 DIVERGENT = "P\n~P\nQ\n"
 ANCHORED = "P Q\n~Q ~P\nP\n~P\nQ\n"
@@ -741,3 +743,261 @@ class TestTopLevel:
             cli.main(earlier)
         capsys.readouterr()
         assert run(capsys, "compare", "--fixture", "S") == first
+
+
+# --- error messages ----------------------------------------------------------
+
+# process text -> the message of the ProcessError it raises
+PROCESS_ERRORS = [
+    ("<a #>", "bad domain token '#'"),
+    ("<a!x!y> | <a*>", "bad domain token 'a!x!y'"),
+    ("<a> | <>", "empty strand"),
+    ("<a> | <  >", "empty strand"),
+    ("<a> | b>", "strand 'b>' is not delimited by < and >"),
+    ("<a> | <b", "strand '<b' is not delimited by < and >"),
+    ("<a> |", "strand '' is not delimited by < and >"),
+    ("⟨a^⟩ | ⟨a*⟩", "domain name 'a' is used both as toehold and long"),
+    ("<b a> | <a* b^*>", "domain name 'b' is used both as toehold and long"),
+    ("<a!x b> | <a*>", "bond 'x' occurs 1 time(s), expected 2"),
+    ("<a!x> | <a*!x> | <a!x>", "bond 'x' occurs 3 time(s), expected 2"),
+    ("<a!x> | <a*!x> | <a!y> | <a*!z>", "bond 'y' occurs 1 time(s), expected 2"),
+    ("<a!x> | <a!x>", "bond 'x' joins non-complementary occurrences"),
+    ("<a!x> | <b*!x>", "bond 'x' joins non-complementary occurrences"),
+    # every token is read before labels are checked, and labels before bonds
+    ("<a^> | <a*> | <#>", "bad domain token '#'"),
+    ("<a!x> | <b^> | <b>", "domain name 'b' is used both as toehold and long"),
+]
+
+# '<a^!x b> | <b* a^*!x>': admissible (1,1)-(2,2), a toehold edge, and (1,2)-(2,1)
+TWO_STRANDS = {
+    "vertices": [
+        {"id": 1, "length": 2, "colour": 1, "domains": ["a^", "b"]},
+        {"id": 2, "length": 2, "colour": 2, "domains": ["b*", "a^*"]},
+    ],
+    "admissible": [[[1, 1], [2, 2]], [[1, 2], [2, 1]]],
+    "toehold": [True, False],
+    "current": [[[1, 1], [2, 2]]],
+}
+# '<a> | <a*> | <a>': site (2,1) has two partners
+SHARED_SITE = {
+    "vertices": [
+        {"id": 1, "length": 1, "colour": 1, "domains": ["a"]},
+        {"id": 2, "length": 1, "colour": 2, "domains": ["a*"]},
+        {"id": 3, "length": 1, "colour": 1, "domains": ["a"]},
+    ],
+    "admissible": [[[1, 1], [2, 1]], [[2, 1], [3, 1]]],
+    "toehold": [False, False],
+    "current": [],
+}
+
+_DROP = object()  # a change that deletes the key
+
+
+def _spoiled(base: dict, **changes) -> dict:
+    """A copy of base with each change made: a key path joined by '__', list
+    indices as digits, to its new value."""
+    data = json.loads(json.dumps(base))
+    for path, value in changes.items():
+        *keys, last = path.split("__")
+        node = data
+        for key in keys:
+            node = node[int(key) if key.isdigit() else key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[int(last) if last.isdigit() else last] = value
+    return data
+
+
+# graph JSON -> the message of the GraphError (or ProcessError) it raises
+GRAPH_ERRORS = [
+    (_spoiled(TWO_STRANDS, current=[[[1, 1.5], [2, 2]]]), "bad edge entry [[1, 1.5], [2, 2]]: coordinates must be integers"),
+    (_spoiled(TWO_STRANDS, current=[[[1, True], [2, 2]]]), "bad edge entry [[1, True], [2, 2]]: coordinates must be integers"),
+    (_spoiled(TWO_STRANDS, admissible=[[["1", 1], [2, 2]]]), "bad edge entry [['1', 1], [2, 2]]: coordinates must be integers"),
+    (_spoiled(TWO_STRANDS, current=[5]), "bad edge entry 5: cannot unpack non-iterable int object"),
+    (_spoiled(TWO_STRANDS, current=[[[1, 1]]]), "bad edge entry [[1, 1]]: not enough values to unpack (expected 2, got 1)"),
+    (_spoiled(TWO_STRANDS, current=[[[1, 1], [1, 1]]]), "edge endpoints coincide: (1,1)"),
+    (_spoiled(TWO_STRANDS, vertices__1__colour=1),
+     "vertex 2 colour must be 2: colours number strand types by first appearance"),
+    (_spoiled(TWO_STRANDS, vertices__0__colour=True),
+     "vertex 1 colour must be 1: colours number strand types by first appearance"),
+    (_spoiled(TWO_STRANDS, vertices__0__length=3), "vertex 1 length disagrees with its domain list"),
+    (_spoiled(TWO_STRANDS, vertices__0__length=_DROP), "vertex 1 length disagrees with its domain list"),
+    (_spoiled(TWO_STRANDS, current=[[[1, 1], [1, 2]]]), "current edge (1,1)-(1,2) is not admissible"),
+    (_spoiled(TWO_STRANDS, current=[[[2, 2], [1, 1]], [[1, 2], [2, 1]], [[9, 9], [1, 1]]]),
+     "current edge (1,1)-(9,9) is not admissible"),
+    (_spoiled(TWO_STRANDS, current=[[[1, 2], [2, 2]], [[1, 1], [2, 1]], [[3, 1], [0, 0]]]),
+     "current edge (1,1)-(2,1) is not admissible"),
+    (_spoiled(SHARED_SITE, current=[[[1, 1], [2, 1]], [[2, 1], [3, 1]]]), "site (2,1) is bound twice"),
+    (_spoiled(TWO_STRANDS, current=[[[1, 1], [2, 2]], [[2, 2], [1, 1]]]), "current edges must each be listed once"),
+    (_spoiled(TWO_STRANDS, admissible=[[[1, 1], [2, 2]]], toehold=[True]),
+     "admissible edges must be exactly the complementary site pairs"),
+    (_spoiled(TWO_STRANDS, admissible=[[[1, 1], [2, 2]], [[1, 2], [2, 1]], [[2, 2], [1, 1]]], toehold=[True, False, True]),
+     "admissible edges must each be listed once"),
+    (_spoiled(TWO_STRANDS, toehold=[True]), "toehold flags must align with the admissible list"),
+    (_spoiled(TWO_STRANDS, toehold=[1, False]), "toehold flag for (1,1)-(2,2) must be true or false, found 1"),
+    (_spoiled(TWO_STRANDS, toehold=[True, True]), "toehold flag for (1,2)-(2,1) disagrees with its site labels"),
+    (_spoiled(TWO_STRANDS, vertices__1__id=3), "vertex ids must run 1..n, found 3"),
+    (_spoiled(TWO_STRANDS, vertices__1=5), "vertex entry 5 is not an object"),
+    (_spoiled(TWO_STRANDS, vertices__0__domains="a^"), "vertex 1: domains must be a list of domain tokens"),
+    (_spoiled(TWO_STRANDS, vertices__0__domains=[]), "a vertex needs at least one domain"),
+    (_spoiled(TWO_STRANDS, vertices__0__domains=["a^!x", "b"]), "graph site labels carry no bonds"),
+    (_spoiled(TWO_STRANDS, vertices__0__domains=["a#", "b"]), "bad domain token 'a#'"),
+    (_spoiled(TWO_STRANDS, current=_DROP), "missing graph field: 'current'"),
+    (_spoiled(TWO_STRANDS, toehold={}), "graph fields vertices, admissible, toehold and current must be lists"),
+]
+
+
+class TestInputErrorMessages:
+    """Every message that process text and graph JSON can raise, the same
+    through the library and through the CLI, which prints it after
+    'error: ' with exit 2."""
+
+    @pytest.mark.parametrize("text, message", PROCESS_ERRORS)
+    def test_process_text(self, tmp_path, capsys, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            from_process(parse_process(text))
+        assert str(excinfo.value) == message
+        path = tmp_path / "system.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert run(capsys, "simulate", "--input", str(path)) == (cli.EXIT_INDETERMINATE, "", f"error: {message}\n")
+
+    def test_empty_process_text(self):
+        with pytest.raises(ValueError, match="^empty process text$"):
+            parse_process(" \n")
+
+    @pytest.mark.parametrize("data, message", GRAPH_ERRORS)
+    def test_graph_json(self, tmp_path, capsys, data, message):
+        text = json.dumps(data)
+        with pytest.raises(ValueError) as excinfo:
+            from_json(text)
+        assert str(excinfo.value) == message
+        path = tmp_path / "graph.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "simulate", "--input", str(path)) == (cli.EXIT_INDETERMINATE, "", f"error: {message}\n")
+
+    def test_a_token_that_is_not_a_string(self, capsys):
+        # the rest of the message is the regular expression module's, which varies with the Python version
+        with pytest.raises(ValueError, match=r"^vertex 2: malformed domain token \(expected string"):
+            from_json(_spoiled(TWO_STRANDS, vertices__1__domains=["b*", 7]))
+
+    def test_the_unspoiled_graphs_are_accepted(self):
+        assert from_json(TWO_STRANDS) == from_process(parse_process("<a^!x b> | <b* a^*!x>"))
+        assert from_json(SHARED_SITE) == from_process(parse_process("<a> | <a*> | <a>"))
+
+
+# --- seeded fuzz -------------------------------------------------------------
+
+FUZZ_SEEDS = ("<t^ p> | <r* q* p*> | <p!y1 q!z1 r q*!z1 p*!y1 t^*>",
+              "<a^!i b!j1 c^*> | <d^* b*!j1 a^*!i> | <c^ b*!j2 e^!k> | <e^*!k b!j2 d^>",
+              "<a> | <a*>")
+FUZZ_CHARS = "<>|!^* \nabpqxy_019⟨⟩{}[],:\"-."
+FUZZ_VALUES = (0, 1, -1, 2, 3, 1.5, True, False, None, "a", "a^*", "b!x", "", [], {}, [1, 1], [[1, 1], [2, 1]])
+
+
+def _mutate_chars(rng, text: str) -> str:
+    """Delete, insert, replace or repeat characters."""
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:k] + text[k + 1:]
+        elif op == 1:
+            text = text[:k] + rng.choice(FUZZ_CHARS) + text[k:]
+        elif op == 2:
+            text = text[:k] + rng.choice(FUZZ_CHARS) + text[k + 1:]
+        else:
+            j = rng.randrange(len(text) + 1)
+            text = text[:k] + text[min(j, k):max(j, k)] + text[k:]
+    return text
+
+
+def _mutate_process(rng, text: str) -> str:
+    """Token edits, which often keep the text well formed, or character edits."""
+    if rng.random() < 0.3:
+        return _mutate_chars(rng, text)
+    strands = [part.strip()[1:-1].split() for part in text.split("|")]
+    for _ in range(rng.randint(1, 3)):
+        row = rng.choice(strands)
+        k = rng.randrange(len(row))
+        head, bang, bond = row[k].partition("!")
+        op = rng.randrange(6)
+        if op == 0:  # complement the label
+            row[k] = (head[:-1] if head.endswith("*") else head + "*") + bang + bond
+        elif op == 1:  # drop a bond end
+            row[k] = head
+        elif op == 2:  # bond two free occurrences
+            other = rng.choice(strands)
+            j = rng.randrange(len(other))
+            if "!" not in row[k] and "!" not in other[j]:
+                name = f"f{rng.randrange(3)}"
+                row[k], other[j] = row[k] + "!" + name, other[j] + "!" + name
+        elif op == 3:  # a free copy of a strand
+            strands.append([token.partition("!")[0] for token in row])
+        elif op == 4:
+            strands.reverse()
+        elif len(row) > 1:
+            del row[k]
+    return " | ".join("<" + " ".join(row) + ">" for row in strands)
+
+
+def _mutate_json(rng, data: dict) -> str:
+    """Edits of the current edges, which keep the graph well formed when they
+    bind no site twice, or of any value, or of the JSON text."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(4)
+        if op == 0 and data["current"]:
+            del data["current"][rng.randrange(len(data["current"]))]
+        elif op == 1 and data["admissible"]:
+            data["current"].append(rng.choice(data["admissible"])[::-1])
+        else:
+            containers = []
+            stack = [data]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, (dict, list)) and node:
+                    containers.append(node)
+                    stack += node.values() if isinstance(node, dict) else node
+            node = rng.choice(containers)
+            key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+            if op == 2:
+                node[key] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+            else:
+                del node[key]
+            break
+    text = json.dumps(data)
+    return _mutate_chars(rng, text) if rng.random() < 0.1 else text
+
+
+class TestSeededFuzz:
+    """Mutated process texts and graph JSON end in exit 0, or in exit 2 with
+    one 'error:' or 'INDETERMINATE:' line, under simulate and export."""
+
+    def test_mutated_inputs_end_in_a_verdict_or_a_message(self, monkeypatch):
+        import io
+        from contextlib import redirect_stderr, redirect_stdout
+
+        rng = random.Random(2024)
+        graphs = [to_json_dict(from_process(parse_process(text))) for text in FUZZ_SEEDS]
+        outcomes = Counter()
+        for k in range(1500):
+            if k % 2:
+                text = _mutate_json(rng, json.loads(json.dumps(rng.choice(graphs))))
+            else:
+                text = _mutate_process(rng, rng.choice(FUZZ_SEEDS))
+            fmt = ("text", "json", "dot")[k % 3]
+            for argv in (["simulate", "--input", "-", "--max-states", "500"], ["export", "--input", "-", "--format", fmt]):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(argv)
+                lines = err.getvalue().splitlines()
+                if code == cli.EXIT_OK:
+                    assert lines == [], (argv, text)
+                else:
+                    assert code == cli.EXIT_INDETERMINATE, (argv, text)
+                    assert len(lines) == 1 and lines[0].startswith(("error:", "INDETERMINATE:")), (argv, text, lines)
+                outcomes[argv[0], lines[0].split(":")[0] if lines else "ok"] += 1
+        # the mutations reach every outcome
+        assert min(outcomes[command, kind] for command in ("simulate", "export") for kind in ("ok", "error")) > 100, outcomes
+        assert outcomes["simulate", "INDETERMINATE"] > 0, outcomes
