@@ -14,10 +14,10 @@ instead, and the appliers stay their independent cross-check.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
@@ -165,8 +165,10 @@ class StrandGraph:
     The labels fix the rest of the shape: each vertex's length, its colour
     (strand types numbered by first appearance) and the admissible edges,
     every complementary site pair.  Every vertex needs a label.  The shape is
-    derived and indexed once, in the constructor (_build_index); with_current
-    shares it and checks only the new edge set, in O(|E|)."""
+    indexed once on the labels' codes (_build_index), and the state is kept
+    as a bitmask over the index's edge ranks; with_current shares the index
+    and checks only the new edge set, in O(|E|).  Every field but the ones
+    given is built from the index and the mask when first read."""
 
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
     current: frozenset[Edge]
@@ -179,24 +181,43 @@ class StrandGraph:
             raise GraphError("a vertex needs at least one domain")
         if any(d.bond is not None for row in self.domains for d in row):
             raise GraphError("graph site labels carry no bonds")
-        types: dict[tuple[Domain, ...], int] = {}
-        object.__setattr__(self, "lengths", tuple(len(row) for row in self.domains))
-        object.__setattr__(self, "colours", tuple(types.setdefault(row, len(types) + 1) for row in self.domains))
-        ix = _build_index(self.domains)
-        object.__setattr__(self, "admissible", frozenset(ix.edges))
-        object.__setattr__(self, "_index", ix)
-        self._check_current()
+        ranks: dict[tuple[str, bool], int] = {}  # a graph may use a name both as toehold and long
+        labels = [2 * ranks.setdefault((d.name, d.toehold), len(ranks)) + d.complemented for row in self.domains for d in row]
+        self.__dict__["_index"] = _build_index(labels, list(ranks), tuple(map(len, self.domains)))
+        self.__dict__["_mask"] = self._mask_of(self.current)
 
-    def _check_current(self) -> None:
-        for e in self.current - self.admissible:
-            raise GraphError(f"current edge {e} is not admissible")
-        ends = [s for e in self.current for s in (e.a, e.b)]
+    @classmethod
+    def _coded(cls, ix: _Index, mask: int) -> StrandGraph:
+        g = object.__new__(cls)
+        g.__dict__.update(_index=ix, _mask=mask)
+        return g
+
+    def __getattr__(self, name: str):
+        # only names not yet set come here: the current edges, decoded from
+        # the mask, and the shape's fields, which the index builds once for
+        # every state
+        d = self.__dict__
+        if "_index" not in d or name not in ("current", "domains", "lengths", "colours", "admissible"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d[name] = value = _edges_of(d["_index"], d["_mask"]) if name == "current" else getattr(d["_index"], name)
+        return value
+
+    def _mask_of(self, current: frozenset[Edge]) -> int:
+        """The rank bitmask of current; GraphError if an edge is not
+        admissible or a site is bound twice."""
+        ix = self._index
+        ranks = [ix.rank.get(e) for e in current]
+        if None in ranks:
+            for e in current - self.admissible:
+                raise GraphError(f"current edge {e} is not admissible")
+        ends = [s for r in ranks for s in ix.ends[r]]
         if len(set(ends)) < len(ends):
-            twice = next(s for s, k in Counter(ends).items() if k > 1)
-            raise GraphError(f"site {twice} is bound twice")
+            ends = [s for e in current for s in (e.a, e.b)]
+            raise GraphError(f"site {next(s for s in ends if ends.count(s) > 1)} is bound twice")
+        return sum(1 << r for r in ranks)
 
     def vertex_count(self) -> int:
-        return len(self.lengths)
+        return len(self._index.lengths)
 
     def sites(self) -> list[Site]:
         return list(self._index.sites)
@@ -211,41 +232,77 @@ class StrandGraph:
         return self.label(e.a).toehold
 
     def with_current(self, current: Iterable[Edge]) -> "StrandGraph":
+        current = frozenset(current)
         g = object.__new__(type(self))
-        g.__dict__.update(self.__dict__, current=frozenset(current))
-        g._check_current()
+        g.__dict__.update(self.__dict__, current=current, _mask=self._mask_of(current))
         return g
 
 
-class _Index(NamedTuple):
-    """A shape on integers, built once by the constructor and shared by every
-    state: its sites numbered in Site order, its labels coded, its admissible
-    edges ranked in sorted order, and what moves and explore read of them."""
+@dataclass
+class _Index:
+    """A shape on integers, built once from its labels' codes and shared by
+    every state: its admissible edges ranked in sorted order, and what moves
+    and explore read of them.  Sites are numbered from 0 in Site order.  The
+    shape's objects, its sites, edges and the StrandGraph fields, are built
+    when first read."""
 
-    sites: list[Site]  # site id -> site
     labels: list[int]  # site id -> 2 * rank of (name, toehold) + complemented, as bind_chain reads it
+    names: list[tuple[str, bool]]  # rank -> (name, toehold)
+    lengths: tuple[int, ...]  # vertex -> its number of sites
     toehold_labels: frozenset[int]  # the codes of toehold labels
-    edges: list[Edge]  # rank -> edge
-    rank: dict[Edge, int]
     ends: list[tuple[int, int]]  # rank -> its two site ids, ascending
     anchors: list[int]  # rank -> bitmask of its admissible antiparallel neighbours
     toeholds: list[bool]  # rank -> toehold edge
     partners: list[dict[int, int]]  # site id -> other site id -> edge rank, in rank order
     components: list[tuple[int, list[int]]]  # per vertex-connected component: rank mask, ranks
 
+    @cached_property
+    def sites(self) -> list[Site]:  # site id -> site
+        return [Site(v, n) for v, length in enumerate(self.lengths, start=1) for n in range(1, length + 1)]
 
-def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
-    """The shape that bond-free labels give, indexed in one pass over site ids."""
-    sites = [Site(v, n) for v, row in enumerate(domains, start=1) for n in range(1, len(row) + 1)]
-    names: dict[tuple[str, bool], int] = {}
-    labels = [2 * names.setdefault((d.name, d.toehold), len(names)) + d.complemented for row in domains for d in row]
-    toehold_labels = frozenset(2 * k + c for (_, toehold), k in names.items() if toehold for c in (0, 1))
+    @cached_property
+    def edges(self) -> list[Edge]:  # rank -> edge
+        sites = self.sites
+        return [Edge(sites[s], sites[t]) for s, t in self.ends]
+
+    @cached_property
+    def rank(self) -> dict[Edge, int]:
+        return {e: r for r, e in enumerate(self.edges)}
+
+    @cached_property
+    def admissible(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
+
+    def _rows(self) -> Iterator[tuple[int, ...]]:
+        start = 0
+        for length in self.lengths:
+            yield tuple(self.labels[start:start + length])
+            start += length
+
+    @cached_property
+    def domains(self) -> tuple[tuple[Domain, ...], ...]:
+        label = [Domain(name, complemented, toehold) for name, toehold in self.names for complemented in (False, True)]
+        return tuple(tuple(label[code] for code in row) for row in self._rows())
+
+    @cached_property
+    def colours(self) -> tuple[int, ...]:
+        types: dict[tuple[int, ...], int] = {}
+        return tuple(types.setdefault(row, len(types) + 1) for row in self._rows())
+
+
+def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tuple[int, ...]) -> _Index:
+    """The shape that coded labels give, on vertices of these lengths,
+    indexed in one pass over site ids."""
+    toehold_labels = frozenset(2 * k + c for k, (_, toehold) in enumerate(names) if toehold for c in (0, 1))
     by_label: dict[int, list[int]] = {}
     for s, code in enumerate(labels):
         by_label.setdefault(code, []).append(s)
+    # site id -> vertex, and -1 past either end: ids s - 1 and s + 1 lie on
+    # the vertex of s exactly when their entries equal its own
+    vertex = [v for v, length in enumerate(lengths) for _ in range(length)] + [-1]
     # union-find over vertices: anchors join edges on one vertex pair and every
     # other premise joins edges that share a site, so no move spans two components
-    root = list(range(len(domains) + 1))
+    root = list(range(len(lengths)))
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -255,36 +312,39 @@ def _build_index(domains: tuple[tuple[Domain, ...], ...]) -> _Index:
     ends: list[tuple[int, int]] = []
     anchors: list[int] = []
     toeholds: list[bool] = []
-    partners: list[dict[int, int]] = [{} for _ in sites]
+    partners: list[dict[int, int]] = [{} for _ in labels]
     # each site paired with the later sites of the complementary label
     # (Domain.matches), in order: as site ids follow Site order, edges come sorted
-    pairs = ((s, t) for s, code in enumerate(labels) for t in by_label.get(code ^ 1, ()) if t > s)
-    for r, (s, t) in enumerate(pairs):
-        (v1, n1), (v2, n2) = sites[s], sites[t]
-        ends.append((s, t))
-        toeholds.append(labels[s] in toehold_labels)
-        partners[s][t] = partners[t][s] = r
-        root[find(v1)] = find(v2)
-        # the antiparallel neighbour on ids s-1 and t+1 ranks first, so it is
-        # indexed already; the one on s+1 and t-1 sets both masks when it comes
-        f = partners[s - 1].get(t + 1) if n1 > 1 and n2 < len(domains[v2 - 1]) else None
-        anchors.append(0 if f is None else 1 << f)
-        if f is not None:
-            anchors[f] |= 1 << r
+    for s, code in enumerate(labels):
+        toehold, v = code in toehold_labels, vertex[s]
+        inner = vertex[s - 1] == v  # s is not its vertex's first site
+        for t in by_label.get(code ^ 1, ()):
+            if t <= s:
+                continue
+            r = len(ends)
+            ends.append((s, t))
+            toeholds.append(toehold)
+            partners[s][t] = partners[t][s] = r
+            root[find(v)] = find(vertex[t])
+            # the antiparallel neighbour on ids s-1 and t+1 ranks first, so it is
+            # indexed already; the one on s+1 and t-1 sets both masks when it comes
+            f = partners[s - 1].get(t + 1) if inner and vertex[t + 1] == vertex[t] else None
+            anchors.append(0 if f is None else 1 << f)
+            if f is not None:
+                anchors[f] |= 1 << r
     groups: dict[int, list[int]] = {}
     for r, (s, _) in enumerate(ends):
-        groups.setdefault(find(sites[s].vertex), []).append(r)
+        groups.setdefault(find(vertex[s]), []).append(r)
     components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
-    edges = [Edge(sites[s], sites[t]) for s, t in ends]
-    rank = {e: r for r, e in enumerate(edges)}
-    return _Index(sites, labels, toehold_labels, edges, rank, ends, anchors, toeholds, partners, components)
+    return _Index(labels, names, lengths, toehold_labels, ends, anchors, toeholds, partners, components)
 
 
 def from_process(p: Process) -> StrandGraph:
     """Strand graph of a process: one vertex per strand in order, the
-    strands' bond-free labels, current edges from bonds."""
-    labels = tuple(tuple(d.free() for d in s.domains) for s in p.strands)
-    return StrandGraph(labels, frozenset(Edge(*pair) for pair in p._bond_ends.values()))
+    strands' bond-free labels, current edges from bonds; indexed on the
+    process's label codes, with no label or edge object built."""
+    ix = _build_index(p._codes, p._names, tuple(len(strand.domains) for strand in p.strands))
+    return StrandGraph._coded(ix, sum(1 << ix.partners[s][t] for s, t in p._bonds.values()))
 
 
 def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) -> list[tuple[int, int]] | None:
@@ -335,11 +395,11 @@ def binding_trace(g: StrandGraph) -> Trace | None:
     """The greedy maximum binding of g (bind_chain) as GB moves in rank order;
     None when g has a current edge or a toehold label meets its complement."""
     ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
-    chain = None if g.current else bind_chain([ix.labels], ix.toehold_labels)
+    chain = None if g._mask else bind_chain([ix.labels], ix.toehold_labels)
     if chain is None:
         return None
     edges = [ix.edges[ix.partners[a][b]] for a, b in chain]
-    return Trace(g.current, tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), frozenset(edges))
+    return Trace(frozenset(), tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), frozenset(edges))
 
 
 # --- moves -------------------------------------------------------------------
@@ -456,8 +516,7 @@ def moves(g: StrandGraph) -> list[Move]:
     component's edge ranks, run once on every rank and the whole state: no
     move spans two components, so it finds what the components find."""
     ix: _Index = g._index
-    state = sum(1 << ix.rank[e] for e in g.current)
-    return [_decode(ix, m) for m in _component_moves(ix, range(len(ix.edges)), state)]
+    return [_decode(ix, m) for m in _component_moves(ix, range(len(ix.ends)), g._mask)]
 
 
 # A move on edge ranks: (rule order, sorted removed ranks, sorted added ranks,
@@ -484,8 +543,7 @@ def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankM
         current.append(e)
         s, u = ends[e]
         if s in owner or u in owner:
-            twice = t.edges[e].a if s in owner else t.edges[e].b
-            raise GraphError(f"site {twice} is bound twice")
+            raise GraphError(f"site {t.sites[s if s in owner else u]} is bound twice")
         owner[s] = owner[u] = e
     out: list[_RankMove] = []
     for x in ranks:
@@ -564,8 +622,8 @@ class _Decoded(Sequence):
         return list(self) == other
 
 
-def _edges_of(edges: list[Edge], mask: int) -> frozenset[Edge]:
-    return frozenset([e for r, e in enumerate(edges) if mask >> r & 1])
+def _edges_of(t: _Index, mask: int) -> frozenset[Edge]:
+    return frozenset([e for r, e in enumerate(t.edges) if mask >> r & 1])
 
 
 def _link(t: _Index, decoded: dict[_RankMove, Move], link: tuple[int, _RankMove] | None) -> tuple[int, Move] | None:
@@ -619,7 +677,7 @@ class _Closure:
         first: every bit must be a ranked edge, and _component_moves raises
         GraphError on a site bound twice."""
         t, ranks = self.t, self.ranks
-        width = len(t.edges)
+        width = len(t.ends)
         parts = [state & self.mask]
         seen = set(parts)
         depth, end = 0, 1  # the parts before end are at most depth deep
@@ -684,7 +742,7 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
     ix: _Index = g._index
-    state = sum(1 << ix.rank[e] for e in g.current)
+    state = g._mask
     closures = [_Closure(ix, component) for component in ix.components]
     walks = [c.walk(state, max_states) for c in closures]
     trees = [(c.mask, c.children) for c in closures]
@@ -713,7 +771,7 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     terminals = list(range(len(masks)))
     for c in closures:  # a state is terminal when all its parts are
         terminals = [i for i in terminals if masks[i] & c.mask in c.terminals] if c.terminals else []
-    states = _Decoded(masks, partial(_edges_of, ix.edges))
+    states = _Decoded(masks, partial(_edges_of, ix))
     return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix, {})), terminals, masks)
 
 

@@ -10,6 +10,7 @@ pair, both 1-based.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
@@ -78,7 +79,8 @@ def parse_domain(token: str) -> Domain:
     m = _DOMAIN_TOKEN_RE.fullmatch(token)
     if m is None:
         raise ProcessError(f"bad domain token {token!r}")
-    return Domain(m["name"], complemented=bool(m["star"]), toehold=bool(m["toehold"]), bond=m["bond"])
+    name, toehold, star, bond = m.groups()
+    return Domain(name, bool(star), bool(toehold), bond)
 
 
 @dataclass(frozen=True)
@@ -103,24 +105,43 @@ class Strand:
 
 @dataclass(frozen=True)
 class Process:
+    """Strands, coded once by the constructor as the strand graph reads them.
+
+    Sites are numbered from 0, strand by strand, 5' to 3'.  A site's label
+    code is 2 * rank of its name + complemented, names ranked by first use,
+    so that code ^ 1 codes its complement; each bond is its two site ids,
+    ascending, in first-use order.  The toehold and bond checks run on the
+    codes."""
+
     strands: tuple[Strand, ...]
-    _bond_ends: dict[str, list[Locator]] = field(init=False, repr=False, compare=False)  # in first-use order
+    _codes: list[int] = field(init=False, repr=False, compare=False)  # site id -> label code
+    _names: list[tuple[str, bool]] = field(init=False, repr=False, compare=False)  # rank -> name, toehold
+    _bonds: dict[str, list[int]] = field(init=False, repr=False, compare=False)  # bond -> its site ids
+    _starts: list[int] = field(init=False, repr=False, compare=False)  # strand -> its first site id
 
     def __post_init__(self):
-        ends: dict[str, list[Locator]] = {}
-        toehold_flag: dict[str, bool] = {}
-        for loc, d in self.occurrences():
-            if d.name in toehold_flag and toehold_flag[d.name] != d.toehold:
-                raise ProcessError(f"domain name {d.name!r} is used both as toehold and long")
-            toehold_flag[d.name] = d.toehold
-            if d.bond is not None:
-                ends.setdefault(d.bond, []).append(loc)
-        for bond, locs in ends.items():
-            if len(locs) != 2:
-                raise ProcessError(f"bond {bond!r} occurs {len(locs)} time(s), expected 2")
-            if not self.domain_at(locs[0]).matches(self.domain_at(locs[1])):
+        ranks: dict[str, int] = {}
+        names: list[tuple[str, bool]] = []
+        codes: list[int] = []
+        bonds: dict[str, list[int]] = {}
+        starts = []
+        for strand in self.strands:
+            starts.append(len(codes))
+            for name, complemented, toehold, bond in strand.domains:
+                k = ranks.setdefault(name, len(names))
+                if k == len(names):
+                    names.append((name, toehold))
+                elif names[k][1] != toehold:
+                    raise ProcessError(f"domain name {name!r} is used both as toehold and long")
+                if bond is not None:
+                    bonds.setdefault(bond, []).append(len(codes))
+                codes.append(2 * k + complemented)
+        for bond, ends in bonds.items():
+            if len(ends) != 2:
+                raise ProcessError(f"bond {bond!r} occurs {len(ends)} time(s), expected 2")
+            if codes[ends[0]] ^ 1 != codes[ends[1]]:  # Domain.matches, as names keep one toehold flag
                 raise ProcessError(f"bond {bond!r} joins non-complementary occurrences")
-        object.__setattr__(self, "_bond_ends", ends)
+        self.__dict__.update(_codes=codes, _names=names, _bonds=bonds, _starts=starts)
 
     def occurrences(self) -> Iterator[tuple[Locator, Domain]]:
         for s, strand in enumerate(self.strands, start=1):
@@ -135,12 +156,16 @@ class Process:
 
     def bonds(self) -> tuple[str, ...]:
         """Bond names in first-use order, scanning strands 5' to 3'."""
-        return tuple(self._bond_ends)
+        return tuple(self._bonds)
 
     def bond_ends(self, bond: str) -> tuple[Locator, Locator]:
-        if bond not in self._bond_ends:
+        if bond not in self._bonds:
             raise RuleError(f"no bond named {bond!r}")
-        return tuple(self._bond_ends[bond])
+        return tuple(map(self._locator, self._bonds[bond]))
+
+    def _locator(self, site: int) -> Locator:
+        s = bisect_right(self._starts, site)  # no strand is empty, so the starts ascend strictly
+        return s, site - self._starts[s - 1] + 1
 
     def __str__(self) -> str:
         return " | ".join(str(s) for s in self.strands)
@@ -159,7 +184,7 @@ def parse_process(text: str) -> Process:
         tokens = part[1:-1].split()
         if not tokens:
             raise ProcessError("empty strand")
-        strands.append(Strand(tuple(parse_domain(tok) for tok in tokens)))
+        strands.append(Strand(tuple(map(parse_domain, tokens))))
     return Process(tuple(strands))
 
 

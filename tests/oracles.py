@@ -12,7 +12,7 @@ import itertools
 import random
 from typing import Iterable, Iterator
 
-from strandprover.graph import Site, StrandGraph
+from strandprover.graph import Edge, Site, StrandGraph
 from strandprover.logic import (
     _ATOM_RE,
     And,
@@ -28,7 +28,7 @@ from strandprover.logic import (
     ParseError,
     Var,
 )
-from strandprover.process import Domain, Process, Strand
+from strandprover.process import Domain, Process, Strand, antiparallel_adjacent, format_domain
 
 Assignment = dict[str, bool]
 
@@ -151,6 +151,75 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 def unbindable_sites(g: StrandGraph) -> frozenset[Site]:
     """Sites no admissible edge touches; they stay free in every reachable state."""
     return frozenset(s for s, others in zip(g._index.sites, g._index.partners) if not others)
+
+
+def object_shape(p: Process) -> dict:
+    """The strand graph of p by definition, on Site, Edge and Domain objects:
+    each StrandGraph field from_process gives, each field of its index, and
+    the graph JSON, as name -> value.  Edges are the complementary site
+    pairs, sorted; a component is the edges of a vertex-connected part."""
+    domains = tuple(tuple(d._replace(bond=None) for d in strand.domains) for strand in p.strands)
+    sites = [Site(v, n) for v, row in enumerate(domains, start=1) for n in range(1, len(row) + 1)]
+    label = {a: domains[a.vertex - 1][a.position - 1] for a in sites}
+    edges = sorted(Edge(a, b) for a, b in itertools.combinations(sites, 2) if label[a].matches(label[b]))
+    ids = {a: k for k, a in enumerate(sites)}
+    ends = [(ids[e.a], ids[e.b]) for e in edges]
+    partners: list[dict[int, int]] = [{} for _ in sites]
+    for r, (s, t) in enumerate(ends):
+        partners[s][t] = partners[t][s] = r
+    part = {v: frozenset([v]) for v in range(1, len(domains) + 1)}
+    for e in edges:
+        joined = part[e.a.vertex] | part[e.b.vertex]
+        part.update(dict.fromkeys(joined, joined))
+    groups: dict[frozenset, list[int]] = {}
+    for r, e in enumerate(edges):
+        groups.setdefault(part[e.a.vertex], []).append(r)
+    keys: dict[tuple[str, bool], int] = {}
+    labels = [2 * keys.setdefault((d.name, d.toehold), len(keys)) + d.complemented for row in domains for d in row]
+    bonds: dict[str, list[Site]] = {}
+    for (v, n), d in p.occurrences():
+        if d.bond is not None:
+            bonds.setdefault(d.bond, []).append(Site(v, n))
+    current = frozenset(Edge(*ends) for ends in bonds.values())
+    types: dict[tuple[Domain, ...], int] = {}
+    colours = tuple(types.setdefault(row, len(types) + 1) for row in domains)
+    toeholds = [label[e.a].toehold for e in edges]
+
+    def pairs(edges: Iterable[Edge]) -> list:
+        return [[list(e.a), list(e.b)] for e in edges]
+
+    return {
+        "domains": domains, "current": current, "lengths": tuple(map(len, domains)), "colours": colours,
+        "admissible": frozenset(edges),
+        "sites": sites, "labels": labels, "edges": edges, "rank": {e: r for r, e in enumerate(edges)},
+        "toehold_labels": frozenset(2 * k + c for (_, toehold), k in keys.items() if toehold for c in (0, 1)),
+        "ends": ends, "toeholds": toeholds, "partners": partners,
+        "anchors": [sum(1 << f for f, x in enumerate(edges) if x != e and antiparallel_adjacent(e, x)) for e in edges],
+        "components": [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()],
+        "json": {
+            "vertices": [{"id": v, "length": len(row), "colour": colours[v - 1], "domains": list(map(format_domain, row))}
+                         for v, row in enumerate(domains, start=1)],
+            "admissible": pairs(edges), "toehold": toeholds, "current": pairs(sorted(current)),
+        },
+    }
+
+
+def toehold_system(rng: random.Random, hairpins: int, fourways: int) -> str:
+    """Process text of disjoint hairpin and four-way copies, each domain and
+    bond renamed per copy, the strands shuffled."""
+    from strandprover.fixtures import FOURWAY, HAIRPIN
+
+    strands = []
+    for k in range(hairpins + fourways):
+        for part in (HAIRPIN if k < hairpins else FOURWAY).split("|"):
+            tokens = []
+            for token in part.strip()[1:-1].split():
+                head, bang, bond = token.partition("!")
+                name = head.rstrip("^*")
+                tokens.append(f"{name}_{k}{head[len(name):]}{bang}{bond and bond + '_' + str(k)}")
+            strands.append("<" + " ".join(tokens) + ">")
+    rng.shuffle(strands)
+    return " | ".join(strands)
 
 
 def greedy_free_sites(g: StrandGraph) -> list[Site]:

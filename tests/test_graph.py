@@ -338,9 +338,9 @@ class TestStrandGraphValidation:
         calls = []
         build_index = graph_module._build_index
 
-        def counted(g):
-            calls.append(g)
-            return build_index(g)
+        def counted(*args):
+            calls.append(args)
+            return build_index(*args)
 
         monkeypatch.setattr(graph_module, "_build_index", counted)
         g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
@@ -734,6 +734,78 @@ class TestShapeIndex:
         anchored = [e for g in graphs for e in self.assert_matches_definitions(g)]
         # hairpin loops, where both ends of an anchored edge lie on one vertex, are covered
         assert any(e.a.vertex == e.b.vertex for e in anchored)
+
+
+
+# the shape fields, as _Index names them, and the StrandGraph fields
+INDEX_FIELDS = ("sites", "labels", "toehold_labels", "edges", "rank", "ends", "anchors", "toeholds", "partners",
+                "components")
+GRAPH_FIELDS = ("domains", "current", "lengths", "colours", "admissible")
+
+
+class TestCodedFrontEnd:
+    """from_process indexes the label codes that the process derived once,
+    and builds no Site, Edge or bond-free Domain on the way to explore; every
+    field read later equals the definition on objects (oracles.object_shape)."""
+
+    @staticmethod
+    def processes() -> list[pr.Process]:
+        texts = [HAIRPIN, FOURWAY, HAIRPIN_AND_FOURWAY, HAIRPINS_AND_FOURWAY, THREE_HAIRPINS]
+        rng = random.Random(1)
+        # the toehold systems of the bench's explore workload, by shape
+        for hairpins, fourways in ((0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1)):
+            texts += [oracles.toehold_system(rng, hairpins, fourways) for _ in range(3)]
+        processes = [pr.parse_process(text) for text in texts] + [theorem_process()]
+        rng = random.Random(37)
+        processes += [oracles.random_process(rng, strands=4, max_len=8, bond_fraction=0.8) for _ in range(160)]
+        return processes
+
+    def test_every_field_matches_the_definition(self):
+        for p in self.processes():
+            want = oracles.object_shape(p)
+            # the process as built and as parsed back from its text; the
+            # graph as from_process gives it and as the constructor checks it
+            q = pr.parse_process(str(p))
+            graphs = [from_process(p), from_process(q), StrandGraph(want["domains"], want["current"])]
+            for g in graphs:
+                assert {name: getattr(g._index, name) for name in INDEX_FIELDS} == {n: want[n] for n in INDEX_FIELDS}
+                assert {name: getattr(g, name) for name in GRAPH_FIELDS} == {n: want[n] for n in GRAPH_FIELDS}
+                assert to_json_dict(g) == want["json"]
+            assert (p._codes, p._names, p._bonds) == (q._codes, q._names, q._bonds)
+            assert graphs[0] == graphs[1] == graphs[2] and len({hash(g) for g in graphs}) == 1
+
+    @pytest.mark.parametrize("text", [HAIRPIN, FOURWAY, HAIRPINS_AND_FOURWAY],
+                             ids=["hairpin", "fourway", "two-hairpins-and-fourway"])
+    def test_no_object_is_built_on_the_way_to_explore(self, monkeypatch, text):
+        built = Counter()
+
+        def counting(name, make):
+            def counted(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(Site, "__new__", staticmethod(counting("Site", Site.__new__)))
+        monkeypatch.setattr(Edge, "__new__", staticmethod(counting("Edge", Edge.__new__)))
+        monkeypatch.setattr(pr.Domain, "free", counting("Domain.free", pr.Domain.free))
+        report = explore(from_process(pr.parse_process(text)))
+        assert built == Counter()
+        # reading a state decodes it: the counters see every Edge and Site built
+        assert len(report.states[-1]) == bin(report.masks[-1]).count("1")
+        assert built["Edge"] == len(report.graph._index.ends) and built["Site"] > built["Edge"]
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_equal_whether_or_not_fields_were_read(self, copier):
+        for read in ((), GRAPH_FIELDS):
+            g = hairpin_and_fourway_graph()
+            for name in read:
+                getattr(g, name)
+            h = copier(g)
+            assert h == g and hash(h) == hash(g)
+            assert {name: getattr(h, name) for name in GRAPH_FIELDS} == {name: getattr(g, name) for name in GRAPH_FIELDS}
+            assert report_digest(explore(h)) == report_digest(explore(g))
 
 
 def reference_explore(g: StrandGraph):
