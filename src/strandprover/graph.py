@@ -21,7 +21,7 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
-from .process import Domain, Process, antiparallel_adjacent, format_domain, parse_domain
+from .process import Domain, Process, antiparallel_adjacent, code_labels, format_domain, parse_domain
 
 
 class GraphError(ValueError):
@@ -165,10 +165,9 @@ class StrandGraph:
     The labels fix the rest of the shape: each vertex's length, its colour
     (strand types numbered by first appearance) and the admissible edges,
     every complementary site pair.  Every vertex needs a label.  The shape is
-    indexed once on the labels' codes (_build_index), and the state is kept
-    as a bitmask over the index's edge ranks; with_current shares the index
-    and checks only the new edge set, in O(|E|).  Every field but the ones
-    given is built from the index and the mask when first read."""
+    indexed once, on label codes (_build_index); the state is a bitmask over
+    its edge ranks, and with_current checks only the new edge set, in O(|E|).
+    A field not given is built from the index or the mask when first read."""
 
     domains: tuple[tuple[Domain, ...], ...]  # per-site labels, bond-free
     current: frozenset[Edge]
@@ -181,21 +180,12 @@ class StrandGraph:
             raise GraphError("a vertex needs at least one domain")
         if any(d.bond is not None for row in self.domains for d in row):
             raise GraphError("graph site labels carry no bonds")
-        ranks: dict[tuple[str, bool], int] = {}  # a graph may use a name both as toehold and long
-        labels = [2 * ranks.setdefault((d.name, d.toehold), len(ranks)) + d.complemented for row in self.domains for d in row]
-        self.__dict__["_index"] = _build_index(labels, list(ranks), tuple(map(len, self.domains)))
+        self.__dict__["_index"] = _build_index(*code_labels(self.domains), tuple(map(len, self.domains)))
         self.__dict__["_mask"] = self._mask_of(self.current)
-
-    @classmethod
-    def _coded(cls, ix: _Index, mask: int) -> StrandGraph:
-        g = object.__new__(cls)
-        g.__dict__.update(_index=ix, _mask=mask)
-        return g
 
     def __getattr__(self, name: str):
         # only names not yet set come here: the current edges, decoded from
-        # the mask, and the shape's fields, which the index builds once for
-        # every state
+        # the mask, and the shape's fields, which the index builds for every state
         d = self.__dict__
         if "_index" not in d or name not in ("current", "domains", "lengths", "colours", "admissible"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -203,8 +193,7 @@ class StrandGraph:
         return value
 
     def _mask_of(self, current: frozenset[Edge]) -> int:
-        """The rank bitmask of current; GraphError if an edge is not
-        admissible or a site is bound twice."""
+        """current as a rank bitmask; GraphError on an edge not admissible or a site bound twice."""
         ix = self._index
         ranks = [ix.rank.get(e) for e in current]
         if None in ranks:
@@ -240,11 +229,10 @@ class StrandGraph:
 
 @dataclass
 class _Index:
-    """A shape on integers, built once from its labels' codes and shared by
-    every state: its admissible edges ranked in sorted order, and what moves
-    and explore read of them.  Sites are numbered from 0 in Site order.  The
-    shape's objects, its sites, edges and the StrandGraph fields, are built
-    when first read."""
+    """A shape on integers, built once from label codes and shared by every
+    state: sites numbered from 0 in Site order, admissible edges ranked in
+    sorted order, and what moves and explore read of them.  Its objects, the
+    sites, the edges and the StrandGraph fields, are built when first read."""
 
     labels: list[int]  # site id -> 2 * rank of (name, toehold) + complemented, as bind_chain reads it
     names: list[tuple[str, bool]]  # rank -> (name, toehold)
@@ -273,26 +261,20 @@ class _Index:
     def admissible(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def _rows(self) -> Iterator[tuple[int, ...]]:
-        start = 0
-        for length in self.lengths:
-            yield tuple(self.labels[start:start + length])
-            start += length
-
     @cached_property
     def domains(self) -> tuple[tuple[Domain, ...], ...]:
         label = [Domain(name, complemented, toehold) for name, toehold in self.names for complemented in (False, True)]
-        return tuple(tuple(label[code] for code in row) for row in self._rows())
+        labels = iter([label[code] for code in self.labels])
+        return tuple(tuple(islice(labels, length)) for length in self.lengths)
 
     @cached_property
     def colours(self) -> tuple[int, ...]:
-        types: dict[tuple[int, ...], int] = {}
-        return tuple(types.setdefault(row, len(types) + 1) for row in self._rows())
+        types: dict[tuple[Domain, ...], int] = {}
+        return tuple(types.setdefault(row, len(types) + 1) for row in self.domains)
 
 
 def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tuple[int, ...]) -> _Index:
-    """The shape that coded labels give, on vertices of these lengths,
-    indexed in one pass over site ids."""
+    """The shape of these label codes on vertices of these lengths, in one pass over site ids."""
     toehold_labels = frozenset(2 * k + c for k, (_, toehold) in enumerate(names) if toehold for c in (0, 1))
     by_label: dict[int, list[int]] = {}
     for s, code in enumerate(labels):
@@ -340,11 +322,12 @@ def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tupl
 
 
 def from_process(p: Process) -> StrandGraph:
-    """Strand graph of a process: one vertex per strand in order, the
-    strands' bond-free labels, current edges from bonds; indexed on the
-    process's label codes, with no label or edge object built."""
+    """Strand graph of a process: one vertex per strand in order, the strands'
+    bond-free labels, current edges from bonds, all read off the process's codes."""
     ix = _build_index(p._codes, p._names, tuple(len(strand.domains) for strand in p.strands))
-    return StrandGraph._coded(ix, sum(1 << ix.partners[s][t] for s, t in p._bonds.values()))
+    g = object.__new__(StrandGraph)
+    g.__dict__.update(_index=ix, _mask=sum(1 << ix.partners[s][t] for s, t in p._bonds.values()))
+    return g
 
 
 def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) -> list[tuple[int, int]] | None:
@@ -779,20 +762,13 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
 
 
 def to_json_dict(g: StrandGraph) -> dict:
-    return {
-        "vertices": [
-            {
-                "id": v + 1,
-                "length": g.lengths[v],
-                "colour": g.colours[v],
-                "domains": [format_domain(d) for d in g.domains[v]],
-            }
-            for v in range(len(g.lengths))
-        ],
-        "admissible": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in g._index.edges],
-        "toehold": list(g._index.toeholds),
-        "current": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in sorted(g.current)],
-    }
+    def pairs(edges: Iterable[Edge]) -> list:
+        return [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in edges]
+
+    vertices = [{"id": v + 1, "length": g.lengths[v], "colour": g.colours[v], "domains": list(map(format_domain, row))}
+                for v, row in enumerate(g.domains)]
+    return {"vertices": vertices, "admissible": pairs(g._index.edges), "toehold": list(g._index.toeholds),
+            "current": pairs(sorted(g.current))}
 
 
 def to_json(g: StrandGraph) -> str:
@@ -816,10 +792,8 @@ def from_json(text: str | dict) -> StrandGraph:
     except RecursionError:
         raise GraphError("graph JSON nests too deeply") from None
     try:
-        vertices = data["vertices"]
-        admissible_rows = data["admissible"]
-        toehold_rows = data["toehold"]
-        current_rows = data["current"]
+        fields = ("vertices", "admissible", "toehold", "current")
+        vertices, admissible_rows, toehold_rows, current_rows = [data[k] for k in fields]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"missing graph field: {exc}") from None
     if not all(isinstance(rows, list) for rows in (vertices, admissible_rows, toehold_rows, current_rows)):
@@ -879,8 +853,5 @@ def _dot_lines(g: StrandGraph) -> Iterator[str]:
         colour = "red" if e in g.current else "blue"
         style = "dashed" if toehold else "solid"
         width = ", penwidth=2.0" if e in g.current else ""
-        yield (
-            f'  v{e.a.vertex} -- v{e.b.vertex} '
-            f'[label="{e.a}-{e.b}", color={colour}, style={style}{width}];'
-        )
+        yield f'  v{e.a.vertex} -- v{e.b.vertex} [label="{e.a}-{e.b}", color={colour}, style={style}{width}];'
     yield "}"

@@ -10,7 +10,6 @@ pair, both 1-based.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
@@ -46,11 +45,7 @@ class Domain(NamedTuple):
 
     def matches(self, other: "Domain") -> bool:
         """True when self and other are complementary and could bond."""
-        return (
-            self.name == other.name
-            and self.toehold == other.toehold
-            and self.complemented != other.complemented
-        )
+        return self.name == other.name and self.toehold == other.toehold and self.complemented != other.complemented
 
     def free(self) -> "Domain":
         return self if self.bond is None else Domain(self.name, self.complemented, self.toehold)
@@ -103,45 +98,44 @@ class Strand:
         return "<" + " ".join(format_domain(d) for d in self.domains) + ">"
 
 
+def code_labels(rows: Iterable[Iterable[Domain]]) -> tuple[list[int], list[tuple[str, bool]]]:
+    """Each label's code, site by site: 2 * rank of its (name, toehold) +
+    complemented, ranked by first use, so that code ^ 1 codes the complement
+    (Domain.matches); and the (name, toehold) pairs in rank order."""
+    ranks: dict[tuple[str, bool], int] = {}
+    codes = [2 * ranks.setdefault((d.name, d.toehold), len(ranks)) + d.complemented for row in rows for d in row]
+    return codes, list(ranks)
+
+
 @dataclass(frozen=True)
 class Process:
-    """Strands, coded once by the constructor as the strand graph reads them.
-
-    Sites are numbered from 0, strand by strand, 5' to 3'.  A site's label
-    code is 2 * rank of its name + complemented, names ranked by first use,
-    so that code ^ 1 codes its complement; each bond is its two site ids,
-    ascending, in first-use order.  The toehold and bond checks run on the
-    codes."""
+    """Strands, their labels coded once by the constructor (code_labels) as
+    the strand graph reads them, sites numbered from 0 strand by strand, and
+    each bond as its two site ids, ascending.  The toehold and bond checks
+    run on the codes."""
 
     strands: tuple[Strand, ...]
     _codes: list[int] = field(init=False, repr=False, compare=False)  # site id -> label code
     _names: list[tuple[str, bool]] = field(init=False, repr=False, compare=False)  # rank -> name, toehold
-    _bonds: dict[str, list[int]] = field(init=False, repr=False, compare=False)  # bond -> its site ids
-    _starts: list[int] = field(init=False, repr=False, compare=False)  # strand -> its first site id
+    _bonds: dict[str, list[int]] = field(init=False, repr=False, compare=False)  # in first-use order
 
     def __post_init__(self):
-        ranks: dict[str, int] = {}
-        names: list[tuple[str, bool]] = []
-        codes: list[int] = []
+        codes, names = code_labels(strand.domains for strand in self.strands)
+        seen = set()
+        for name, _ in names:  # in first-use order, so the first repeat is the first clash
+            if name in seen:
+                raise ProcessError(f"domain name {name!r} is used both as toehold and long")
+            seen.add(name)
         bonds: dict[str, list[int]] = {}
-        starts = []
-        for strand in self.strands:
-            starts.append(len(codes))
-            for name, complemented, toehold, bond in strand.domains:
-                k = ranks.setdefault(name, len(names))
-                if k == len(names):
-                    names.append((name, toehold))
-                elif names[k][1] != toehold:
-                    raise ProcessError(f"domain name {name!r} is used both as toehold and long")
-                if bond is not None:
-                    bonds.setdefault(bond, []).append(len(codes))
-                codes.append(2 * k + complemented)
+        for site, d in enumerate(chain.from_iterable(strand.domains for strand in self.strands)):
+            if d.bond is not None:
+                bonds.setdefault(d.bond, []).append(site)
         for bond, ends in bonds.items():
             if len(ends) != 2:
                 raise ProcessError(f"bond {bond!r} occurs {len(ends)} time(s), expected 2")
-            if codes[ends[0]] ^ 1 != codes[ends[1]]:  # Domain.matches, as names keep one toehold flag
+            if codes[ends[0]] ^ 1 != codes[ends[1]]:
                 raise ProcessError(f"bond {bond!r} joins non-complementary occurrences")
-        self.__dict__.update(_codes=codes, _names=names, _bonds=bonds, _starts=starts)
+        self.__dict__.update(_codes=codes, _names=names, _bonds=bonds)
 
     def occurrences(self) -> Iterator[tuple[Locator, Domain]]:
         for s, strand in enumerate(self.strands, start=1):
@@ -164,8 +158,10 @@ class Process:
         return tuple(map(self._locator, self._bonds[bond]))
 
     def _locator(self, site: int) -> Locator:
-        s = bisect_right(self._starts, site)  # no strand is empty, so the starts ascend strictly
-        return s, site - self._starts[s - 1] + 1
+        for s, strand in enumerate(self.strands, start=1):
+            if site < len(strand):
+                return s, site + 1
+            site -= len(strand)
 
     def __str__(self) -> str:
         return " | ".join(str(s) for s in self.strands)
