@@ -206,7 +206,7 @@ class StrandGraph:
         return sum(1 << r for r in ranks)
 
     def vertex_count(self) -> int:
-        return len(self._index.lengths)
+        return len(self.lengths)
 
     def sites(self) -> list[Site]:
         return list(self._index.sites)
@@ -762,13 +762,20 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
 
 
 def to_json_dict(g: StrandGraph) -> dict:
-    def pairs(edges: Iterable[Edge]) -> list:
-        return [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in edges]
-
-    vertices = [{"id": v + 1, "length": g.lengths[v], "colour": g.colours[v], "domains": list(map(format_domain, row))}
-                for v, row in enumerate(g.domains)]
-    return {"vertices": vertices, "admissible": pairs(g._index.edges), "toehold": list(g._index.toeholds),
-            "current": pairs(sorted(g.current))}
+    return {
+        "vertices": [
+            {
+                "id": v + 1,
+                "length": g.lengths[v],
+                "colour": g.colours[v],
+                "domains": [format_domain(d) for d in g.domains[v]],
+            }
+            for v in range(len(g.lengths))
+        ],
+        "admissible": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in g._index.edges],
+        "toehold": list(g._index.toeholds),
+        "current": [[[e.a.vertex, e.a.position], [e.b.vertex, e.b.position]] for e in sorted(g.current)],
+    }
 
 
 def to_json(g: StrandGraph) -> str:
@@ -792,8 +799,10 @@ def from_json(text: str | dict) -> StrandGraph:
     except RecursionError:
         raise GraphError("graph JSON nests too deeply") from None
     try:
-        fields = ("vertices", "admissible", "toehold", "current")
-        vertices, admissible_rows, toehold_rows, current_rows = [data[k] for k in fields]
+        vertices = data["vertices"]
+        admissible_rows = data["admissible"]
+        toehold_rows = data["toehold"]
+        current_rows = data["current"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"missing graph field: {exc}") from None
     if not all(isinstance(rows, list) for rows in (vertices, admissible_rows, toehold_rows, current_rows)):
@@ -853,5 +862,8 @@ def _dot_lines(g: StrandGraph) -> Iterator[str]:
         colour = "red" if e in g.current else "blue"
         style = "dashed" if toehold else "solid"
         width = ", penwidth=2.0" if e in g.current else ""
-        yield f'  v{e.a.vertex} -- v{e.b.vertex} [label="{e.a}-{e.b}", color={colour}, style={style}{width}];'
+        yield (
+            f'  v{e.a.vertex} -- v{e.b.vertex} '
+            f'[label="{e.a}-{e.b}", color={colour}, style={style}{width}];'
+        )
     yield "}"

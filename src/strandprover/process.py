@@ -45,7 +45,11 @@ class Domain(NamedTuple):
 
     def matches(self, other: "Domain") -> bool:
         """True when self and other are complementary and could bond."""
-        return self.name == other.name and self.toehold == other.toehold and self.complemented != other.complemented
+        return (
+            self.name == other.name
+            and self.toehold == other.toehold
+            and self.complemented != other.complemented
+        )
 
     def free(self) -> "Domain":
         return self if self.bond is None else Domain(self.name, self.complemented, self.toehold)
