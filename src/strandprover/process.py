@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -159,7 +160,12 @@ class Process:
     def bond_ends(self, bond: str) -> tuple[Locator, Locator]:
         if bond not in self._bonds:
             raise RuleError(f"no bond named {bond!r}")
-        return tuple(map(self._locator, self._bonds[bond]))
+        return self._bond_ends[bond]
+
+    @cached_property
+    def _bond_ends(self) -> dict[str, tuple[Locator, Locator]]:
+        """Each bond's ends as locators, which the rules read, built on their first read."""
+        return {bond: tuple(map(self._locator, ends)) for bond, ends in self._bonds.items()}
 
     def _locator(self, site: int) -> Locator:
         for s, strand in enumerate(self.strands, start=1):
