@@ -12,6 +12,7 @@ import itertools
 import random
 from typing import Iterable, Iterator
 
+from strandprover.fixtures import FOURWAY, HAIRPIN
 from strandprover.graph import Edge, Site, StrandGraph
 from strandprover.logic import (
     _ATOM_RE,
@@ -207,8 +208,6 @@ def object_shape(p: Process) -> dict:
 def toehold_system(rng: random.Random, hairpins: int, fourways: int) -> str:
     """Process text of disjoint hairpin and four-way copies, each domain and
     bond renamed per copy, the strands shuffled."""
-    from strandprover.fixtures import FOURWAY, HAIRPIN
-
     strands = []
     for k in range(hairpins + fourways):
         for part in (HAIRPIN if k < hairpins else FOURWAY).split("|"):

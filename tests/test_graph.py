@@ -704,7 +704,7 @@ class TestIndexedEnumeration:
 
 
 class TestShapeIndex:
-    """The constructor's integer index against the set-level definitions:
+    """The shape's integer index against the set-level definitions:
     sorted edges, edge_adjacent, toehold and vertex connectivity."""
 
     def assert_matches_definitions(self, g: StrandGraph) -> list[Edge]:
@@ -750,12 +750,16 @@ class TestCodedFrontEnd:
 
     @staticmethod
     def processes() -> list[pr.Process]:
+        from strandprover.compiler import clause_process
+        from strandprover.fixtures import clause_set_s
+
         texts = [HAIRPIN, FOURWAY, HAIRPIN_AND_FOURWAY, HAIRPINS_AND_FOURWAY, THREE_HAIRPINS]
         rng = random.Random(1)
-        # the toehold systems of the bench's explore workload, by shape
-        for hairpins, fourways in ((0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (0, 3), (1, 2), (2, 1)):
-            texts += [oracles.toehold_system(rng, hairpins, fourways) for _ in range(3)]
-        processes = [pr.parse_process(text) for text in texts] + [theorem_process()]
+        # toehold systems in the mix of the bench's explore workload: (hairpins, four-ways), count
+        mix = (((0, 1), 14), ((1, 0), 16), ((0, 2), 20), ((1, 1), 6), ((2, 0), 20), ((0, 3), 2), ((1, 2), 1), ((2, 1), 1))
+        for (hairpins, fourways), count in mix:
+            texts += [oracles.toehold_system(rng, hairpins, fourways) for _ in range(count)]
+        processes = [pr.parse_process(text) for text in texts] + [theorem_process(), clause_process(clause_set_s())]
         rng = random.Random(37)
         processes += [oracles.random_process(rng, strands=4, max_len=8, bond_fraction=0.8) for _ in range(160)]
         return processes
