@@ -324,7 +324,7 @@ def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tupl
 def from_process(p: Process) -> StrandGraph:
     """Strand graph of a process: one vertex per strand in order, the strands'
     bond-free labels, current edges from bonds, all read off the process's codes."""
-    ix = _build_index(p._codes, p._names, tuple(len(strand.domains) for strand in p.strands))
+    ix = _build_index(p._codes, p._names, tuple(map(len, p.strands)))
     g = object.__new__(StrandGraph)
     g.__dict__.update(_index=ix, _mask=sum(1 << ix.partners[s][t] for s, t in p._bonds.values()))
     return g

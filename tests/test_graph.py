@@ -736,7 +736,6 @@ class TestShapeIndex:
         assert any(e.a.vertex == e.b.vertex for e in anchored)
 
 
-
 # the shape fields, as _Index names them, and the StrandGraph fields
 INDEX_FIELDS = ("sites", "labels", "toehold_labels", "edges", "rank", "ends", "anchors", "toeholds", "partners",
                 "components")
