@@ -199,9 +199,8 @@ class StrandGraph:
         if None in ranks:
             for e in current - self.admissible:
                 raise GraphError(f"current edge {e} is not admissible")
-        ends = [s for r in ranks for s in ix.ends[r]]
+        ends = [s for e in current for s in (e.a, e.b)]
         if len(set(ends)) < len(ends):
-            ends = [s for e in current for s in (e.a, e.b)]
             raise GraphError(f"site {next(s for s in ends if ends.count(s) > 1)} is bound twice")
         return sum(1 << r for r in ranks)
 

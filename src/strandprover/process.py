@@ -165,13 +165,8 @@ class Process:
     @cached_property
     def _bond_ends(self) -> dict[str, tuple[Locator, Locator]]:
         """Each bond's ends as locators, which the rules read, built on their first read."""
-        return {bond: tuple(map(self._locator, ends)) for bond, ends in self._bonds.items()}
-
-    def _locator(self, site: int) -> Locator:
-        for s, strand in enumerate(self.strands, start=1):
-            if site < len(strand):
-                return s, site + 1
-            site -= len(strand)
+        locators = [(s, n) for s, strand in enumerate(self.strands, start=1) for n in range(1, len(strand) + 1)]
+        return {bond: (locators[a], locators[b]) for bond, (a, b) in self._bonds.items()}
 
     def __str__(self) -> str:
         return " | ".join(str(s) for s in self.strands)
