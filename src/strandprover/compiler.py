@@ -149,6 +149,24 @@ def _flips() -> tuple[int, ...]:
                  for xs in itertools.product((1, 2, 3), repeat=r))
 
 
+def _take(marked: bytearray, seq: str) -> None:
+    """Mark every word within 3 bases of seq or of its reverse complement."""
+    flips = _flips()
+    for word in (int(seq.translate(_DIGITS), 4), int(reverse_complement(seq).translate(_DIGITS), 4)):
+        for flip in flips:
+            marked[word ^ flip] = 1
+
+
+@functools.lru_cache(maxsize=4)
+def _marked(codes: frozenset[str]) -> bytes:
+    """The word table with these codes taken, built on the first search from
+    each base rather than at import; each search works on a copy."""
+    marked = bytearray(4**_LENGTH)
+    for seq in codes:
+        _take(marked, seq)
+    return bytes(marked)
+
+
 def generate_codebook(variables: Iterable[str], base: Codebook | None = None) -> Codebook:
     """Ten-base codes for the variables base lacks, at least 4 bases from every
     code and reverse complement, their own included.  Each word (an int, 2 bits
@@ -158,16 +176,9 @@ def generate_codebook(variables: Iterable[str], base: Codebook | None = None) ->
     if base is not None and base.code_length() != _LENGTH:
         raise CodebookError(f"base codebook codes must have {_LENGTH} bases")
     accepted: dict[str, str] = dict(base._codes) if base is not None else {}
-    marked, rng, flips = bytearray(4**_LENGTH), random.Random(0), _flips()
-
-    def take(seq: str) -> None:
-        for word in (int(seq.translate(_DIGITS), 4), int(reverse_complement(seq).translate(_DIGITS), 4)):
-            for flip in flips:
-                marked[word ^ flip] = 1
-
-    for seq in accepted.values():
-        take(seq)
-    for var in sorted(set(variables) - accepted.keys()):
+    marked, rng = bytearray(_marked(frozenset(accepted.values()))), random.Random(0)
+    missing = sorted(set(variables) - accepted.keys())
+    for var in missing:
         word = rng.randrange(len(marked))
         while var not in accepted:
             word = marked.find(0, word)
@@ -177,7 +188,8 @@ def generate_codebook(variables: Iterable[str], base: Codebook | None = None) ->
             seq = "".join(BASES[word >> 2 * k & 3] for k in range(_LENGTH - 1, -1, -1))
             if hamming(seq, reverse_complement(seq)) >= _MIN_DISTANCE:
                 accepted[var] = seq
-        take(accepted[var])
+        if var != missing[-1]:  # no search reads the last code's marks
+            _take(marked, accepted[var])
     return Codebook(accepted)
 
 

@@ -3,8 +3,9 @@
 A strand graph keeps the static shape of a process (one vertex per strand,
 one site per domain position) apart from its dynamic state, the current edge
 set E.  Admissible edges connect every pair of complementary sites; moves
-rewrite E only.  Rule names follow the trace vocabulary GB (bind), GU
-(unbind), G3 (displace), GM (ring migration).
+rewrite E only, and each move rewrites edges of one domain name.  Rule names
+follow the trace vocabulary GB (bind), GU (unbind), G3 (displace), GM (ring
+migration).
 
 The rule appliers (bind, unbind, displace, migrate) check their premises on
 edge sets.  moves and explore run on the shape's integer index (_Index)
@@ -14,7 +15,7 @@ instead, and the appliers stay their independent cross-check.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -181,7 +182,9 @@ class StrandGraph:
         if any(d.bond is not None for row in self.domains for d in row):
             raise GraphError("graph site labels carry no bonds")
         self.__dict__["_index"] = _build_index(*code_labels(self.domains), tuple(map(len, self.domains)))
+        # current may come as a sequence, checked in its order and then stored as a set
         self.__dict__["_mask"] = self._mask_of(self.current)
+        self.__dict__["current"] = frozenset(self.current)
 
     def __getattr__(self, name: str):
         # only names not yet set come here: the current edges, decoded from
@@ -192,13 +195,12 @@ class StrandGraph:
         d[name] = value = _edges_of(d["_index"], d["_mask"]) if name == "current" else getattr(d["_index"], name)
         return value
 
-    def _mask_of(self, current: frozenset[Edge]) -> int:
-        """current as a rank bitmask; GraphError on an edge not admissible or a site bound twice."""
-        ix = self._index
-        ranks = [ix.rank.get(e) for e in current]
+    def _mask_of(self, current: Collection[Edge]) -> int:
+        """current as a rank bitmask; GraphError naming the first edge, in current's
+        order, that is not admissible, or else the first site bound twice."""
+        ranks = [self._index.rank.get(e) for e in current]
         if None in ranks:
-            for e in current - self.admissible:
-                raise GraphError(f"current edge {e} is not admissible")
+            raise GraphError(f"current edge {list(current)[ranks.index(None)]} is not admissible")
         ends = [s for e in current for s in (e.a, e.b)]
         if len(set(ends)) < len(ends):
             raise GraphError(f"site {next(s for s in ends if ends.count(s) > 1)} is bound twice")
@@ -270,6 +272,24 @@ class _Index:
     def colours(self) -> tuple[int, ...]:
         types: dict[tuple[Domain, ...], int] = {}
         return tuple(types.setdefault(row, len(types) + 1) for row in self.domains)
+
+    # every rule rewrites edges of one name, as an edge joins complementary
+    # labels: these two tables say where a name can hold a G3 or a GM at all
+
+    @cached_property
+    def displacing(self) -> int:  # mask of the ranks sharing a site with another edge: G3's candidates
+        partners = self.partners
+        return sum(1 << r for r, (s, u) in enumerate(self.ends) if len(partners[s]) + len(partners[u]) > 2)
+
+    @cached_property
+    def rings(self) -> list[int]:  # per name whose two labels each have 2 sites or more: its rank mask
+        count = Counter(self.labels)
+        masks: dict[int, int] = {}
+        for r, (s, _) in enumerate(self.ends):
+            code = self.labels[s]
+            if count[code] > 1 and count[code ^ 1] > 1:
+                masks[code >> 1] = masks.get(code >> 1, 0) | 1 << r
+        return list(masks.values())
 
 
 def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tuple[int, ...]) -> _Index:
@@ -514,8 +534,13 @@ def _decode(t: _Index, move: _RankMove) -> Move:
 def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankMove]:
     """The sorted moves of the component whose edges are ranks, or of a union
     of components, in a state with no current edge outside it.  GraphError if
-    the state binds a site twice."""
-    ends, anchors, partners = t.ends, t.anchors, t.partners
+    the state binds a site twice.
+
+    Each move rewrites edges of one name, as every edge joins complementary
+    sites: G3 is searched only from an edge that shares a site with another
+    (t.displacing), and GM only in a name that can hold a ring (t.rings) and
+    holds two current edges or more."""
+    ends, anchors, partners, displacing = t.ends, t.anchors, t.partners, t.displacing
     current = []
     owner: dict[int, int] = {}  # bound site id -> its current edge
     bits = state
@@ -536,47 +561,59 @@ def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankM
         if t.toeholds[e] and not anchors[e] & state:
             out.append((1, (e,), (), 1 << e))
     for e in current:
+        if not displacing >> e & 1:
+            continue
         # x shares the site s with e and its other end u must be free; e
         # itself never anchors x, as no neighbour of x shares a site with it
         for s in ends[e]:
             for u, x in partners[s].items():
                 if u not in owner and anchors[x] & state:
                     out.append((2, (e,), (x,), 1 << e | 1 << x))
-    out += _ring_moves(t, owner, current, state)
+    for name in t.rings:
+        seeds = state & name
+        if seeds & seeds - 1:  # two current edges or more
+            out += _ring_moves(t, owner, seeds, state)
     out.sort()
     return out
 
 
-def _ring_moves(t: _Index, owner: dict[int, int], current: list[int], state: int) -> list[_RankMove]:
+def _ring_moves(t: _Index, owner: dict[int, int], seeds: int, state: int) -> list[_RankMove]:
     """Rings alternate current edges with admissible linking edges whose
-    endpoints all lie on the ring's current edges."""
+    endpoints all lie on the ring's current edges.  All of a ring's edges
+    share one name, so its current edges are among seeds, that name's."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
     found: list[_RankMove] = []
 
-    def extend(start: int, ring: list[int], links: list[int], exit_site: int, entry_site: int):
-        # exit_site: the still-unlinked endpoint of ring[-1]
+    def extend(start: int, ring: list[int], links: list[int], flip: int, exit_site: int, entry_site: int):
+        # exit_site: the still-unlinked endpoint of ring[-1]; flip: the ring's
+        # edges and links so far, so a current edge in it is on the ring
         if len(ring) >= 2:
             closing = partners[exit_site].get(entry_site)
             if closing is not None:
                 added = links + [closing]
-                flip = sum(1 << r for r in ring + added)
-                if all(anchors[x] & (state ^ flip) for x in added):
-                    found.append((3, tuple(sorted(ring)), tuple(sorted(added)), flip))
+                after = state ^ flip ^ 1 << closing
+                for x in added:
+                    if not anchors[x] & after:
+                        break
+                else:
+                    found.append((3, tuple(sorted(ring)), tuple(sorted(added)), flip | 1 << closing))
         if len(ring) >= MAX_RING:
             return
         for landing, x in partners[exit_site].items():
             nxt = owner.get(landing)
-            if nxt is None or nxt in ring or nxt < start:
+            if nxt is None or nxt < start or flip >> nxt & 1:
                 continue
             s, u = ends[nxt]
-            extend(start, ring + [nxt], links + [x], s + u - landing, entry_site)
+            extend(start, ring + [nxt], links + [x], flip | 1 << nxt | 1 << x, s + u - landing, entry_site)
 
-    for start in current:
+    while seeds:
         # a ring's removed and added edges form one cycle; it starts at its
         # lowest-ranked edge and leaves it by one fixed endpoint, so each ring
         # has one traversal and is found once
+        start = (seeds & -seeds).bit_length() - 1
+        seeds ^= 1 << start
         s, u = ends[start]
-        extend(start, [start], [], u, s)
+        extend(start, [start], [], 1 << start, u, s)
     return found
 
 
@@ -820,7 +857,7 @@ def from_json(text: str | dict) -> StrandGraph:
             raise GraphError(f"vertex {k}: malformed domain token ({exc})") from None
     admissible = [_edge_from_json(pair) for pair in admissible_rows]
     current = [_edge_from_json(pair) for pair in current_rows]
-    g = StrandGraph(tuple(domains), frozenset(current))
+    g = StrandGraph(tuple(domains), tuple(dict.fromkeys(current)))  # checked in the order listed
     if len(g.current) < len(current):
         raise GraphError("current edges must each be listed once")
     # every field but the labels and the current edges is derived: check it agrees

@@ -827,7 +827,7 @@ GRAPH_ERRORS = [
     (_spoiled(TWO_STRANDS, current=[[[2, 2], [1, 1]], [[1, 2], [2, 1]], [[9, 9], [1, 1]]]),
      "current edge (1,1)-(9,9) is not admissible"),
     (_spoiled(TWO_STRANDS, current=[[[1, 2], [2, 2]], [[1, 1], [2, 1]], [[3, 1], [0, 0]]]),
-     "current edge (1,1)-(2,1) is not admissible"),
+     "current edge (1,2)-(2,2) is not admissible"),
     (_spoiled(SHARED_SITE, current=[[[1, 1], [2, 1]], [[2, 1], [3, 1]]]), "site (2,1) is bound twice"),
     (_spoiled(TWO_STRANDS, current=[[[1, 1], [2, 2]], [[2, 2], [1, 1]]]), "current edges must each be listed once"),
     (_spoiled(TWO_STRANDS, admissible=[[[1, 1], [2, 2]]], toehold=[True]),
@@ -895,7 +895,7 @@ FUZZ_CHARS = "<>|!^* \nabpqxy_019⟨⟩{}[],:\"-."
 FUZZ_VALUES = (0, 1, -1, 2, 3, 1.5, True, False, None, "a", "a^*", "b!x", "", [], {}, [1, 1], [[1, 1], [2, 1]])
 
 
-def _mutate_chars(rng, text: str) -> str:
+def _mutate_chars(rng, text: str, chars: str = FUZZ_CHARS) -> str:
     """Delete, insert, replace or repeat characters."""
     for _ in range(rng.randint(1, 3)):
         k = rng.randrange(len(text) + 1)
@@ -903,9 +903,9 @@ def _mutate_chars(rng, text: str) -> str:
         if op == 0:
             text = text[:k] + text[k + 1:]
         elif op == 1:
-            text = text[:k] + rng.choice(FUZZ_CHARS) + text[k:]
+            text = text[:k] + rng.choice(chars) + text[k:]
         elif op == 2:
-            text = text[:k] + rng.choice(FUZZ_CHARS) + text[k + 1:]
+            text = text[:k] + rng.choice(chars) + text[k + 1:]
         else:
             j = rng.randrange(len(text) + 1)
             text = text[:k] + text[min(j, k):max(j, k)] + text[k:]
@@ -1001,3 +1001,74 @@ class TestSeededFuzz:
         # the mutations reach every outcome
         assert min(outcomes[command, kind] for command in ("simulate", "export") for kind in ("ok", "error")) > 100, outcomes
         assert outcomes["simulate", "INDETERMINATE"] > 0, outcomes
+
+
+CLAUSE_FUZZ_CHARS = "PQRUVxZ~-&|()<>#%0123 \npcnf"
+# per seed text, the tokens an edit may put in, mostly of its own lexicon
+CLAUSE_FUZZ_SEEDS = {
+    CLAUSES_S: ("P", "~P", "Q", "~Q", "x1", "~x7", "Z", "#", "-", ""),
+    DIMACS_S: ("0", "-1", "2", "-3", "7", "%", "p", "cnf", "P", ""),
+    FORMULA_S: ("P", "~Q", "x1", "&", "|", "->", "<->", "(", ")", "~", "0", ""),
+}
+# the exit codes each command may end in: prove 1 is satisfiable, compare 3 a disagreement
+CLAUSE_FUZZ_EXITS = {"prove": {0, 1, 2}, "compare": {0, 2, 3}, "compile": {0, 2}}
+
+
+def _mutate_clause_text(rng, text: str, tokens: tuple[str, ...]) -> str:
+    """Token edits (replace, drop, repeat or negate a token, or drop or repeat
+    a line), which often keep clause lines, DIMACS or a formula well formed,
+    or character edits."""
+    if rng.random() < 0.3:
+        return _mutate_chars(rng, text, CLAUSE_FUZZ_CHARS)
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines))
+        row = lines[k]
+        j = rng.randrange(len(row))
+        op = rng.randrange(6)
+        if op == 0:
+            row[j] = rng.choice(tokens)
+        elif op == 1 and len(row) > 1:
+            del row[j]
+        elif op == 2:
+            row.insert(j, row[j])
+        elif op == 3:  # negate: a DIMACS number with '-', a name with '~'
+            row[j] = row[j][1:] if row[j][:1] in ("~", "-") else ("-" if row[j].isdigit() else "~") + row[j]
+        elif op == 4 and len(lines) > 1:
+            del lines[k]
+        else:
+            lines.insert(k, list(row))
+    return "\n".join(" ".join(row) for row in lines) + "\n"
+
+
+class TestSeededClauseFuzz:
+    """Mutated clause lines, DIMACS and formulas end, under prove, compare and
+    compile, in an exit code the command documents, with stderr empty or one
+    'error:' or 'INDETERMINATE:' line for exit 2."""
+
+    def test_mutated_clause_texts_end_in_a_verdict_or_a_message(self, monkeypatch):
+        import io
+        from contextlib import redirect_stderr, redirect_stdout
+
+        rng = random.Random(2025)
+        outcomes = Counter()
+        for k in range(1500):
+            seed = rng.choice(list(CLAUSE_FUZZ_SEEDS))
+            text = _mutate_clause_text(rng, seed, CLAUSE_FUZZ_SEEDS[seed])
+            fmt = ("text", "json", "dot")[k % 3]
+            for argv in (["prove", "--input", "-", "--format", fmt if k % 3 < 2 else "text", *["--trace"][:k % 2]],
+                         ["compare", "--input", "-"],
+                         ["compile", "--input", "-", "--format", fmt]):
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main(argv)
+                lines = err.getvalue().splitlines()
+                assert code in CLAUSE_FUZZ_EXITS[argv[0]], (argv, text, code)
+                if code == cli.EXIT_INDETERMINATE:
+                    assert len(lines) == 1 and lines[0].startswith(("error:", "INDETERMINATE:")), (argv, text, lines)
+                else:
+                    assert lines == [], (argv, text)
+                outcomes[argv[0], code] += 1
+        # the mutations reach every exit code of every command
+        assert min(outcomes[command, code] for command, codes in CLAUSE_FUZZ_EXITS.items() for code in codes) > 40, outcomes

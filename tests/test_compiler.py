@@ -10,6 +10,7 @@ from math import comb, factorial
 import pytest
 
 import oracles
+from strandprover import compiler as compiler_module
 from strandprover import graph as graph_module
 from strandprover.compiler import (
     SAT_BY_HYBRIDIZATION,
@@ -181,6 +182,20 @@ class TestGenerateCodebook:
         with pytest.raises(CodebookError, match="^no 10-base code left for 'x99'$"):
             generate_codebook(variables, base=default_codebook())
         assert time.perf_counter() - start < 2
+
+    def test_a_base_is_marked_once_and_the_last_code_never(self, monkeypatch):
+        # a base's marks are built on the first search from it and copied by
+        # each later one, from an equal base too; no search reads the marks of
+        # the code it takes last
+        taken = []
+        take = compiler_module._take
+        monkeypatch.setattr(compiler_module, "_take", lambda marked, seq: taken.append(seq) or take(marked, seq))
+        compiler_module._marked.cache_clear()
+        first = generate_codebook(["x1", "x2"], base=default_codebook())
+        assert sorted(taken) == sorted([*default_codebook()._codes.values(), first.sense("x1")])
+        taken.clear()
+        again = generate_codebook(["x2", "x1"], base=Codebook.from_text(default_codebook().to_text()))
+        assert again == first and taken == [first.sense("x1")]
 
     def test_existing_codes_are_kept(self):
         base = default_codebook()

@@ -5,9 +5,10 @@ import hashlib
 import math
 import pickle
 import random
+import re
 from collections import Counter, deque
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -660,6 +661,26 @@ def report_digest(report) -> str:
     return h.hexdigest()
 
 
+# two ring-capable names, c and d, on one vertex pair: each holds two current
+# edges, and G3 and GB reach the free c and d
+TWO_RING_NAMES = "<c!r0 c!r1 d!s0 d!s1 c d> | <c*!r0 c*!r1 d*!s0 d*!s1 d*>"
+
+
+def displacing_edges(g: StrandGraph) -> set[Edge]:
+    """The admissible edges that share a site with another admissible edge."""
+    return {e for e in g.admissible if any(f != e and f.sites & e.sites for f in g.admissible)}
+
+
+def ring_names(g: StrandGraph) -> set[frozenset[Edge]]:
+    """The admissible edges of each name whose two labels each have 2 sites or more."""
+    count = Counter(g.label(s) for s in g.sites())
+    edges: dict[pr.Domain, set[Edge]] = {}
+    for e in g.admissible:
+        label = g.label(e.a)
+        edges.setdefault(label._replace(complemented=False), set()).add(e)
+    return {frozenset(es) for label, es in edges.items() if count[label] >= 2 and count[label.complement()] >= 2}
+
+
 class TestIndexedEnumeration:
     """moves() decodes the integer enumerator over the shape's index; the
     rule appliers re-check every premise from scratch.  Both must accept
@@ -684,6 +705,45 @@ class TestIndexedEnumeration:
         assert {len(m.removed) for s in states for m in moves(g.with_current(s)) if m.rule == "GM"} == {2, 3, 4}
         self.assert_matches_appliers(g)
 
+    def test_two_ring_capable_names_in_one_component(self):
+        g = from_process(pr.parse_process(TWO_RING_NAMES))
+        assert len(g._index.components) == 1 and len(ring_names(g)) == 2
+        states = explore(g).states
+        assert len(states) == 16
+        # both names hold two current edges at once, and each rotates its own ring
+        assert all(len(edges & g.current) == 2 for edges in ring_names(g))
+        rings = {m.removed for m in moves(g) if m.rule == "GM"}
+        assert rings == {edges & g.current for edges in ring_names(g)}
+        self.assert_matches_appliers(g)
+
+    def test_rings_are_searched_only_where_a_name_can_hold_one(self, monkeypatch):
+        """_ring_moves runs once per ring-capable name holding two current
+        edges or more, seeded with those edges, and on no other part."""
+        searched = []
+        ring_moves = graph_module._ring_moves
+
+        def counted(t, owner, seeds, state):
+            searched.append((state, seeds))
+            return ring_moves(t, owner, seeds, state)
+
+        monkeypatch.setattr(graph_module, "_ring_moves", counted)
+        parts = Counter()  # searched or not -> parts
+        for text in (HAIRPIN, FOURWAY, HAIRPIN_AND_FOURWAY, TWO_RING_NAMES, THREE_HAIRPINS):
+            g = from_process(pr.parse_process(text))
+            ix = g._index
+            names = [sum(1 << ix.rank[e] for e in edges) for edges in ring_names(g)]
+            masks = explore(g).masks
+            for mask, ranks in ix.components:
+                for part in {state & mask for state in masks}:
+                    searched.clear()
+                    graph_module._component_moves(ix, ranks, part)
+                    want = [(part, part & name) for name in names if bin(part & name).count("1") >= 2]
+                    assert sorted(searched) == sorted(want), text
+                    parts[bool(want)] += 1
+        # 11 of the hairpin's 22 parts hold fewer than two current p edges and
+        # skip the search; every four-way part holds two current b edges
+        assert parts == {False: 11 + 11 + 33, True: 11 + 8 + 19 + 16 + 33}
+
     def test_renamed_hairpin_and_fourway(self):
         g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
         report = explore(g)
@@ -705,7 +765,8 @@ class TestIndexedEnumeration:
 
 class TestShapeIndex:
     """The shape's integer index against the set-level definitions:
-    sorted edges, edge_adjacent, toehold and vertex connectivity."""
+    sorted edges, edge_adjacent, toehold, vertex connectivity, the edges
+    that share a site with another and the names that can hold a ring."""
 
     def assert_matches_definitions(self, g: StrandGraph) -> list[Edge]:
         ix = g._index
@@ -723,11 +784,23 @@ class TestShapeIndex:
             vertices = {s.vertex for r in component for s in ix.edges[r].sites}
             assert not vertices & seen
             seen |= vertices
+        assert {e for r, e in enumerate(ix.edges) if ix.displacing >> r & 1} == displacing_edges(g)
+        rings = [frozenset(e for r, e in enumerate(ix.edges) if mask >> r & 1) for mask in ix.rings]
+        assert len(set(rings)) == len(rings) and set(rings) == ring_names(g)
         return [e for r, e in enumerate(ix.edges) if ix.anchors[r]]
+
+    def test_the_fixtures_displace_and_migrate_in_one_name(self):
+        # the hairpin's p and q edges can be displaced and only p holds rings;
+        # in the four-way junction both are b's alone
+        for g, displacing, rings in ((hairpin_graph(), "pq", "p"), (fourway_graph(), "b", "b")):
+            ix = g._index
+            assert {g.label(e.a).name for r, e in enumerate(ix.edges) if ix.displacing >> r & 1} == set(displacing)
+            assert [{g.label(e.a).name for r, e in enumerate(ix.edges) if mask >> r & 1} for mask in ix.rings] == [
+                set(rings)]
 
     def test_fixtures_and_random_processes(self):
         graphs = [hairpin_graph(), fourway_graph(), theorem_graph()]
-        graphs.append(from_process(pr.parse_process(HAIRPIN_AND_FOURWAY)))
+        graphs += [from_process(pr.parse_process(text)) for text in (HAIRPIN_AND_FOURWAY, TWO_RING_NAMES)]
         rng = random.Random(31)
         for _ in range(150):
             graphs.append(from_process(oracles.random_process(rng, strands=4, max_len=8, bond_fraction=0.8)))
@@ -1311,6 +1384,23 @@ class TestJson:
         first = data["current"][0]
         data["current"].append(first[::-1] if reverse else first)
         with pytest.raises(GraphError, match="must each be listed once"):
+            from_json(data)
+
+    @pytest.mark.parametrize("order", list(permutations(range(3))), ids=str)
+    def test_the_first_bad_current_edge_listed_is_named(self, order):
+        data = to_json_dict(from_process(pr.parse_process("<a^!x b> | <b* a^*!x>")))
+        bad = [E(1, 2, 2, 2), E(1, 1, 2, 1), E(1, 1, 3, 1)]
+        data["current"] = [[list(bad[k].a), list(bad[k].b)] for k in order]
+        with pytest.raises(GraphError, match=rf"^current edge {re.escape(str(bad[order[0]]))} is not admissible$"):
+            from_json(data)
+
+    @pytest.mark.parametrize("order, site", [((0, 1, 2), "(1,1)"), ((1, 0, 2), "(2,1)"), ((2, 1, 0), "(1,1)"),
+                                             ((1, 2, 0), "(2,1)")])
+    def test_the_first_site_bound_twice_is_named_in_the_order_listed(self, order, site):
+        data = to_json_dict(from_process(pr.parse_process("<a> | <a*> | <a> | <a*>")))
+        edges = [E(1, 1, 2, 1), E(2, 1, 3, 1), E(1, 1, 4, 1)]
+        data["current"] = [[list(edges[k].a), list(edges[k].b)] for k in order]
+        with pytest.raises(GraphError, match=rf"^site {re.escape(site)} is bound twice$"):
             from_json(data)
 
     def test_vertex_without_domains_rejected(self):
