@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -16,10 +17,19 @@ EXIT_SAT = 1
 EXIT_INDETERMINATE = 2
 EXIT_DISAGREE = 3
 
+# a DIMACS header, or a line whose first token is an integer: clause lines and
+# formulas start no line with a digit
+_DIMACS_LINE = re.compile(r"p\s+cnf(?:\s|$)|[+-]?[0-9]+(?:\s|$)")
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later one."""
+    """The parser, built on the first call and shared by every later one.
+
+    Its `commands` attribute maps each subcommand's name to that subcommand's
+    own parser. Each of those sets `command` to its name, so it yields the
+    same namespace that the whole parser gives for a line starting with it.
+    """
     parser = argparse.ArgumentParser(
         prog="strandprover",
         description="Prove propositional theorems by resolution, by DNA strand "
@@ -69,11 +79,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export", help="write a strand graph as listing, JSON, or DOT")
     add_common(p_exp)
     p_exp.set_defaults(func=cmd_export)
+
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (by default `sys.argv[1:]`) and return its exit code.
+
+    A line that starts with a subcommand is parsed by that subcommand's parser
+    alone, which reads exactly the arguments the whole parser would hand it.
+    The whole parser reads the line only when its first word names no
+    subcommand, or when the subcommand's parser leaves arguments unrecognised;
+    it then prints the help, version or usage error.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, unrecognised = command.parse_known_args(argv[1:])
+    if command is None or unrecognised:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (resolution.ResourceLimitError, graph.ExplorationLimitError) as exc:
@@ -105,7 +133,7 @@ def _parse_clause_text(text: str) -> logic.ClauseSet:
         line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line
     ]
     joined = " ".join(meaningful)
-    if any(line.split()[:2] == ["p", "cnf"] for line in meaningful):
+    if any(_DIMACS_LINE.match(line) for line in meaningful):
         s = logic.ClauseSet.from_dimacs(text)
     elif any(ch in joined for ch in "&|()<>-"):
         s = logic.to_clausal_form(logic.parse_formula(joined))

@@ -1,5 +1,6 @@
 """Command-line interface: commands, input detection, bounds, exit codes."""
 
+import argparse
 import functools
 import hashlib
 import json
@@ -55,6 +56,25 @@ class TestProve:
         code, out, err = run(capsys, "prove", "--input", "-")
         assert code == cli.EXIT_INDETERMINATE and out == ""
         assert "the header declares 1 clauses, the input has 3" in err
+
+    @pytest.mark.parametrize("command", ["prove", "compare"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c note\n1 -2 0\n", "missing 'p cnf' header"),
+            ("+1 2 0\n", "missing 'p cnf' header"),
+            ("1 -2 0\nQ 0\n", "line 2: non-numeric DIMACS literal"),
+            ("-1 | P\n", "line 1: non-numeric DIMACS literal"),
+        ],
+        ids=["comment", "plus-sign", "letter", "operator"],
+    )
+    def test_a_line_starting_with_an_integer_is_read_as_dimacs(self, monkeypatch, capsys, command, text, message):
+        import io
+
+        # a DIMACS body without its header, not a formula refused at an
+        # offset into the joined lines
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, command, "--input", "-") == (cli.EXIT_INDETERMINATE, "", f"error: {message}\n")
 
     def test_satisfiable_input_prints_its_model(self, monkeypatch, capsys):
         import io
@@ -684,8 +704,110 @@ class TestByteOrderMark:
 
 # --- top level ---------------------------------------------------------------
 
+# one valid line per subcommand
+VALID_LINES = [
+    ["prove", "--fixture", "S"],
+    ["compile", "--fixture", "S"],
+    ["simulate", "--fixture", "fourway"],
+    ["compare", "--fixture", "S"],
+    ["export", "--fixture", "fourway"],
+]
+# help, version, unknown commands, unknown and extra arguments, abbreviations,
+# '--opt=value', '--' and options before the command; each subcommand's help;
+# the valid lines
+ARGV_TABLE = [
+    [], ["--help"], ["-h"], ["--version"], ["--vers"], ["bogus"], ["comp"], ["help"], ["compare"],
+    ["compare", "compare"], ["compare", "--fixture", "S", "--bogus"], ["compare", "--fixture", "S", "--bogus=1"],
+    ["compare", "--fixture", "S", "-x"], ["compare", "--fixture", "S", "-mx"], ["compare", "--fixture", "S", "extra"],
+    ["compare", "--fixture", "S", "compare"], ["compare", "--fixture", "S", "--version"],
+    ["compare", "--fixture", "S", "--ver"], ["compare", "--fix", "S"], ["compare", "--fixture", "S", "--m", "5"],
+    ["compare", "--fixture", "S", "--he"], ["prove", "--fixture", "S", "--tr"], ["compare", "--max"],
+    ["compare", "--fixture=S"], ["compare", "--fixture", "S", "--max-states=5"],
+    ["prove", "--fixture", "S", "--goal=P", "--trace"], ["compare", "--fixture", "S", "--max-states", "x"],
+    ["compare", "--fixture", "nope"], ["compare", "--fixture", "S", "--input", "-"],
+    ["compare", "--fixture", "S", "--fixture", "S"], ["prove", "--fixture", "S", "--format", "dot"],
+    ["compare", "--fixture", "S", "--format", "json"], ["simulate", "--fixture", "S", "--codebook", "x"],
+    ["compile", "--fixture", "S", "--codebook"], ["prove", "--fixture", "S", "--goal", "-P"],
+    ["compare", "--", "--fixture", "S"], ["compare", "--fixture", "S", "--"], ["compare", "--fixture", "S", "--", "x"],
+    ["compare", "--fixture", "S", "--max-states", "--", "5"], ["compare", "-", "--fixture", "S"],
+    ["--", "compare", "--fixture", "S"], ["--version", "compare", "--fixture", "S"], ["-h", "compare"],
+    ["--help", "compare"], ["--bogus", "compare", "--fixture", "S"], ["compare", "--fixture", "S", "-h"],
+    *([command, "--help"] for command in ("prove", "compile", "simulate", "compare", "export")),
+    *VALID_LINES,
+]
+
+
+def _outcome(capsys, call, *argv):
+    """The exit code call(*argv) returns, or ('SystemExit', code), with stdout and stderr."""
+    try:
+        code = call(*argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _whole_parser_main(argv):
+    """A command line read by the whole parser, as cli.main once read every line."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.fixture
+def namespaces(monkeypatch):
+    """The namespaces the command functions are called with, recorded by a
+    parser built afresh around the recorders and dropped afterwards."""
+    seen = []
+    for name in ("cmd_prove", "cmd_compile", "cmd_simulate", "cmd_compare", "cmd_export"):
+        def recorder(args, command=getattr(cli, name)):
+            seen.append(args)
+            return command(args)
+
+        monkeypatch.setattr(cli, name, recorder)
+    cli.build_parser.cache_clear()
+    yield seen
+    cli.build_parser.cache_clear()
+
 
 class TestTopLevel:
+    @pytest.mark.parametrize("argv", ARGV_TABLE, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_main_does_what_the_whole_parser_does(self, capsys, namespaces, argv):
+        got = _outcome(capsys, cli.main, argv)
+        assert got == _outcome(capsys, _whole_parser_main, argv)
+        if argv in VALID_LINES:
+            assert got[0] == cli.EXIT_OK
+        if isinstance(got[0], int):  # the command ran, from equal namespaces
+            main_args, reference_args = namespaces
+            assert main_args == reference_args
+            assert main_args.command == argv[0]
+        else:
+            assert namespaces == []
+
+    def test_a_line_is_parsed_once_by_its_subcommand(self, monkeypatch, capsys):
+        progs = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            progs.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run(capsys, "compare", "--fixture", "S")[0] == cli.EXIT_OK
+        assert progs == ["strandprover compare"]
+        progs.clear()
+        # an unrecognised argument: the whole parser reads the line once more
+        # and hands the subcommand's arguments to its parser again
+        code, out, err = _outcome(capsys, cli.main, ["compare", "--fixture", "S", "--bogus"])
+        assert progs == ["strandprover compare", "strandprover", "strandprover compare"]
+        assert (code, out) == (("SystemExit", 2), "")
+        assert err.splitlines()[-1] == "strandprover: error: unrecognized arguments: --bogus"
+
+    @pytest.mark.parametrize("argv", [["compare", "--fixture", "S"], ["--version"], ["compare", "--bogus"]])
+    def test_main_without_arguments_reads_sys_argv(self, monkeypatch, capsys, argv):
+        want = _outcome(capsys, cli.main, argv)
+        monkeypatch.setattr("sys.argv", ["strandprover", *argv])
+        assert _outcome(capsys, cli.main) == want
+
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
