@@ -223,7 +223,7 @@ def cmd_compile(args) -> int:
                 }
                 for item in compiled
             ],
-            "codebook": {var: book.sense(var) for var in book.variables()},
+            "codebook": {var: book.sense(var) for var in s.variables()},
         }
         print(json.dumps(payload, indent=2))
     elif args.format == "dot":

@@ -406,7 +406,7 @@ def binding_trace(g: StrandGraph) -> Trace | None:
 
 # --- moves -------------------------------------------------------------------
 
-MAX_RING = 4  # longest migration ring, in current edges, that moves() searches
+MAX_RING = 4  # longest migration ring, in current edges, that moves() searches: a budget
 
 
 def bind(g: StrandGraph, x: Edge) -> StrandGraph:
@@ -512,7 +512,8 @@ def apply_move(g: StrandGraph, move: Move) -> StrandGraph:
 def moves(g: StrandGraph) -> list[Move]:
     """Every move whose premises hold in g, in a deterministic order: by rule
     (GB, GU, G3, GM), then by the sorted ranks of the removed edges, then of
-    the added ones.  Migration rings are searched up to MAX_RING edges.
+    the added ones.  Migration rings are searched up to MAX_RING current
+    edges; ExplorationLimitError where a ring would need more (_ring_moves).
 
     This decodes the integer enumerator that explore() runs on each
     component's edge ranks, run once on every rank and the whole state: no
@@ -580,7 +581,10 @@ def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankM
 def _ring_moves(t: _Index, owner: dict[int, int], seeds: int, state: int) -> list[_RankMove]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges.  All of a ring's edges
-    share one name, so its current edges are among seeds, that name's."""
+    share one name, so its current edges are among seeds, that name's.
+    A ring holds at most MAX_RING current edges, a budget: where a link from
+    a full ring's open end reaches a current edge that could extend it, a
+    longer ring may close, so ExplorationLimitError, even where none does."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
     found: list[_RankMove] = []
 
@@ -597,12 +601,12 @@ def _ring_moves(t: _Index, owner: dict[int, int], seeds: int, state: int) -> lis
                         break
                 else:
                     found.append((3, tuple(sorted(ring)), tuple(sorted(added)), flip | 1 << closing))
-        if len(ring) >= MAX_RING:
-            return
         for landing, x in partners[exit_site].items():
             nxt = owner.get(landing)
             if nxt is None or nxt < start or flip >> nxt & 1:
                 continue
+            if len(ring) >= MAX_RING:
+                raise ExplorationLimitError(f"a migration ring may need more than {MAX_RING} edges")
             s, u = ends[nxt]
             extend(start, ring + [nxt], links + [x], flip | 1 << nxt | 1 << x, s + u - landing, entry_site)
 
@@ -678,47 +682,36 @@ class ExploreReport:
         return Trace(self.states[0], tuple(reversed(moves_back)), self.states[index])
 
 
-class _Closure:
-    """One component's closure, its parts walked breadth first: the moves by
-    which each expanded part found parts first (its children), and the
-    expanded parts with no move at all (terminals)."""
-
-    def __init__(self, t: _Index, component: tuple[int, list[int]]):
-        self.t = t
-        self.mask, self.ranks = component
-        self.children: dict[int, list[_RankMove]] = {}
-        self.terminals: set[int] = set()
-
-    def walk(self, state: int, max_states: int) -> Iterator[None]:
-        """Expand the parts reachable from state's part in discovery order,
-        enumerating each one's moves once, which finds the parts one depth
-        deeper; pause after each depth.  Each part is checked on its bitmask
-        first: every bit must be a ranked edge, and _component_moves raises
-        GraphError on a site bound twice."""
-        t, ranks = self.t, self.ranks
-        width = len(t.ends)
-        parts = [state & self.mask]
-        seen = set(parts)
-        depth, end = 0, 1  # the parts before end are at most depth deep
-        for i, part in enumerate(parts):
-            if i == end:
-                depth, end = depth + 1, len(parts)
-                yield
-            if part >> width:
-                raise GraphError(f"state {part:#x} has a bit past the last edge rank")
-            found = _component_moves(t, ranks, part)
-            if not found:
-                self.terminals.add(part)
-            children = self.children[part] = []
-            for m in found:
-                nxt = part ^ m[3]
-                if nxt in seen:
-                    continue
-                if len(parts) >= max_states:
-                    raise ExplorationLimitError(f"more than {max_states} states, at depth {depth}")
+def _closure(t: _Index, component: tuple[int, list[int]], state: int,
+             max_states: int) -> tuple[int, dict[int, list[_RankMove]], set[int]]:
+    """One component's closure from state's part, walked breadth first: its
+    rank mask, the moves by which each expanded part found parts first (its
+    children), and the expanded parts with no move (terminals).  Each part
+    is checked on its bitmask, every bit a ranked edge, and then its moves
+    are enumerated once (GraphError on a site bound twice).  The walk stops,
+    without raising, once it holds more than max_states parts."""
+    mask, ranks = component
+    width = len(t.ends)
+    parts = [state & mask]
+    seen = set(parts)
+    children: dict[int, list[_RankMove]] = {}
+    terminals: set[int] = set()
+    for part in parts:
+        if len(parts) > max_states:
+            break
+        if part >> width:
+            raise GraphError(f"state {part:#x} has a bit past the last edge rank")
+        found = _component_moves(t, ranks, part)
+        if not found:
+            terminals.add(part)
+        kids = children[part] = []
+        for m in found:
+            nxt = part ^ m[3]
+            if nxt not in seen:
                 seen.add(nxt)
                 parts.append(nxt)
-                children.append(m)
+                kids.append(m)
+    return mask, children, terminals
 
 
 def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
@@ -729,8 +722,9 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     request.  If the closure has more than max_states states,
     ExplorationLimitError is raised, naming the depth of the state whose
     successor went over; no partial verdicts are produced.  A state at depth
-    d has d ancestors, so max_states bounds the depth too.  GraphError if a
-    reached state has a bit past the last edge rank or binds a site twice.
+    d has d ancestors, so max_states bounds the depth too.  The ring cap is
+    a budget as well (_ring_moves).  GraphError if a reached state has a
+    bit past the last edge rank or binds a site twice.
 
     The search runs on integers only: a state is a bitmask over the ranked
     admissible edges, a move flips the bits of the edges it removes and
@@ -741,9 +735,14 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     No move touches two vertex-connected components of the admissible
     edges, so the states are the product of each component's states, its
     parts, and a state's depth is the sum of its parts' depths.  Each
-    component's closure is walked once, so each reachable part's moves are
-    enumerated once.  The closures advance in lockstep, one depth at a
-    time, so one that passes max_states names the depth the product would.
+    component's closure is walked once, before the product (_closure), so
+    each reachable part's moves are enumerated once.  Only the product
+    raises on max_states, and at the right depth: each part a stopped
+    closure found, with every other component at its first part, is a
+    product state reached through children of expanded parts, and every
+    part shallower than the last one expanded was expanded, so the product
+    passes max_states at the same depth as with whole closures and raises
+    there.
 
     The product is assembled a depth at a time.  Only a forward move, one
     that reaches a part one depth deeper, can reach a new state, and the
@@ -762,20 +761,16 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
         raise ValueError("exploration bounds must be positive")
     ix: _Index = g._index
     state = g._mask
-    closures = [_Closure(ix, component) for component in ix.components]
-    walks = [c.walk(state, max_states) for c in closures]
-    trees = [(c.mask, c.children) for c in closures]
+    closures = [_closure(ix, component, state, max_states) for component in ix.components]
     masks, depths, links = [state], [0], [None]
     start = depth = 0
     while start < len(masks):
         end = len(masks)
-        for walk in walks:  # each component's parts of this depth get their children
-            next(walk, None)
         first: dict[int, tuple[int, _RankMove]] = {}  # state of the next depth -> its first link
         for i in range(start, end):
             s = masks[i]
-            for mask, children in trees:
-                for m in children[s & mask]:
+            for mask, children, _ in closures:
+                for m in children.get(s & mask, ()):
                     nxt = s ^ m[3]
                     if nxt not in first:
                         first[nxt] = (i, m)
@@ -788,8 +783,8 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
         depths += [depth] * len(found)
         start = end
     terminals = list(range(len(masks)))
-    for c in closures:  # a state is terminal when all its parts are
-        terminals = [i for i in terminals if masks[i] & c.mask in c.terminals] if c.terminals else []
+    for mask, _, stuck in closures:  # a state is terminal when all its parts are
+        terminals = [i for i in terminals if masks[i] & mask in stuck] if stuck else []
     states = _Decoded(masks, partial(_edges_of, ix))
     return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix, {})), terminals, masks)
 

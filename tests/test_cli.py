@@ -271,6 +271,19 @@ class TestCompile:
         assert payload["codebook"] == {var: book.sense(var) for var in book.variables()}
         assert payload["clauses"][2]["bases"] == book.sense("Q")
 
+    def test_json_lists_exactly_the_input_variables(self, tmp_path, capsys):
+        clauses = tmp_path / "clauses.txt"
+        clauses.write_text("beta ~Q\nalpha\n")
+        code, out, _ = run(capsys, "compile", "--input", str(clauses), "--format", "json")
+        assert code == cli.EXIT_OK
+        generated = json.loads(out)["codebook"]
+        assert list(generated) == ["Q", "alpha", "beta"]  # the built-in P, R, U and V are left out
+        book = tmp_path / "codes.txt"
+        book.write_text(compiler.generate_codebook(["P", "Q", "alpha", "beta", "gamma"]).to_text())
+        code, out, _ = run(capsys, "compile", "--input", str(clauses), "--codebook", str(book), "--format", "json")
+        assert code == cli.EXIT_OK
+        assert list(json.loads(out)["codebook"]) == ["Q", "alpha", "beta"]
+
     def test_a_code_that_is_its_own_reverse_complement_is_refused(self, tmp_path, capsys):
         book = tmp_path / "codes.txt"
         book.write_text("P ACGTACGT\n")
@@ -301,7 +314,7 @@ class TestCompile:
         monkeypatch.setattr("sys.stdin", io.StringIO(units))
         code, out, err = run(capsys, "compile", "--input", "-", "--format", "json")
         assert code == cli.EXIT_OK and err == ""
-        assert {f"x{k}" for k in range(1, 701)} <= json.loads(out)["codebook"].keys()
+        assert json.loads(out)["codebook"].keys() == {f"x{k}" for k in range(1, 701)}
 
 
 # --- simulate ----------------------------------------------------------------

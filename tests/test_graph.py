@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 import pytest
 
 import oracles
+from strandprover import cli
 from strandprover import graph as graph_module
 from strandprover import process as pr
 from strandprover.fixtures import FOURWAY, HAIRPIN, fourway, hairpin, theorem_graph, theorem_process
@@ -763,6 +764,63 @@ class TestIndexedEnumeration:
         assert report_digest(report) == "e77e1d917707f29b57f6b04edcee6b193bc386bd6a98282baca8cb3c9de8ba90"
 
 
+def duplex(bonds: int) -> str:
+    """Two strands joined by this many bonds, all of the one name c."""
+    return " | ".join("<" + " ".join(f"{label}!r{k}" for k in range(bonds)) + ">" for label in ("c", "c*"))
+
+
+RING_CAP = "a migration ring may need more than 4 edges"
+
+
+class TestRingCap:
+    """moves() searches migration rings of up to MAX_RING current edges.
+    Where a ring would need one more, it raises ExplorationLimitError, a
+    budget like max_states, instead of leaving moves out: a longer ring may
+    close there, so a state reported without it could be a false terminal."""
+
+    @staticmethod
+    def simulate(tmp_path, capsys, bonds: int) -> tuple[int, str, str]:
+        path = tmp_path / "duplex.txt"
+        path.write_text(duplex(bonds) + "\n")
+        code = cli.main(["simulate", "--input", str(path)])
+        return code, *capsys.readouterr()
+
+    @pytest.mark.parametrize("bonds, states, terminals", [(2, 2, 1), (3, 4, 1), (4, 8, 2)])
+    def test_short_duplexes_are_explored(self, tmp_path, capsys, bonds, states, terminals):
+        g = from_process(pr.parse_process(duplex(bonds)))
+        report = explore(g)
+        assert (len(report.states), len(report.terminals)) == (states, terminals)
+        for state in report.states:
+            moves(g.with_current(state))  # no ring reaches past the cap
+        code, out, _ = self.simulate(tmp_path, capsys, bonds)
+        assert code == 0
+        assert out.splitlines()[:2] == [f"states explored: {states}", f"terminal states: {terminals}"]
+
+    @pytest.mark.parametrize("bonds", [5, 6, 7])
+    def test_longer_duplexes_end_indeterminate(self, tmp_path, capsys, bonds):
+        g = from_process(pr.parse_process(duplex(bonds)))
+        with pytest.raises(ExplorationLimitError, match=f"^{RING_CAP}$"):
+            explore(g)
+        with pytest.raises(ExplorationLimitError, match=f"^{RING_CAP}$"):
+            moves(g)
+        assert self.simulate(tmp_path, capsys, bonds) == (2, "", f"INDETERMINATE: {RING_CAP}\n")
+
+    @pytest.mark.parametrize("bonds, states", [(5, 22), (6, 66)])
+    def test_a_higher_cap_finds_no_terminal(self, monkeypatch, bonds, states):
+        monkeypatch.setattr(graph_module, "MAX_RING", 8)
+        report = explore(from_process(pr.parse_process(duplex(bonds))))
+        assert (len(report.states), report.terminals) == (states, [])
+
+    def test_the_cap_is_not_reached_elsewhere(self, monkeypatch):
+        # the fixtures are among these processes
+        graphs = [from_process(p) for p in TestCodedFrontEnd.processes() + [pr.parse_process(TWO_RING_NAMES)]]
+        reports = [explore(g) for g in graphs]
+        monkeypatch.setattr(graph_module, "MAX_RING", 8)
+        for g, want in zip(graphs, reports):
+            got = explore(g)
+            assert (got.masks, got.depths, got.terminals) == (want.masks, want.depths, want.terminals)
+
+
 class TestShapeIndex:
     """The shape's integer index against the set-level definitions:
     sorted edges, edge_adjacent, toehold, vertex connectivity, the edges
@@ -976,16 +1034,17 @@ class TestReferenceExploration:
 
 
 class TestBudgetMessages:
-    """The component closures advance in lockstep, so whether the product
-    or one closure passes max_states first, the message names the depth of
-    the state whose successor went over."""
+    """Each component's closure is walked first and stops, without raising,
+    once it holds more than max_states parts; the product alone raises.
+    Whether the product or one closure passes max_states first, the message
+    names the depth of the state whose successor went over."""
 
-    def assert_messages_match(self, g: StrandGraph, depths: list[int]):
-        """Under every budget below the closure's size, the message names
-        the least depth D at which the unbounded exploration, whose state
-        depths are given, has more than max_states states at depth D + 1 or
-        less."""
-        for max_states in range(1, len(depths)):
+    def assert_messages_match(self, g: StrandGraph, depths: list[int], step: int = 1):
+        """Under every step-th budget below the closure's size, the message
+        names the least depth D at which the unbounded exploration, whose
+        state depths are given, has more than max_states states at depth
+        D + 1 or less."""
+        for max_states in range(1, len(depths), step):
             depth = next(d for d in range(max(depths)) if sum(k <= d + 1 for k in depths) > max_states)
             with pytest.raises(ExplorationLimitError) as info:
                 explore(g, max_states=max_states)
@@ -1010,6 +1069,15 @@ class TestBudgetMessages:
         assert len(g._index.components) == 1
         self.assert_messages_match(g, reference_explore(g)[1])
 
+    @pytest.mark.parametrize("text, components, step", [
+        (HAIRPIN_AND_FOURWAY, 2, 1),
+        (HAIRPIN_AND_FOURWAYS, 3, 7),
+    ], ids=["hairpin-and-fourway", "hairpin-and-two-fourways"])
+    def test_several_components(self, text, components, step):
+        g = from_process(pr.parse_process(text))
+        assert len(g._index.components) == components
+        self.assert_messages_match(g, explore(g).depths, step)
+
     def test_one_deep_component(self):
         g = from_process(pr.parse_process(oracles.branch_migration(40)))
         assert len(g._index.components) == 1
@@ -1017,7 +1085,7 @@ class TestBudgetMessages:
         assert depths == [0, 1, *range(1, 41)]  # the toehold unbound at depth 1, beside 40 migration steps
         self.assert_messages_match(g, depths)
 
-    def test_a_closure_that_overflows_first(self):
+    def test_a_closure_that_overflows_first(self, monkeypatch):
         # the duplex beside the chain has one state, so the chain's closure
         # passes each budget first, while its parts of the named depth expand
         g = from_process(pr.parse_process(oracles.branch_migration(40) + " | <bb!xx> | <bb*!xx>"))
@@ -1028,6 +1096,24 @@ class TestBudgetMessages:
         for max_states, depth in ((10, 8), (30, 28), (41, 39)):
             with pytest.raises(ExplorationLimitError, match=f"^more than {max_states} states, at depth {depth}$"):
                 explore(g, max_states=max_states)
+        # under 10 states the chain's closure stops, holding 11 parts, after
+        # expanding 10 of them; the duplex's one part is expanded once
+        ix = g._index
+        chain = next(c for c in ix.components if len(c[1]) > 1)
+        _, children, _ = graph_module._closure(ix, chain, g._mask, 10)
+        assert len(children) == 10
+        assert len({part ^ m[3] for part, kids in children.items() for m in kids} | {g._mask & chain[0]}) == 11
+        calls = Counter()
+        component_moves = graph_module._component_moves
+
+        def counted(t, ranks, state):
+            calls[len(ranks) > 1] += 1
+            return component_moves(t, ranks, state)
+
+        monkeypatch.setattr(graph_module, "_component_moves", counted)
+        with pytest.raises(ExplorationLimitError, match="^more than 10 states, at depth 8$"):
+            explore(g, max_states=10)
+        assert calls == {True: 10, False: 1}
 
 
 # --- exploration -------------------------------------------------------------
