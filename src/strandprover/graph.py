@@ -15,7 +15,7 @@ instead, and the appliers stay their independent cross-check.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -274,7 +274,7 @@ class _Index:
         return tuple(types.setdefault(row, len(types) + 1) for row in self.domains)
 
     # every rule rewrites edges of one name, as an edge joins complementary
-    # labels: these two tables say where a name can hold a G3 or a GM at all
+    # labels: moves are enumerated name by name, and G3 only from these ranks
 
     @cached_property
     def displacing(self) -> int:  # mask of the ranks sharing a site with another edge: G3's candidates
@@ -282,14 +282,17 @@ class _Index:
         return sum(1 << r for r, (s, u) in enumerate(self.ends) if len(partners[s]) + len(partners[u]) > 2)
 
     @cached_property
-    def rings(self) -> list[int]:  # per name whose two labels each have 2 sites or more: its rank mask
-        count = Counter(self.labels)
-        masks: dict[int, int] = {}
-        for r, (s, _) in enumerate(self.ends):
-            code = self.labels[s]
-            if count[code] > 1 and count[code ^ 1] > 1:
-                masks[code >> 1] = masks.get(code >> 1, 0) | 1 << r
-        return list(masks.values())
+    def names_of(self) -> dict[int, list[tuple[int, list[int], dict]]]:
+        """Per component, keyed by its first rank: each name's rank mask and
+        ranks in it, in order of their first rank, and a memo of the name's
+        candidate moves by its current edges, filled by _component_moves."""
+        out = {}
+        for _, ranks in self.components:
+            names: dict[int, list[int]] = {}
+            for r in ranks:
+                names.setdefault(self.labels[self.ends[r][0]] >> 1, []).append(r)
+            out[ranks[0]] = [(sum(1 << r for r in group), group, {}) for group in names.values()]
+        return out
 
 
 def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tuple[int, ...]) -> _Index:
@@ -515,16 +518,19 @@ def moves(g: StrandGraph) -> list[Move]:
     the added ones.  Migration rings are searched up to MAX_RING current
     edges; ExplorationLimitError where a ring would need more (_ring_moves).
 
-    This decodes the integer enumerator that explore() runs on each
-    component's edge ranks, run once on every rank and the whole state: no
-    move spans two components, so it finds what the components find."""
+    This decodes the integer enumerator that explore() runs, run on each
+    component's part of g's state and merged: no move spans two components."""
     ix: _Index = g._index
-    return [_decode(ix, m) for m in _component_moves(ix, range(len(ix.ends)), g._mask)]
+    found = [m for mask, ranks in ix.components for m in _component_moves(ix, ranks, g._mask & mask)]
+    return [_decode(ix, m) for m in sorted(found)]
 
 
 # A move on edge ranks: (rule order, sorted removed ranks, sorted added ranks,
 # flip mask).  The successor of a bitmask state is state ^ flip.
 _RankMove = tuple[int, tuple[int, ...], tuple[int, ...], int]
+# A candidate move and what its premises still read in the state after it:
+# a mask that must hold no current edge, and masks that must each hold one.
+_Candidate = tuple[_RankMove, int, tuple[int, ...]]
 
 
 def _decode(t: _Index, move: _RankMove) -> Move:
@@ -532,19 +538,55 @@ def _decode(t: _Index, move: _RankMove) -> Move:
     return Move(RULES[rule], frozenset([t.edges[r] for r in removed]), frozenset([t.edges[r] for r in added]))
 
 
-def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankMove]:
-    """The sorted moves of the component whose edges are ranks, or of a union
-    of components, in a state with no current edge outside it.  GraphError if
-    the state binds a site twice.
+def _component_moves(t: _Index, ranks: Sequence[int], state: int) -> list[_RankMove]:
+    """The sorted moves of the component whose edges are ranks, one of
+    t.components, in a state with no current edge outside it.  GraphError
+    if the state binds a site twice.
 
     Each move rewrites edges of one name, as every edge joins complementary
-    sites: G3 is searched only from an edge that shares a site with another
-    (t.displacing), and GM only in a name that can hold a ring (t.rings) and
-    holds two current edges or more."""
+    sites, and all its premises but one read that name's edges alone: a
+    site of the name is bound by no edge of another name, and a ring's edges
+    all share its name.  The one left, an anchor, may read any edge.  So each
+    name's candidates are built once per set of its current edges
+    (_name_moves), kept in t.names_of, and in each state only that premise
+    is tested.  Two edges that bind one site share its name, so a state that
+    binds a site twice is never kept, and raises each time it is read."""
+    out: list[_RankMove] = []
+    for mask, group, memo in t.names_of[ranks[0]]:
+        edges = state & mask
+        entry = memo.get(edges)
+        if entry is None:
+            entry = memo[edges] = _name_moves(t, group, edges)
+        binds, premised = entry
+        out += binds
+        for move, avoid, need in premised:
+            after = state ^ move[3]
+            if after & avoid:
+                continue
+            for anchor in need:
+                if not after & anchor:
+                    break
+            else:
+                out.append(move)
+    out.sort()
+    return out
+
+
+def _name_moves(t: _Index, ranks: list[int], edges: int) -> tuple[list[_RankMove], list[_Candidate]]:
+    """The candidate moves of the name whose edges are ranks, where its
+    current edges are edges: its GB moves, whose premises all hold, and its
+    other moves with the premise they still need.  A GU needs its
+    edge unanchored, a G3 its added edge anchored, and a GM every added edge
+    anchored, each in the state after the move.  GraphError if edges bind a
+    site twice.
+
+    G3 is searched only from an edge that shares a site with another
+    (t.displacing), and GM only where the name holds two current edges or
+    more, so that each of its labels has two sites or more."""
     ends, anchors, partners, displacing = t.ends, t.anchors, t.partners, t.displacing
     current = []
     owner: dict[int, int] = {}  # bound site id -> its current edge
-    bits = state
+    bits = edges
     while bits:
         e = (bits & -bits).bit_length() - 1
         bits ^= 1 << e
@@ -553,14 +595,8 @@ def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankM
         if s in owner or u in owner:
             raise GraphError(f"site {t.sites[s if s in owner else u]} is bound twice")
         owner[s] = owner[u] = e
-    out: list[_RankMove] = []
-    for x in ranks:
-        s, u = ends[x]
-        if s not in owner and u not in owner:
-            out.append((0, (), (x,), 1 << x))
-    for e in current:
-        if t.toeholds[e] and not anchors[e] & state:
-            out.append((1, (e,), (), 1 << e))
+    binds = [(0, (), (x,), 1 << x) for x in ranks if ends[x][0] not in owner and ends[x][1] not in owner]
+    premised: list[_Candidate] = [((1, (e,), (), 1 << e), anchors[e], ()) for e in current if t.toeholds[e]]
     for e in current:
         if not displacing >> e & 1:
             continue
@@ -568,25 +604,24 @@ def _component_moves(t: _Index, ranks: Iterable[int], state: int) -> list[_RankM
         # itself never anchors x, as no neighbour of x shares a site with it
         for s in ends[e]:
             for u, x in partners[s].items():
-                if u not in owner and anchors[x] & state:
-                    out.append((2, (e,), (x,), 1 << e | 1 << x))
-    for name in t.rings:
-        seeds = state & name
-        if seeds & seeds - 1:  # two current edges or more
-            out += _ring_moves(t, owner, seeds, state)
-    out.sort()
-    return out
+                if u not in owner:
+                    premised.append(((2, (e,), (x,), 1 << e | 1 << x), 0, (anchors[x],)))
+    if edges & edges - 1:  # two current edges or more
+        premised += _ring_moves(t, owner, edges)
+    return binds, premised
 
 
-def _ring_moves(t: _Index, owner: dict[int, int], seeds: int, state: int) -> list[_RankMove]:
+def _ring_moves(t: _Index, owner: dict[int, int], seeds: int) -> list[_Candidate]:
     """Rings alternate current edges with admissible linking edges whose
     endpoints all lie on the ring's current edges.  All of a ring's edges
-    share one name, so its current edges are among seeds, that name's.
+    share one name, so its current edges are among seeds, that name's, and
+    owner, the sites they bind, is all the search reads; each ring comes with
+    its added edges' anchors, which _component_moves tests in each state.
     A ring holds at most MAX_RING current edges, a budget: where a link from
     a full ring's open end reaches a current edge that could extend it, a
     longer ring may close, so ExplorationLimitError, even where none does."""
     ends, anchors, partners = t.ends, t.anchors, t.partners
-    found: list[_RankMove] = []
+    found: list[_Candidate] = []
 
     def extend(start: int, ring: list[int], links: list[int], flip: int, exit_site: int, entry_site: int):
         # exit_site: the still-unlinked endpoint of ring[-1]; flip: the ring's
@@ -595,12 +630,8 @@ def _ring_moves(t: _Index, owner: dict[int, int], seeds: int, state: int) -> lis
             closing = partners[exit_site].get(entry_site)
             if closing is not None:
                 added = links + [closing]
-                after = state ^ flip ^ 1 << closing
-                for x in added:
-                    if not anchors[x] & after:
-                        break
-                else:
-                    found.append((3, tuple(sorted(ring)), tuple(sorted(added)), flip | 1 << closing))
+                move = (3, tuple(sorted(ring)), tuple(sorted(added)), flip | 1 << closing)
+                found.append((move, 0, tuple(anchors[x] for x in added)))
         for landing, x in partners[exit_site].items():
             nxt = owner.get(landing)
             if nxt is None or nxt < start or flip >> nxt & 1:
@@ -688,8 +719,9 @@ def _closure(t: _Index, component: tuple[int, list[int]], state: int,
     rank mask, the moves by which each expanded part found parts first (its
     children), and the expanded parts with no move (terminals).  Each part
     is checked on its bitmask, every bit a ranked edge, and then its moves
-    are enumerated once (GraphError on a site bound twice).  The walk stops,
-    without raising, once it holds more than max_states parts."""
+    are enumerated once (GraphError on a site bound twice), from each name's
+    candidates, which the shape keeps once built (_component_moves).  The
+    walk stops, without raising, once it holds more than max_states parts."""
     mask, ranks = component
     width = len(t.ends)
     parts = [state & mask]
@@ -736,7 +768,11 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     edges, so the states are the product of each component's states, its
     parts, and a state's depth is the sum of its parts' depths.  Each
     component's closure is walked once, before the product (_closure), so
-    each reachable part's moves are enumerated once.  Only the product
+    each reachable part's moves are enumerated once, and each name's
+    candidate moves once per set of its current edges: they read no other
+    name's edges, and the one premise that does, an anchor, is tested per
+    part (_component_moves).  The shape keeps those candidates, so a later
+    exploration of it, from any state, reads them again.  Only the product
     raises on max_states, and at the right depth: each part a stopped
     closure found, with every other component at its first part, is a
     product state reached through children of expanded parts, and every

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
+from functools import partial
 from typing import Iterable, Iterator
 
 from strandprover.fixtures import FOURWAY, HAIRPIN
-from strandprover.graph import Edge, Site, StrandGraph
+from strandprover.graph import Edge, Site, StrandGraph, from_process
 from strandprover.logic import (
     _ATOM_RE,
     And,
@@ -29,7 +31,18 @@ from strandprover.logic import (
     ParseError,
     Var,
 )
-from strandprover.process import Domain, Process, Strand, antiparallel_adjacent, format_domain
+from strandprover.process import (
+    Domain,
+    Process,
+    RuleError,
+    Strand,
+    antiparallel_adjacent,
+    bind,
+    displace,
+    format_domain,
+    migrate_ring,
+    unbind,
+)
 
 Assignment = dict[str, bool]
 
@@ -364,6 +377,54 @@ def branch_migration(n: int) -> str:
     b = " ".join(f"x{k}*!b{k}" for k in range(n, 0, -1))
     c = " ".join(f"x{k}" for k in range(1, n + 1))
     return f"<{a}> | <{b} t^*!h> | <t^!h {c}>"
+
+
+def rule_successors(p: Process) -> Iterator[Process]:
+    """Every process that one of process.py's four rules makes of p: each
+    bind, unbind, displace and migrate_ring tried on every locator pair,
+    bond, (free locator, bond) pair and cyclic order of bonds, and kept
+    where the rule raises no RuleError.  No ring is too long.  A ring's
+    bonds share one name, so rings are tried name by name."""
+    locators = [loc for loc, _ in p.occurrences()]
+    bonds = p.bonds()
+    attempts = [partial(bind, p, a, b) for a, b in itertools.combinations(locators, 2)]
+    attempts += [partial(unbind, p, bond) for bond in bonds]
+    attempts += [partial(displace, p, loc, bond) for loc in locators for bond in bonds]
+    by_name: dict[str, list[str]] = {}
+    for bond in bonds:
+        by_name.setdefault(p.domain_at(p.bond_ends(bond)[0]).name, []).append(bond)
+    for group in by_name.values():
+        for k in range(2, len(group) + 1):
+            for first, *rest in itertools.combinations(group, k):
+                attempts += [partial(migrate_ring, p, (first, *order)) for order in itertools.permutations(rest)]
+    for attempt in attempts:
+        try:
+            yield attempt()
+        except RuleError:
+            continue
+
+
+def process_closure(p: Process, max_states: int = 2_000) -> tuple[dict[int, int], set[int]]:
+    """Breadth-first closure of p under process.py's rules (rule_successors),
+    each state keyed by its strand graph's edge mask (from_process): every
+    state's shortest depth, and the states no rule applies to.
+    AssertionError once more than max_states states are found."""
+    depths = {from_process(p)._mask: 0}
+    terminals: set[int] = set()
+    queue = deque([(p, from_process(p)._mask)])
+    while queue:
+        q, key = queue.popleft()
+        terminal = True
+        for r in rule_successors(q):
+            terminal = False
+            nxt = from_process(r)._mask
+            if nxt not in depths:
+                depths[nxt] = depths[key] + 1
+                assert len(depths) <= max_states, f"more than {max_states} states"
+                queue.append((r, nxt))
+        if terminal:
+            terminals.add(key)
+    return depths, terminals
 
 
 # --- certificates --------------------------------------------------------------

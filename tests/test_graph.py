@@ -718,32 +718,55 @@ class TestIndexedEnumeration:
         self.assert_matches_appliers(g)
 
     def test_rings_are_searched_only_where_a_name_can_hold_one(self, monkeypatch):
-        """_ring_moves runs once per ring-capable name holding two current
-        edges or more, seeded with those edges, and on no other part."""
-        searched = []
-        ring_moves = graph_module._ring_moves
+        """Each name's candidates are built once per set of its current edges
+        that explore meets, and its rings are searched then: once per seed
+        set, and only where a ring-capable name holds two current edges or
+        more.  A second closure of the shape builds nothing."""
+        built, searched = [], []
+        name_moves, ring_moves = graph_module._name_moves, graph_module._ring_moves
 
-        def counted(t, owner, seeds, state):
-            searched.append((state, seeds))
-            return ring_moves(t, owner, seeds, state)
+        def counted_names(t, ranks, edges):
+            built.append((ranks[0], edges))
+            return name_moves(t, ranks, edges)
 
-        monkeypatch.setattr(graph_module, "_ring_moves", counted)
-        parts = Counter()  # searched or not -> parts
-        for text in (HAIRPIN, FOURWAY, HAIRPIN_AND_FOURWAY, TWO_RING_NAMES, THREE_HAIRPINS):
+        def counted_rings(t, owner, seeds):
+            searched.append(seeds)
+            return ring_moves(t, owner, seeds)
+
+        monkeypatch.setattr(graph_module, "_name_moves", counted_names)
+        monkeypatch.setattr(graph_module, "_ring_moves", counted_rings)
+        # (name entries built, ring searches) per shape
+        for text, want in ((HAIRPIN, (11, 2)), (FOURWAY, (10, 2)), (HAIRPIN_AND_FOURWAY, (11 + 10, 2 + 2)),
+                           (TWO_RING_NAMES, (10, 10)), (THREE_HAIRPINS, (3 * 11, 3 * 2))):
+            built.clear()
+            searched.clear()
             g = from_process(pr.parse_process(text))
-            ix = g._index
-            names = [sum(1 << ix.rank[e] for e in edges) for edges in ring_names(g)]
+            names = [sum(1 << g._index.rank[e] for e in edges) for edges in ring_names(g)]
             masks = explore(g).masks
-            for mask, ranks in ix.components:
-                for part in {state & mask for state in masks}:
-                    searched.clear()
-                    graph_module._component_moves(ix, ranks, part)
-                    want = [(part, part & name) for name in names if bin(part & name).count("1") >= 2]
-                    assert sorted(searched) == sorted(want), text
-                    parts[bool(want)] += 1
-        # 11 of the hairpin's 22 parts hold fewer than two current p edges and
-        # skip the search; every four-way part holds two current b edges
-        assert parts == {False: 11 + 11 + 33, True: 11 + 8 + 19 + 16 + 33}
+            assert (len(built), len(searched)) == want, text
+            assert len(set(built)) == len(built) and len(set(searched)) == len(searched)
+            assert set(searched) == {s & name for s in masks for name in names if bin(s & name).count("1") >= 2}
+            assert sum(len(memo) for groups in g._index.names_of.values() for _, _, memo in groups) == want[0]
+            explore(g)
+            assert (len(built), len(searched)) == want, text
+
+    def test_the_memo_gives_the_moves_of_a_fresh_shape(self):
+        """moves() on a state of a shape whose memo earlier states filled
+        equals moves() on a freshly built shape, whose memo is empty."""
+        graphs = [hairpin_graph(), fourway_graph(), theorem_graph(), from_process(pr.parse_process(TWO_RING_NAMES))]
+        rng = random.Random(43)
+        graphs += [from_process(oracles.random_process(rng, strands=3, max_len=6, bond_fraction=0.8))
+                   for _ in range(150)]
+        for g in graphs:
+            for state in explore(g).states:
+                assert moves(g.with_current(state)) == moves(StrandGraph(g.domains, state))
+
+    @pytest.mark.parametrize("text", [HAIRPIN_AND_FOURWAYS, TWO_RING_NAMES], ids=["three-components", "two-ring-names"])
+    def test_exploring_twice_gives_one_report(self, text):
+        g = from_process(pr.parse_process(text))
+        first, second = explore(g), explore(g)
+        assert (first.masks, first.depths, first.terminals) == (second.masks, second.depths, second.terminals)
+        assert report_digest(first) == report_digest(second)
 
     def test_renamed_hairpin_and_fourway(self):
         g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
@@ -762,6 +785,12 @@ class TestIndexedEnumeration:
         report = explore(from_process(pr.parse_process(HAIRPINS_AND_FOURWAY)))
         assert len(report.states) == 22 * 22 * 8
         assert report_digest(report) == "e77e1d917707f29b57f6b04edcee6b193bc386bd6a98282baca8cb3c9de8ba90"
+
+    def test_discovery_order_of_three_components_is_pinned(self):
+        # a hairpin and two four-ways: two ring-capable names read the memo
+        report = explore(from_process(pr.parse_process(HAIRPIN_AND_FOURWAYS)))
+        assert len(report.states) == 22 * 8 * 8
+        assert report_digest(report) == "86ecef2733e44fe757a624286a85518d5424d6e8e3588135222512a402f223c6"
 
 
 def duplex(bonds: int) -> str:
@@ -824,7 +853,7 @@ class TestRingCap:
 class TestShapeIndex:
     """The shape's integer index against the set-level definitions:
     sorted edges, edge_adjacent, toehold, vertex connectivity, the edges
-    that share a site with another and the names that can hold a ring."""
+    that share a site with another and each component's names."""
 
     def assert_matches_definitions(self, g: StrandGraph) -> list[Edge]:
         ix = g._index
@@ -843,8 +872,14 @@ class TestShapeIndex:
             assert not vertices & seen
             seen |= vertices
         assert {e for r, e in enumerate(ix.edges) if ix.displacing >> r & 1} == displacing_edges(g)
-        rings = [frozenset(e for r, e in enumerate(ix.edges) if mask >> r & 1) for mask in ix.rings]
-        assert len(set(rings)) == len(rings) and set(rings) == ring_names(g)
+        for _, component in ix.components:
+            # the component's ranks, grouped by name in order of first rank
+            groups = ix.names_of[component[0]]
+            assert sorted(r for _, ranks, _ in groups for r in ranks) == component
+            assert [ranks[0] for _, ranks, _ in groups] == sorted(ranks[0] for _, ranks, _ in groups)
+            names = [{g.label(ix.edges[r].a).name for r in ranks} for _, ranks, _ in groups]
+            assert all(len(name) == 1 for name in names) and len(set.union(*names)) == len(names)
+            assert all(mask == sum(1 << r for r in ranks) for mask, ranks, _ in groups)
         return [e for r, e in enumerate(ix.edges) if ix.anchors[r]]
 
     def test_the_fixtures_displace_and_migrate_in_one_name(self):
@@ -853,8 +888,7 @@ class TestShapeIndex:
         for g, displacing, rings in ((hairpin_graph(), "pq", "p"), (fourway_graph(), "b", "b")):
             ix = g._index
             assert {g.label(e.a).name for r, e in enumerate(ix.edges) if ix.displacing >> r & 1} == set(displacing)
-            assert [{g.label(e.a).name for r, e in enumerate(ix.edges) if mask >> r & 1} for mask in ix.rings] == [
-                set(rings)]
+            assert [{g.label(e.a).name for e in edges} for edges in ring_names(g)] == [set(rings)]
 
     def test_fixtures_and_random_processes(self):
         graphs = [hairpin_graph(), fourway_graph(), theorem_graph()]
@@ -1031,6 +1065,38 @@ class TestReferenceExploration:
         with pytest.raises(ExplorationLimitError) as info:
             explore(g, max_states=max_states)
         assert str(info.value) == f"more than {max_states} states, at depth {depth}"
+
+
+class TestProcessClosure:
+    """explore() against a breadth-first closure over processes under
+    process.py's own rules, with no ring cap (oracles.process_closure):
+    the same states, each at the same shortest depth, and the same
+    terminals."""
+
+    @staticmethod
+    def assert_matches_process_closure(p: pr.Process) -> int:
+        depths, terminals = oracles.process_closure(p)
+        report = explore(from_process(p))
+        assert dict(zip(report.masks, report.depths)) == depths
+        assert {report.masks[i] for i in report.terminals} == terminals
+        return len(depths)
+
+    def test_fixtures(self):
+        processes = [pr.parse_process(text) for text in (HAIRPIN, FOURWAY, HAIRPIN_AND_FOURWAY)] + [theorem_process()]
+        assert [self.assert_matches_process_closure(p) for p in processes] == [22, 8, 22 * 8, 32]
+
+    def test_random_processes(self):
+        rng = random.Random(7)
+        assert sum(self.assert_matches_process_closure(oracles.random_process(rng)) for _ in range(200)) == 395
+
+    @pytest.mark.parametrize("bonds, states", [(2, 2), (3, 4), (4, 8)])
+    def test_short_duplexes(self, bonds, states):
+        assert self.assert_matches_process_closure(pr.parse_process(duplex(bonds))) == states
+
+    def test_a_duplex_past_the_ring_cap(self, monkeypatch):
+        # five bonds may rotate in one ring of five: explore needs a higher cap
+        monkeypatch.setattr(graph_module, "MAX_RING", 8)
+        assert self.assert_matches_process_closure(pr.parse_process(duplex(5))) == 22
 
 
 class TestBudgetMessages:
