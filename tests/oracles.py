@@ -409,9 +409,10 @@ def process_closure(p: Process, max_states: int = 2_000) -> tuple[dict[int, int]
     each state keyed by its strand graph's edge mask (from_process): every
     state's shortest depth, and the states no rule applies to.
     AssertionError once more than max_states states are found."""
-    depths = {from_process(p)._mask: 0}
+    start = from_process(p)._mask
+    depths = {start: 0}
     terminals: set[int] = set()
-    queue = deque([(p, from_process(p)._mask)])
+    queue = deque([(p, start)])
     while queue:
         q, key = queue.popleft()
         terminal = True
