@@ -233,7 +233,8 @@ class _Index:
     """A shape on integers, built once from label codes and shared by every
     state: sites numbered from 0 in Site order, admissible edges ranked in
     sorted order, and what moves and explore read of them.  Its objects, the
-    sites, the edges and the StrandGraph fields, are built when first read."""
+    sites, the edges and the StrandGraph fields, are built when first read.
+    It keeps no exploration state: each closure has its own memos (_closure)."""
 
     labels: list[int]  # site id -> 2 * rank of (name, toehold) + complemented, as bind_chain reads it
     names: list[tuple[str, bool]]  # rank -> (name, toehold)
@@ -243,7 +244,9 @@ class _Index:
     anchors: list[int]  # rank -> bitmask of its admissible antiparallel neighbours
     toeholds: list[bool]  # rank -> toehold edge
     partners: list[dict[int, int]]  # site id -> other site id -> edge rank, in rank order
-    components: list[tuple[int, list[int]]]  # per vertex-connected component: rank mask, ranks
+    # per vertex-connected component: its rank mask, and each name's rank mask
+    # and ranks in it, in order of their first rank
+    components: list[tuple[int, list[tuple[int, list[int]]]]]
 
     @cached_property
     def sites(self) -> list[Site]:  # site id -> site
@@ -272,27 +275,6 @@ class _Index:
     def colours(self) -> tuple[int, ...]:
         types: dict[tuple[Domain, ...], int] = {}
         return tuple(types.setdefault(row, len(types) + 1) for row in self.domains)
-
-    # every rule rewrites edges of one name, as an edge joins complementary
-    # labels: moves are enumerated name by name, and G3 only from these ranks
-
-    @cached_property
-    def displacing(self) -> int:  # mask of the ranks sharing a site with another edge: G3's candidates
-        partners = self.partners
-        return sum(1 << r for r, (s, u) in enumerate(self.ends) if len(partners[s]) + len(partners[u]) > 2)
-
-    @cached_property
-    def names_of(self) -> dict[int, list[tuple[int, list[int], dict]]]:
-        """Per component, keyed by its first rank: each name's rank mask and
-        ranks in it, in order of their first rank, and a memo of the name's
-        candidate moves by its current edges, filled by _component_moves."""
-        out = {}
-        for _, ranks in self.components:
-            names: dict[int, list[int]] = {}
-            for r in ranks:
-                names.setdefault(self.labels[self.ends[r][0]] >> 1, []).append(r)
-            out[ranks[0]] = [(sum(1 << r for r in group), group, {}) for group in names.values()]
-        return out
 
 
 def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tuple[int, ...]) -> _Index:
@@ -336,10 +318,13 @@ def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tupl
             anchors.append(0 if f is None else 1 << f)
             if f is not None:
                 anchors[f] |= 1 << r
-    groups: dict[int, list[int]] = {}
+    # every rule rewrites edges of one name, as an edge joins complementary
+    # labels: moves are enumerated name by name (_component_moves)
+    groups: dict[int, dict[int, list[int]]] = {}  # component root -> name code -> ranks
     for r, (s, _) in enumerate(ends):
-        groups.setdefault(find(vertex[s]), []).append(r)
-    components = [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()]
+        groups.setdefault(find(vertex[s]), {}).setdefault(labels[s] >> 1, []).append(r)
+    tables = [[(sum(1 << r for r in ranks), ranks) for ranks in by_name.values()] for by_name in groups.values()]
+    components = [(sum(mask for mask, _ in table), table) for table in tables]
     return _Index(labels, names, lengths, toehold_labels, ends, anchors, toeholds, partners, components)
 
 
@@ -521,7 +506,8 @@ def moves(g: StrandGraph) -> list[Move]:
     This decodes the integer enumerator that explore() runs, run on each
     component's part of g's state and merged: no move spans two components."""
     ix: _Index = g._index
-    found = [m for mask, ranks in ix.components for m in _component_moves(ix, ranks, g._mask & mask)]
+    found = [m for mask, names in ix.components
+             for m in _component_moves(ix, [(*name, {}) for name in names], g._mask & mask)]
     return [_decode(ix, m) for m in sorted(found)]
 
 
@@ -538,25 +524,27 @@ def _decode(t: _Index, move: _RankMove) -> Move:
     return Move(RULES[rule], frozenset([t.edges[r] for r in removed]), frozenset([t.edges[r] for r in added]))
 
 
-def _component_moves(t: _Index, ranks: Sequence[int], state: int) -> list[_RankMove]:
-    """The sorted moves of the component whose edges are ranks, one of
-    t.components, in a state with no current edge outside it.  GraphError
-    if the state binds a site twice.
+def _component_moves(t: _Index, names: list[tuple[int, list[int], dict]], state: int) -> list[_RankMove]:
+    """The sorted moves of a component of t.components in a state with no
+    current edge outside it, where names holds each of the component's names
+    as its rank mask, its ranks and a memo of its candidates by its current
+    edges.  GraphError if the state binds a site twice.
 
     Each move rewrites edges of one name, as every edge joins complementary
     sites, and all its premises but one read that name's edges alone: a
     site of the name is bound by no edge of another name, and a ring's edges
     all share its name.  The one left, an anchor, may read any edge.  So each
     name's candidates are built once per set of its current edges
-    (_name_moves), kept in t.names_of, and in each state only that premise
-    is tested.  Two edges that bind one site share its name, so a state that
+    (_name_moves) and kept in its memo, which lives for one closure
+    (_closure) or one moves() call, and in each state only that premise is
+    tested.  Two edges that bind one site share its name, so a state that
     binds a site twice is never kept, and raises each time it is read."""
     out: list[_RankMove] = []
-    for mask, group, memo in t.names_of[ranks[0]]:
+    for mask, ranks, memo in names:
         edges = state & mask
         entry = memo.get(edges)
         if entry is None:
-            entry = memo[edges] = _name_moves(t, group, edges)
+            entry = memo[edges] = _name_moves(t, ranks, edges)
         binds, premised = entry
         out += binds
         for move, avoid, need in premised:
@@ -580,10 +568,11 @@ def _name_moves(t: _Index, ranks: list[int], edges: int) -> tuple[list[_RankMove
     anchored, each in the state after the move.  GraphError if edges bind a
     site twice.
 
-    G3 is searched only from an edge that shares a site with another
-    (t.displacing), and GM only where the name holds two current edges or
-    more, so that each of its labels has two sites or more."""
-    ends, anchors, partners, displacing = t.ends, t.anchors, t.partners, t.displacing
+    G3 is tried from every current edge: one that shares no site with
+    another has only itself as a partner, whose far end it binds, so it
+    gives no candidate.  GM is searched only where the name holds two
+    current edges or more, so that each of its labels has two sites or more."""
+    ends, anchors, partners = t.ends, t.anchors, t.partners
     current = []
     owner: dict[int, int] = {}  # bound site id -> its current edge
     bits = edges
@@ -598,8 +587,6 @@ def _name_moves(t: _Index, ranks: list[int], edges: int) -> tuple[list[_RankMove
     binds = [(0, (), (x,), 1 << x) for x in ranks if ends[x][0] not in owner and ends[x][1] not in owner]
     premised: list[_Candidate] = [((1, (e,), (), 1 << e), anchors[e], ()) for e in current if t.toeholds[e]]
     for e in current:
-        if not displacing >> e & 1:
-            continue
         # x shares the site s with e and its other end u must be free; e
         # itself never anchors x, as no neighbour of x shares a site with it
         for s in ends[e]:
@@ -713,16 +700,19 @@ class ExploreReport:
         return Trace(self.states[0], tuple(reversed(moves_back)), self.states[index])
 
 
-def _closure(t: _Index, component: tuple[int, list[int]], state: int,
+def _closure(t: _Index, component: tuple[int, list[tuple[int, list[int]]]], state: int,
              max_states: int) -> tuple[int, dict[int, list[_RankMove]], set[int]]:
     """One component's closure from state's part, walked breadth first: its
     rank mask, the moves by which each expanded part found parts first (its
     children), and the expanded parts with no move (terminals).  Each part
     is checked on its bitmask, every bit a ranked edge, and then its moves
     are enumerated once (GraphError on a site bound twice), from each name's
-    candidates, which the shape keeps once built (_component_moves).  The
-    walk stops, without raising, once it holds more than max_states parts."""
-    mask, ranks = component
+    candidates, built once per set of its current edges (_component_moves)
+    in memos that live for this walk only, so that the shape holds no
+    exploration state and pickles the same after it.  The walk stops,
+    without raising, once it holds more than max_states parts."""
+    mask, names = component
+    names = [(*name, {}) for name in names]  # each name's memo, empty
     width = len(t.ends)
     parts = [state & mask]
     seen = set(parts)
@@ -733,7 +723,7 @@ def _closure(t: _Index, component: tuple[int, list[int]], state: int,
             break
         if part >> width:
             raise GraphError(f"state {part:#x} has a bit past the last edge rank")
-        found = _component_moves(t, ranks, part)
+        found = _component_moves(t, names, part)
         if not found:
             terminals.add(part)
         kids = children[part] = []
@@ -771,14 +761,13 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     each reachable part's moves are enumerated once, and each name's
     candidate moves once per set of its current edges: they read no other
     name's edges, and the one premise that does, an anchor, is tested per
-    part (_component_moves).  The shape keeps those candidates, so a later
-    exploration of it, from any state, reads them again.  Only the product
-    raises on max_states, and at the right depth: each part a stopped
-    closure found, with every other component at its first part, is a
-    product state reached through children of expanded parts, and every
-    part shallower than the last one expanded was expanded, so the product
-    passes max_states at the same depth as with whole closures and raises
-    there.
+    part (_component_moves).  Those candidates live for one closure, and g
+    and its shape are left as they were.  Only the product raises on
+    max_states, and at the right depth: each part a stopped closure found,
+    with every other component at its first part, is a product state
+    reached through children of expanded parts, and every part shallower
+    than the last one expanded was expanded, so the product passes
+    max_states at the same depth as with whole closures and raises there.
 
     The product is assembled a depth at a time.  Only a forward move, one
     that reaches a part one depth deeper, can reach a new state, and the

@@ -171,7 +171,8 @@ def object_shape(p: Process) -> dict:
     """The strand graph of p by definition, on Site, Edge and Domain objects:
     each StrandGraph field from_process gives, each field of its index, and
     the graph JSON, as name -> value.  Edges are the complementary site
-    pairs, sorted; a component is the edges of a vertex-connected part."""
+    pairs, sorted; a component is the edges of a vertex-connected part,
+    grouped by name in order of first edge."""
     domains = tuple(tuple(d._replace(bond=None) for d in strand.domains) for strand in p.strands)
     sites = [Site(v, n) for v, row in enumerate(domains, start=1) for n in range(1, len(row) + 1)]
     label = {a: domains[a.vertex - 1][a.position - 1] for a in sites}
@@ -185,9 +186,10 @@ def object_shape(p: Process) -> dict:
     for e in edges:
         joined = part[e.a.vertex] | part[e.b.vertex]
         part.update(dict.fromkeys(joined, joined))
-    groups: dict[frozenset, list[int]] = {}
+    groups: dict[frozenset, dict[tuple[str, bool], list[int]]] = {}  # component -> (name, toehold) -> ranks
     for r, e in enumerate(edges):
-        groups.setdefault(part[e.a.vertex], []).append(r)
+        groups.setdefault(part[e.a.vertex], {}).setdefault((label[e.a].name, label[e.a].toehold), []).append(r)
+    tables = [[(sum(1 << r for r in ranks), ranks) for ranks in names.values()] for names in groups.values()]
     keys: dict[tuple[str, bool], int] = {}
     labels = [2 * keys.setdefault((d.name, d.toehold), len(keys)) + d.complemented for row in domains for d in row]
     bonds: dict[str, list[Site]] = {}
@@ -209,7 +211,7 @@ def object_shape(p: Process) -> dict:
         "toehold_labels": frozenset(2 * k + c for (_, toehold), k in keys.items() if toehold for c in (0, 1)),
         "ends": ends, "toeholds": toeholds, "partners": partners,
         "anchors": [sum(1 << f for f, x in enumerate(edges) if x != e and antiparallel_adjacent(e, x)) for e in edges],
-        "components": [(sum(1 << r for r in ranks), ranks) for ranks in groups.values()],
+        "components": [(sum(1 << r for _, ranks in table for r in ranks), table) for table in tables],
         "json": {
             "vertices": [{"id": v, "length": len(row), "colour": colours[v - 1], "domains": list(map(format_domain, row))}
                          for v, row in enumerate(domains, start=1)],

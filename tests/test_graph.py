@@ -496,6 +496,14 @@ class TestMigrateMove:
         with pytest.raises(MoveError, match="would not be anchored after migration$"):
             migrate(g, removed, [E(1, 1, 4, 1), E(3, 1, 6, 1), E(5, 1, 8, 1), E(2, 1, 7, 1)])
 
+    @pytest.mark.parametrize("added, message", [
+        (E(1, 3, 3, 1), r"^\(1,3\)-\(3,1\) is not an admissible free edge$"),  # already current
+        (E(1, 1, 1, 2), r"^\(1,1\)-\(1,2\) is not an admissible free edge$"),  # joins no complementary pair
+    ], ids=["current", "not-admissible"])
+    def test_added_edge_must_be_admissible_and_free(self, added, message):
+        with pytest.raises(MoveError, match=message):
+            migrate(self.swapped(), [E(1, 2, 2, 2), E(3, 2, 4, 2)], [added, E(2, 2, 4, 2)])
+
     def test_unbound_removed_edge_rejected(self):
         g = fourway_graph()  # toehold edges not yet bound
         with pytest.raises(MoveError):
@@ -576,7 +584,8 @@ class TestEnumerateMoves:
             assert out == sorted(out, key=order)
             bits = sum(1 << ix.rank[e] for e in state)
             merged = sorted(
-                m for mask, ranks in ix.components for m in graph_module._component_moves(ix, ranks, bits & mask)
+                m for mask, names in ix.components
+                for m in graph_module._component_moves(ix, [(*name, {}) for name in names], bits & mask)
             )
             assert out == [graph_module._decode(ix, m) for m in merged]
 
@@ -721,7 +730,8 @@ class TestIndexedEnumeration:
         """Each name's candidates are built once per set of its current edges
         that explore meets, and its rings are searched then: once per seed
         set, and only where a ring-capable name holds two current edges or
-        more.  A second closure of the shape builds nothing."""
+        more.  The memos live for one closure: a second explore of the shape
+        builds the same entries and searches again, in the same order."""
         built, searched = [], []
         name_moves, ring_moves = graph_module._name_moves, graph_module._ring_moves
 
@@ -746,13 +756,15 @@ class TestIndexedEnumeration:
             assert (len(built), len(searched)) == want, text
             assert len(set(built)) == len(built) and len(set(searched)) == len(searched)
             assert set(searched) == {s & name for s in masks for name in names if bin(s & name).count("1") >= 2}
-            assert sum(len(memo) for groups in g._index.names_of.values() for _, _, memo in groups) == want[0]
+            first = (built[:], searched[:])
+            built.clear()
+            searched.clear()
             explore(g)
-            assert (len(built), len(searched)) == want, text
+            assert (built, searched) == first, text
 
     def test_the_memo_gives_the_moves_of_a_fresh_shape(self):
-        """moves() on a state of a shape whose memo earlier states filled
-        equals moves() on a freshly built shape, whose memo is empty."""
+        """moves() on each state of an explored shape, reached by
+        with_current, equals moves() on a freshly built shape."""
         graphs = [hairpin_graph(), fourway_graph(), theorem_graph(), from_process(pr.parse_process(TWO_RING_NAMES))]
         rng = random.Random(43)
         graphs += [from_process(oracles.random_process(rng, strands=3, max_len=6, bond_fraction=0.8))
@@ -767,6 +779,19 @@ class TestIndexedEnumeration:
         first, second = explore(g), explore(g)
         assert (first.masks, first.depths, first.terminals) == (second.masks, second.depths, second.terminals)
         assert report_digest(first) == report_digest(second)
+
+    @pytest.mark.parametrize("make", [
+        hairpin_graph, fourway_graph, theorem_graph,
+        lambda: from_process(pr.parse_process(HAIRPIN_AND_FOURWAYS)),
+        lambda: from_process(pr.parse_process(TWO_RING_NAMES)),
+    ], ids=["hairpin", "fourway", "theorem", "three-components", "two-ring-names"])
+    def test_exploring_leaves_the_graph_as_it_was(self, make):
+        """Each name's memo lives for one closure: explore adds nothing to
+        the shape's index, so the graph pickles to the same bytes."""
+        g = make()
+        before = pickle.dumps(g), set(g._index.__dict__)
+        explore(g)
+        assert (pickle.dumps(g), set(g._index.__dict__)) == before
 
     def test_renamed_hairpin_and_fourway(self):
         g = from_process(pr.parse_process(HAIRPIN_AND_FOURWAY))
@@ -852,8 +877,8 @@ class TestRingCap:
 
 class TestShapeIndex:
     """The shape's integer index against the set-level definitions:
-    sorted edges, edge_adjacent, toehold, vertex connectivity, the edges
-    that share a site with another and each component's names."""
+    sorted edges, edge_adjacent, toehold, vertex connectivity and each
+    component's names."""
 
     def assert_matches_definitions(self, g: StrandGraph) -> list[Edge]:
         ix = g._index
@@ -863,31 +888,29 @@ class TestShapeIndex:
             anchors = {ix.edges[f] for f in range(len(ix.edges)) if ix.anchors[r] >> f & 1}
             assert anchors == edge_adjacent(e, g.admissible)
             assert ix.toeholds[r] == g.toehold(e)
-        ranks = [r for _, component in ix.components for r in component]
+        ranks = [r for _, names in ix.components for _, group in names for r in group]
         assert sorted(ranks) == list(range(len(ix.edges)))
         seen: set[int] = set()
-        for mask, component in ix.components:
+        for mask, names in ix.components:
+            # each rank once, grouped by name in order of first rank, each
+            # group ascending, with the component's and each name's mask
+            component = sorted(r for _, group in names for r in group)
             assert mask == sum(1 << r for r in component)
+            assert all(group == sorted(group) for _, group in names)
+            assert [group[0] for _, group in names] == sorted(group[0] for _, group in names)
+            labels = [{g.label(ix.edges[r].a).name for r in group} for _, group in names]
+            assert all(len(name) == 1 for name in labels) and len(set.union(*labels)) == len(labels)
+            assert all(name_mask == sum(1 << r for r in group) for name_mask, group in names)
             vertices = {s.vertex for r in component for s in ix.edges[r].sites}
             assert not vertices & seen
             seen |= vertices
-        assert {e for r, e in enumerate(ix.edges) if ix.displacing >> r & 1} == displacing_edges(g)
-        for _, component in ix.components:
-            # the component's ranks, grouped by name in order of first rank
-            groups = ix.names_of[component[0]]
-            assert sorted(r for _, ranks, _ in groups for r in ranks) == component
-            assert [ranks[0] for _, ranks, _ in groups] == sorted(ranks[0] for _, ranks, _ in groups)
-            names = [{g.label(ix.edges[r].a).name for r in ranks} for _, ranks, _ in groups]
-            assert all(len(name) == 1 for name in names) and len(set.union(*names)) == len(names)
-            assert all(mask == sum(1 << r for r in ranks) for mask, ranks, _ in groups)
         return [e for r, e in enumerate(ix.edges) if ix.anchors[r]]
 
     def test_the_fixtures_displace_and_migrate_in_one_name(self):
         # the hairpin's p and q edges can be displaced and only p holds rings;
         # in the four-way junction both are b's alone
         for g, displacing, rings in ((hairpin_graph(), "pq", "p"), (fourway_graph(), "b", "b")):
-            ix = g._index
-            assert {g.label(e.a).name for r, e in enumerate(ix.edges) if ix.displacing >> r & 1} == set(displacing)
+            assert {g.label(e.a).name for e in displacing_edges(g)} == set(displacing)
             assert [{g.label(e.a).name for e in edges} for edges in ring_names(g)] == [set(rings)]
 
     def test_fixtures_and_random_processes(self):
@@ -1165,16 +1188,16 @@ class TestBudgetMessages:
         # under 10 states the chain's closure stops, holding 11 parts, after
         # expanding 10 of them; the duplex's one part is expanded once
         ix = g._index
-        chain = next(c for c in ix.components if len(c[1]) > 1)
+        chain = next(c for c in ix.components if bin(c[0]).count("1") > 1)  # more than one rank
         _, children, _ = graph_module._closure(ix, chain, g._mask, 10)
         assert len(children) == 10
         assert len({part ^ m[3] for part, kids in children.items() for m in kids} | {g._mask & chain[0]}) == 11
         calls = Counter()
         component_moves = graph_module._component_moves
 
-        def counted(t, ranks, state):
-            calls[len(ranks) > 1] += 1
-            return component_moves(t, ranks, state)
+        def counted(t, names, state):
+            calls[sum(len(ranks) for _, ranks, _ in names) > 1] += 1
+            return component_moves(t, names, state)
 
         monkeypatch.setattr(graph_module, "_component_moves", counted)
         with pytest.raises(ExplorationLimitError, match="^more than 10 states, at depth 8$"):
@@ -1185,18 +1208,25 @@ class TestBudgetMessages:
 # --- exploration -------------------------------------------------------------
 
 
+def _component_ranks(names) -> list[int]:
+    """The ranks of a component, ascending, from its names as _component_moves takes them."""
+    return sorted(r for _, ranks, _ in names for r in ranks)
+
+
 def _bound_sites(t, ranks: list[int], state: int) -> set[int]:
     return {s for e in ranks if state >> e & 1 for s in t.ends[e]}
 
 
-def _rebinding_move(t, ranks: list[int], state: int):
+def _rebinding_move(t, names, state: int):
     """A GB on a free edge that shares a site with a current edge, if any."""
+    ranks = _component_ranks(names)
     bound = _bound_sites(t, ranks, state)
     return next(((0, (), (x,), 1 << x) for x in ranks if not state >> x & 1 and bound & set(t.ends[x])), None)
 
 
-def _overflowing_move(t, ranks: list[int], state: int):
+def _overflowing_move(t, names, state: int):
     """A GB whose flip also sets the bit after the last rank, if any GB fires."""
+    ranks = _component_ranks(names)
     bound = _bound_sites(t, ranks, state)
     return next(((0, (), (x,), 1 << x | 1 << len(t.edges)) for x in ranks if not bound & set(t.ends[x])), None)
 
@@ -1264,9 +1294,9 @@ class TestExplore:
         calls = []
         component_moves = graph_module._component_moves
 
-        def counted(t, ranks, state):
-            calls.append((ranks[0], state))  # the part, keyed by its component's first rank
-            return component_moves(t, ranks, state)
+        def counted(t, names, state):
+            calls.append((names[0][1][0], state))  # the part, keyed by its component's first rank
+            return component_moves(t, names, state)
 
         monkeypatch.setattr(graph_module, "_component_moves", counted)
         report = explore(from_process(pr.parse_process(text)))
@@ -1279,13 +1309,13 @@ class TestExplore:
         (_overflowing_move, "past the last edge rank"),
     ], ids=["site-bound-twice", "bit-past-last-rank"])
     def test_a_faulty_enumerator_is_caught(self, monkeypatch, make, extra, error):
-        """Every component's move list also holds extra(index, ranks, state):
+        """Every component's move list also holds extra(index, names, state):
         explore must reject the state that move reaches."""
         component_moves = graph_module._component_moves
 
-        def patched(t, ranks, state):
-            found = component_moves(t, ranks, state)
-            move = extra(t, ranks, state)
+        def patched(t, names, state):
+            found = component_moves(t, names, state)
+            move = extra(t, names, state)
             return found if move is None else sorted(found + [move])
 
         monkeypatch.setattr(graph_module, "_component_moves", patched)

@@ -344,11 +344,20 @@ class TestClause:
     def test_str_uses_braces(self):
         assert str(Clause.parse("P ~Q")) == "{P, ~Q}"
 
+    def test_non_literals_rejected(self):
+        # a plain tuple compares equal to a Literal, but is not one
+        with pytest.raises(TypeError, match=r"^not a literal: \('P', False\)$"):
+            Clause([("P", False)])
+
 
 class TestClauseSet:
     def test_duplicates_collapse(self):
         s = ClauseSet([Clause.parse("P"), Clause.parse("P")])
         assert len(s) == 1
+
+    def test_non_clauses_rejected(self):
+        with pytest.raises(TypeError, match=r"^not a clause: 'Q'$"):
+            ClauseSet([Clause.parse("P"), "Q"])
 
     def test_equality_ignores_order(self):
         a = ClauseSet.parse("P\nQ R\n")
