@@ -22,7 +22,7 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
-from .process import Domain, Process, antiparallel_adjacent, code_labels, format_domain, parse_domain
+from .process import Domain, Process, antiparallel_adjacent, code_labels, decode_labels, format_domain, parse_domain
 
 
 class GraphError(ValueError):
@@ -181,7 +181,8 @@ class StrandGraph:
             raise GraphError("a vertex needs at least one domain")
         if any(d.bond is not None for row in self.domains for d in row):
             raise GraphError("graph site labels carry no bonds")
-        self.__dict__["_index"] = _build_index(*code_labels(self.domains), tuple(map(len, self.domains)))
+        labels, names, _ = code_labels(self.domains)
+        self.__dict__["_index"] = _build_index(labels, names, tuple(map(len, self.domains)))
         # current may come as a sequence, checked in its order and then stored as a set
         self.__dict__["_mask"] = self._mask_of(self.current)
         self.__dict__["current"] = frozenset(self.current)
@@ -267,8 +268,7 @@ class _Index:
 
     @cached_property
     def domains(self) -> tuple[tuple[Domain, ...], ...]:
-        label = [Domain(name, complemented, toehold) for name, toehold in self.names for complemented in (False, True)]
-        labels = iter([label[code] for code in self.labels])
+        labels = iter(decode_labels(self.names, self.labels))
         return tuple(tuple(islice(labels, length)) for length in self.lengths)
 
     @cached_property
@@ -319,19 +319,34 @@ def _build_index(labels: list[int], names: list[tuple[str, bool]], lengths: tupl
             if f is not None:
                 anchors[f] |= 1 << r
     # every rule rewrites edges of one name, as an edge joins complementary
-    # labels: moves are enumerated name by name (_component_moves)
-    groups: dict[int, dict[int, list[int]]] = {}  # component root -> name code -> ranks
+    # labels: moves are enumerated name by name (_component_moves).  Each
+    # name's edges lie in one component, as an edge joins each of its sites
+    # to each complementary one; its masks are built as its ranks are grouped
+    masks: dict[int, int] = {}  # name code -> rank mask
+    by_name: dict[int, list[int]] = {}  # name code -> ranks
+    groups: dict[int, list[int]] = {}  # component root -> name codes, in order of first rank
     for r, (s, _) in enumerate(ends):
-        groups.setdefault(find(vertex[s]), {}).setdefault(labels[s] >> 1, []).append(r)
-    tables = [[(sum(1 << r for r in ranks), ranks) for ranks in by_name.values()] for by_name in groups.values()]
-    components = [(sum(mask for mask, _ in table), table) for table in tables]
+        k = labels[s] >> 1
+        if k in masks:
+            masks[k] |= 1 << r
+            by_name[k].append(r)
+        else:
+            masks[k], by_name[k] = 1 << r, [r]
+            groups.setdefault(find(vertex[s]), []).append(k)
+    components = []
+    for codes in groups.values():
+        mask = 0
+        for k in codes:
+            mask |= masks[k]
+        components.append((mask, [(masks[k], by_name[k]) for k in codes]))
     return _Index(labels, names, lengths, toehold_labels, ends, anchors, toeholds, partners, components)
 
 
 def from_process(p: Process) -> StrandGraph:
     """Strand graph of a process: one vertex per strand in order, the strands'
-    bond-free labels, current edges from bonds, all read off the process's codes."""
-    ix = _build_index(p._codes, p._names, tuple(map(len, p.strands)))
+    bond-free labels, current edges from bonds, all read off the process's
+    codes and strand lengths: no strand is read."""
+    ix = _build_index(p._codes, p._names, p._lengths)
     g = object.__new__(StrandGraph)
     g.__dict__.update(_index=ix, _mask=sum(1 << ix.partners[s][t] for s, t in p._bonds.values()))
     return g

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby, permutations, product
+from itertools import chain, groupby, islice, permutations, product
 from math import factorial, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -103,44 +103,77 @@ class Strand:
         return "<" + " ".join(format_domain(d) for d in self.domains) + ">"
 
 
-def code_labels(rows: Iterable[Iterable[Domain]]) -> tuple[list[int], list[tuple[str, bool]]]:
+def code_labels(rows: Iterable[Iterable[Sequence]]) -> tuple[list[int], list[tuple[str, bool]], dict[str, list[int]]]:
     """Each label's code, site by site: 2 * rank of its (name, toehold) +
     complemented, ranked by first use, so that code ^ 1 codes the complement
-    (Domain.matches); and the (name, toehold) pairs in rank order."""
-    ranks: dict[tuple[str, bool], int] = {}
-    codes = [2 * ranks.setdefault((d.name, d.toehold), len(ranks)) + d.complemented for row in rows for d in row]
-    return codes, list(ranks)
+    (Domain.matches); the (name, toehold) pairs in rank order; and each
+    bond's site ids, bonds in first-use order.  A site is a Domain or its
+    four fields in Domain order, each flag read as true or false (a token's
+    '*' and '^' in parse_process)."""
+    ranks: dict[tuple[str, object], int] = {}
+    codes: list[int] = []
+    bonds: dict[str, list[int]] = {}
+    for row in rows:
+        for name, complemented, toehold, bond in row:
+            if bond is not None:
+                bonds.setdefault(bond, []).append(len(codes))
+            codes.append(2 * ranks.setdefault((name, toehold), len(ranks)) + (1 if complemented else 0))
+    return codes, [(name, bool(toehold)) for name, toehold in ranks], bonds
+
+
+def decode_labels(names: list[tuple[str, bool]], codes: Iterable[int]) -> list[Domain]:
+    """The bond-free Domain of each code, code_labels undone; equal codes
+    share one Domain."""
+    label = [Domain(name, complemented, toehold) for name, toehold in names for complemented in (False, True)]
+    return [label[code] for code in codes]
+
+
+def _coded(rows: list[Sequence[Sequence]]) -> dict:
+    """A process's fields but its strands, from rows of sites as code_labels
+    reads them, with the toehold and bond checks run on the codes."""
+    codes, names, bonds = code_labels(rows)
+    seen = set()
+    for name, _ in names:  # in first-use order, so the first repeat is the first clash
+        if name in seen:
+            raise ProcessError(f"domain name {name!r} is used both as toehold and long")
+        seen.add(name)
+    for bond, ends in bonds.items():
+        if len(ends) != 2:
+            raise ProcessError(f"bond {bond!r} occurs {len(ends)} time(s), expected 2")
+        if codes[ends[0]] ^ 1 != codes[ends[1]]:
+            raise ProcessError(f"bond {bond!r} joins non-complementary occurrences")
+    return {"_codes": codes, "_names": names, "_bonds": bonds, "_lengths": tuple(map(len, rows))}
 
 
 @dataclass(frozen=True)
 class Process:
-    """Strands, their labels coded once by the constructor (code_labels) as
-    the strand graph reads them, sites numbered from 0 strand by strand, and
-    each bond as its two site ids, ascending.  The toehold and bond checks
-    run on the codes."""
+    """Strands, held as the strand graph reads them: their labels coded
+    (code_labels), sites numbered from 0 strand by strand, each bond as its
+    two site ids, ascending, and each strand's length.  The toehold and bond
+    checks run on the codes.  A process built from strands keeps them; a
+    parsed one builds its strands, and their domains, when first read."""
 
     strands: tuple[Strand, ...]
     _codes: list[int] = field(init=False, repr=False, compare=False)  # site id -> label code
     _names: list[tuple[str, bool]] = field(init=False, repr=False, compare=False)  # rank -> name, toehold
     _bonds: dict[str, list[int]] = field(init=False, repr=False, compare=False)  # in first-use order
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)  # strand -> its number of sites
 
     def __post_init__(self):
-        codes, names = code_labels(strand.domains for strand in self.strands)
-        seen = set()
-        for name, _ in names:  # in first-use order, so the first repeat is the first clash
-            if name in seen:
-                raise ProcessError(f"domain name {name!r} is used both as toehold and long")
-            seen.add(name)
-        bonds: dict[str, list[int]] = {}
-        for site, d in enumerate(chain.from_iterable(strand.domains for strand in self.strands)):
-            if d.bond is not None:
-                bonds.setdefault(d.bond, []).append(site)
-        for bond, ends in bonds.items():
-            if len(ends) != 2:
-                raise ProcessError(f"bond {bond!r} occurs {len(ends)} time(s), expected 2")
-            if codes[ends[0]] ^ 1 != codes[ends[1]]:
-                raise ProcessError(f"bond {bond!r} joins non-complementary occurrences")
-        self.__dict__.update(_codes=codes, _names=names, _bonds=bonds)
+        self.__dict__.update(_coded([strand.domains for strand in self.strands]))
+
+    def __getattr__(self, name: str):
+        # only names not yet set come here: the strands of a parsed process
+        d = self.__dict__
+        if name != "strands" or "_codes" not in d:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        domains = decode_labels(d["_names"], d["_codes"])
+        for bond, ends in d["_bonds"].items():
+            for site in ends:
+                domains[site] = domains[site]._replace(bond=bond)
+        sites = iter(domains)
+        d["strands"] = strands = tuple(Strand(tuple(islice(sites, length))) for length in d["_lengths"])
+        return strands
 
     def occurrences(self) -> Iterator[tuple[Locator, Domain]]:
         for s, strand in enumerate(self.strands, start=1):
@@ -165,7 +198,7 @@ class Process:
     @cached_property
     def _bond_ends(self) -> dict[str, tuple[Locator, Locator]]:
         """Each bond's ends as locators, which the rules read, built on their first read."""
-        locators = [(s, n) for s, strand in enumerate(self.strands, start=1) for n in range(1, len(strand) + 1)]
+        locators = [(s, n) for s, length in enumerate(self._lengths, start=1) for n in range(1, length + 1)]
         return {bond: (locators[a], locators[b]) for bond, (a, b) in self._bonds.items()}
 
     def __str__(self) -> str:
@@ -173,11 +206,14 @@ class Process:
 
 
 def parse_process(text: str) -> Process:
-    """Parse '<a^!x b*> | <...>' notation; angle quotes are accepted too."""
+    """Parse '<a^!x b*> | <...>' notation; angle quotes are accepted too.
+    Each token is matched once and coded as Process holds it: no Domain or
+    Strand is built."""
     normalized = text.replace("⟨", "<").replace("⟩", ">").strip()
     if not normalized:
         raise ProcessError("empty process text")
-    strands = []
+    match = _DOMAIN_TOKEN_RE.fullmatch
+    rows = []
     for part in normalized.split("|"):
         part = part.strip()
         if not (part.startswith("<") and part.endswith(">")):
@@ -185,8 +221,16 @@ def parse_process(text: str) -> Process:
         tokens = part[1:-1].split()
         if not tokens:
             raise ProcessError("empty strand")
-        strands.append(Strand(tuple(map(parse_domain, tokens))))
-    return Process(tuple(strands))
+        row = []
+        for token in tokens:
+            m = match(token)
+            if m is None:
+                raise ProcessError(f"bad domain token {token!r}")
+            row.append(m.group(1, 3, 2, 4))  # name, star, caret, bond: a Domain's fields in order
+        rows.append(row)
+    p = object.__new__(Process)
+    p.__dict__.update(_coded(rows))
+    return p
 
 
 # --- structural congruence ---------------------------------------------------

@@ -1112,6 +1112,19 @@ class TestProcessClosure:
         rng = random.Random(7)
         assert sum(self.assert_matches_process_closure(oracles.random_process(rng)) for _ in range(200)) == 395
 
+    def test_more_random_processes(self):
+        rng = random.Random(39)
+        assert sum(self.assert_matches_process_closure(oracles.random_process(rng)) for _ in range(200)) == 344
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("hairpins, fourways, states", [(0, 2, 64), (1, 1, 176)],
+                             ids=["two-fourways", "hairpin-and-fourway"])
+    def test_shuffled_toehold_systems(self, seed, hairpins, fourways, states):
+        # the bench mix's systems, renamed per copy and shuffled: the process
+        # is parsed, and each rule successor is a Process built from strands
+        text = oracles.toehold_system(random.Random(seed), hairpins, fourways)
+        assert self.assert_matches_process_closure(pr.parse_process(text)) == states
+
     @pytest.mark.parametrize("bonds, states", [(2, 2), (3, 4), (4, 8)])
     def test_short_duplexes(self, bonds, states):
         assert self.assert_matches_process_closure(pr.parse_process(duplex(bonds))) == states

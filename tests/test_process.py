@@ -1,13 +1,17 @@
 """Domain-level processes: syntax, bond geometry, and the four reduction rules."""
 
 import copy
+import dataclasses
 import pickle
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 import oracles
+from strandprover.fixtures import FOURWAY, HAIRPIN, THEOREM
+from strandprover.graph import explore, from_process
 from strandprover.process import (
     Domain,
     Process,
@@ -157,6 +161,64 @@ class TestParseProcess:
     def test_strands_need_at_least_one_domain(self):
         with pytest.raises(ProcessError):
             Strand(())
+
+
+def coded_texts() -> list[str]:
+    """Process text of the fixtures, of seeded bench-mix toehold systems and
+    of seeded random processes, each written as str() writes it."""
+    rng = random.Random(39)
+    texts = [HAIRPIN, FOURWAY, THEOREM, *HAIRPIN_STEPS]
+    texts += [oracles.toehold_system(rng, h, f) for h, f in ((1, 0), (0, 2), (1, 1), (2, 0), (1, 2))]
+    return texts + [str(oracles.random_process(rng, strands=4, max_len=5)) for _ in range(100)]
+
+
+class TestCodedProcess:
+    """A parsed process is its label codes, bond sites and strand lengths;
+    its strands and their domains are built when first read.  It behaves
+    as the process built from those strands."""
+
+    def test_it_is_the_process_of_its_strands(self):
+        for text in coded_texts():
+            q = Process(parse_process(text).strands)
+            p = parse_process(text)
+            assert (p._codes, p._names, p._bonds, p._lengths) == (q._codes, q._names, q._bonds, q._lengths)
+            # the rules' bond ends come from the lengths, with no strand built
+            assert {bond: p.bond_ends(bond) for bond in p.bonds()} == {bond: q.bond_ends(bond) for bond in q.bonds()}
+            assert "strands" not in vars(p)
+            # each copy made before its strands are read
+            copies = [
+                pickle.loads(pickle.dumps(parse_process(text))),
+                copy.deepcopy(parse_process(text)),
+                copy.copy(parse_process(text)),
+                dataclasses.replace(parse_process(text)),
+            ]
+            for r in [p, *copies]:
+                assert r == q and q == r and hash(r) == hash(q)
+                assert (repr(r), str(r), r.bonds()) == (repr(q), str(q), q.bonds())
+                assert r.strands == q.strands
+            assert str(p) == text
+
+    @pytest.mark.parametrize("text", [HAIRPIN, FOURWAY, THEOREM, oracles.toehold_system(random.Random(39), 1, 2)],
+                             ids=["hairpin", "fourway", "theorem", "hairpin-and-two-fourways"])
+    def test_no_domain_or_strand_is_built_on_the_way_to_explore(self, monkeypatch, text):
+        built = Counter()
+
+        def counting(name, make):
+            def counted(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(Domain, "__new__", staticmethod(counting("Domain", Domain.__new__)))
+        monkeypatch.setattr(Domain, "_make", classmethod(counting("Domain", Domain._make.__func__)))
+        monkeypatch.setattr(Strand, "__init__", counting("Strand", Strand.__init__))
+        p = parse_process(text)
+        explore(from_process(p))
+        assert built == Counter()
+        # reading the strands builds them and their domains, once
+        strands = p.strands
+        assert p.strands is strands and built["Strand"] == len(strands) and built["Domain"] > 0
 
 
 class TestCanonicalForms:
