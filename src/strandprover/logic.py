@@ -95,6 +95,7 @@ class Iff(_Arrow):
 # arrow chains with another.
 
 _BINARY = {"<->": (Iff, 0), "->": (Implies, 0), "<-": (ImpliedBy, 0), "|": (Or, 1), "&": (And, 2)}
+_NO_CONNECTIVE = (None, -1)  # what _BINARY gives any other token: it binds below every floor
 
 # Deepest run of nested negations and parentheses the parser accepts.  Parsing,
 # clausal form and printing all recurse on nesting, so the bound keeps every
@@ -102,18 +103,25 @@ _BINARY = {"<->": (Iff, 0), "->": (Implies, 0), "<-": (ImpliedBy, 0), "|": (Or, 
 MAX_NESTING = 100
 
 
-# One token after optional whitespace: an atom, an operator, or any other
-# character, which is an error.  Tokens are contiguous, so finditer walks them.
-_TOKEN_RE = re.compile(rf"\s*(?:({_ATOM_RE.pattern})|(<->|->|<-|[~&|()])|(\S))")
+# One token and the whitespace before it: an atom, an operator, or any other
+# character, which is an error.  Tokens are contiguous, so findall walks them
+# and each token's position follows from the lengths read before it.
+_TOKEN_RE = re.compile(rf"(\s*)(?:({_ATOM_RE.pattern})|(<->|->|<-|[~&|()])|(\S))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == 3:
-            raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
-        tokens.append(("atom" if group == 1 else "op", m.group(group), m.start(group)))
+    pos = 0
+    for space, atom, op, bad in _TOKEN_RE.findall(text):
+        pos += len(space)
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", pos)
+        if atom:
+            tokens.append(("atom", atom, pos))
+            pos += len(atom)
+        else:
+            tokens.append(("op", op, pos))
+            pos += len(op)
     return tokens
 
 
@@ -123,6 +131,7 @@ class _FormulaParser:
         self.tokens = _tokenize(text) + [("end", "", len(text))]
         self.pos = 0
         self.depth = 0
+        self.variables: dict[str, Var] = {}  # one node per name, validated once
 
     def _take(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
@@ -130,11 +139,6 @@ class _FormulaParser:
             raise ParseError("unexpected end of formula", tok[2])
         self.pos += 1
         return tok
-
-    def _strength(self) -> int:
-        """Binding strength of the next token, or -1 if it is no binary connective."""
-        entry = _BINARY.get(self.tokens[self.pos][1])
-        return -1 if entry is None else entry[1]
 
     def parse(self) -> Formula:
         if len(self.tokens) == 1:
@@ -148,22 +152,27 @@ class _FormulaParser:
     def _binary(self, floor: int) -> Formula:
         """Operands joined by connectives that bind at least as tightly as floor."""
         left = self._unary()
-        while (strength := self._strength()) >= floor:
-            node = _BINARY[self.tokens[self.pos][1]][0]
+        node, strength = _BINARY.get(self.tokens[self.pos][1], _NO_CONNECTIVE)
+        while strength >= floor:
+            joined, run = node, strength
             parts = [left]
-            while self._strength() == strength:
-                if len(parts) == 2 and issubclass(node, _Arrow):
+            while strength == run:
+                if len(parts) == 2 and issubclass(joined, _Arrow):
                     raise ParseError("conditionals do not chain; add parentheses", self.tokens[self.pos][2])
                 self.pos += 1
-                parts.append(self._binary(strength + 1))
-            left = node(*parts)
+                parts.append(self._binary(run + 1))
+                node, strength = _BINARY.get(self.tokens[self.pos][1], _NO_CONNECTIVE)
+            left = joined(*parts)
         return left
 
     def _unary(self) -> Formula:
         """A variable, a negation or a parenthesised formula."""
         kind, value, pos = self._take()
         if kind == "atom":
-            return Var(value)
+            var = self.variables.get(value)
+            if var is None:
+                var = self.variables[value] = Var(value)
+            return var
         if value != "~" and value != "(":
             raise ParseError(f"unexpected {value!r}", pos)
         if self.depth == MAX_NESTING:
@@ -465,42 +474,48 @@ class ClauseSet:
 MAX_CLAUSES = 100_000
 
 
-def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[tuple[str, bool]]]:
+def _bodies(f: Formula, positive: bool, memo: dict, variables: dict[str, int]) -> set[int]:
     """Clause bodies of f, or of ~f when positive is false, in one walk.
 
-    A conditional is read as its definition, Not flips the polarity, and the
-    operands of a connective that acts as a conjunction are concatenated,
-    those of one that acts as a disjunction distributed.  A literal is a
-    (name, negated) pair, which sorts as Literal does.  An equivalence
-    needs both polarities of its sides; memo, keyed by node identity and
-    polarity, keeps nested equivalences from walking a subtree more than
-    twice."""
+    A body is an int with bit 2 * k + negated set for each literal of its
+    clause, where k is the literal's name's index in variables, which numbers
+    names as the walk first meets them.  A conditional is read as its
+    definition, Not flips the polarity, and the operands of a connective
+    that acts as a conjunction are concatenated, those of one that acts as
+    a disjunction distributed.  An equivalence needs both polarities of its
+    sides; memo, keyed by node identity and polarity, keeps nested
+    equivalences from walking a subtree more than twice."""
     key = (id(f), positive)
-    if key in memo:
-        return memo[key]
-    match f:
-        case Var(name=name):
-            out = {frozenset([(name, not positive)])}
-        case Not(arg=arg):
-            out = _bodies(arg, not positive, memo)
-        case And(args=args) | Or(args=args):
-            out = _join(isinstance(f, And) == positive, [_bodies(a, positive, memo) for a in args])
-        case Implies(lhs=a, rhs=b) | ImpliedBy(lhs=b, rhs=a):  # ~a | b
-            out = _join(not positive, [_bodies(a, not positive, memo), _bodies(b, positive, memo)])
-        case Iff(lhs=lhs, rhs=rhs):  # (~lhs | rhs) & (lhs | ~rhs)
-            l_pos, l_neg = _bodies(lhs, True, memo), _bodies(lhs, False, memo)
-            r_pos, r_neg = _bodies(rhs, True, memo), _bodies(rhs, False, memo)
-            if positive:
-                out = _join(True, [_join(False, [l_neg, r_pos]), _join(False, [l_pos, r_neg])])
-            else:
-                out = _join(False, [_join(True, [l_pos, r_neg]), _join(True, [l_neg, r_pos])])
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    out = memo.get(key)
+    if out is not None:
+        return out
+    kind = type(f)
+    if kind is Var:
+        k = variables.get(f.name)
+        if k is None:
+            k = variables[f.name] = len(variables)
+        out = {1 << (2 * k + (not positive))}
+    elif kind is Not:
+        out = _bodies(f.arg, not positive, memo, variables)
+    elif kind is And or kind is Or:
+        out = _join((kind is And) == positive, [_bodies(a, positive, memo, variables) for a in f.args])
+    elif kind is Implies or kind is ImpliedBy:  # ~a | b, with a the premise
+        a, b = (f.lhs, f.rhs) if kind is Implies else (f.rhs, f.lhs)
+        out = _join(not positive, [_bodies(a, not positive, memo, variables), _bodies(b, positive, memo, variables)])
+    elif kind is Iff:  # (~lhs | rhs) & (lhs | ~rhs)
+        l_pos, l_neg = _bodies(f.lhs, True, memo, variables), _bodies(f.lhs, False, memo, variables)
+        r_pos, r_neg = _bodies(f.rhs, True, memo, variables), _bodies(f.rhs, False, memo, variables)
+        if positive:
+            out = _join(True, [_join(False, [l_neg, r_pos]), _join(False, [l_pos, r_neg])])
+        else:
+            out = _join(False, [_join(True, [l_pos, r_neg]), _join(True, [l_neg, r_pos])])
+    else:
+        raise TypeError(f"not a formula: {f!r}")
     memo[key] = out
     return out
 
 
-def _join(conjunction: bool, parts: list[set[frozenset]]) -> set[frozenset]:
+def _join(conjunction: bool, parts: list[set[int]]) -> set[int]:
     """Concatenate the parts of a conjunction, or distribute a disjunction
     over them, once their sizes show the result stays within MAX_CLAUSES."""
     size = sum(map(len, parts)) if conjunction else math.prod(map(len, parts))
@@ -508,8 +523,8 @@ def _join(conjunction: bool, parts: list[set[frozenset]]) -> set[frozenset]:
         raise ParseError(f"clausal form would exceed {MAX_CLAUSES} clauses")
     if conjunction:
         return set().union(*parts)
-    acc = {frozenset()}
-    for part in parts:
+    acc = parts[0]
+    for part in parts[1:]:
         acc = {a | b for a in acc for b in part}
     return acc
 
@@ -521,8 +536,29 @@ def to_clausal_form(f: Formula) -> ClauseSet:
     disjunction distributed over conjunction; each resulting disjunction
     becomes one clause.  Tautologies are kept.  Raises ParseError rather
     than build more than MAX_CLAUSES clauses.
+
+    The walk holds each clause as a bitmask over the names in the order it
+    meets them; each is coded again by name order once, at the end, and the
+    clauses are sorted by their literals, (name, negated) pairs in name
+    order, so the output does not depend on the walk's order.
     """
-    unique = sorted(tuple(sorted(body)) for body in _bodies(f, True, {}))
-    names = sorted({name for body in unique for name, _ in body})
-    rank = {name: 2 * k for k, name in enumerate(names)}
-    return ClauseSet._coded(names, [[rank[name] + negated for name, negated in body] for body in unique])
+    variables: dict[str, int] = {}
+    bodies = _bodies(f, True, {}, variables)
+    # every name the walk meets is in some body: no join drops an operand's literal
+    names = sorted(variables)
+    rank = {name: 2 * r for r, name in enumerate(names)}
+    recode = [rank[name] + negated for name in variables for negated in (0, 1)]
+    rows = []
+    for body in bodies:
+        row = []
+        while body:
+            low = body & -body
+            row.append(recode[low.bit_length() - 1])
+            body ^= low
+        row.sort()
+        rows.append(tuple(row))
+    rows.sort()
+    s = object.__new__(ClauseSet)
+    s.names, s.codes, s._clauses = tuple(names), tuple(rows), None
+    s.masks = tuple([sum([1 << lit for lit in row]) for row in rows])
+    return s

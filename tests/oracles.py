@@ -9,6 +9,7 @@ be cross-checked from first principles.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from functools import partial
@@ -25,6 +26,7 @@ from strandprover.logic import (
     Iff,
     ImpliedBy,
     Implies,
+    MAX_CLAUSES,
     Literal,
     Not,
     Or,
@@ -160,6 +162,65 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             else:
                 raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
+
+
+def _bodies(f: Formula, positive: bool, memo: dict) -> set[frozenset[tuple[str, bool]]]:
+    """Clause bodies of f, or of ~f when positive is false, in one walk.
+
+    A conditional is read as its definition, Not flips the polarity, and the
+    operands of a connective that acts as a conjunction are concatenated,
+    those of one that acts as a disjunction distributed.  A literal is a
+    (name, negated) pair, which sorts as Literal does.  An equivalence
+    needs both polarities of its sides; memo, keyed by node identity and
+    polarity, keeps nested equivalences from walking a subtree more than
+    twice."""
+    key = (id(f), positive)
+    if key in memo:
+        return memo[key]
+    match f:
+        case Var(name=name):
+            out = {frozenset([(name, not positive)])}
+        case Not(arg=arg):
+            out = _bodies(arg, not positive, memo)
+        case And(args=args) | Or(args=args):
+            out = _join(isinstance(f, And) == positive, [_bodies(a, positive, memo) for a in args])
+        case Implies(lhs=a, rhs=b) | ImpliedBy(lhs=b, rhs=a):  # ~a | b
+            out = _join(not positive, [_bodies(a, not positive, memo), _bodies(b, positive, memo)])
+        case Iff(lhs=lhs, rhs=rhs):  # (~lhs | rhs) & (lhs | ~rhs)
+            l_pos, l_neg = _bodies(lhs, True, memo), _bodies(lhs, False, memo)
+            r_pos, r_neg = _bodies(rhs, True, memo), _bodies(rhs, False, memo)
+            if positive:
+                out = _join(True, [_join(False, [l_neg, r_pos]), _join(False, [l_pos, r_neg])])
+            else:
+                out = _join(False, [_join(True, [l_pos, r_neg]), _join(True, [l_neg, r_pos])])
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    memo[key] = out
+    return out
+
+
+def _join(conjunction: bool, parts: list[set[frozenset]]) -> set[frozenset]:
+    """Concatenate the parts of a conjunction, or distribute a disjunction
+    over them, once their sizes show the result stays within MAX_CLAUSES."""
+    size = sum(map(len, parts)) if conjunction else math.prod(map(len, parts))
+    if size > MAX_CLAUSES:
+        raise ParseError(f"clausal form would exceed {MAX_CLAUSES} clauses")
+    if conjunction:
+        return set().union(*parts)
+    acc = {frozenset()}
+    for part in parts:
+        acc = {a | b for a in acc for b in part}
+    return acc
+
+
+def clausal_form(f: Formula) -> ClauseSet:
+    """The clausal form of f built from sets of (name, negated) pairs: the
+    reference for the library's walk on literal bitmasks, with the same
+    clauses in the same order and the same refusal."""
+    unique = sorted(tuple(sorted(body)) for body in _bodies(f, True, {}))
+    names = sorted({name for body in unique for name, _ in body})
+    rank = {name: 2 * k for k, name in enumerate(names)}
+    return ClauseSet._coded(names, [[rank[name] + negated for name, negated in body] for body in unique])
 
 
 def unbindable_sites(g: StrandGraph) -> frozenset[Site]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strandprover import logic
 from strandprover.logic import (
     And,
     Clause,
@@ -200,6 +201,28 @@ class TestParseFormula:
             else:
                 assert _tokenize(text) == want, text
         assert min(outcomes.values()) > 100, outcomes
+
+    def test_each_distinct_name_is_validated_once(self, monkeypatch):
+        # twelve occurrences of three names: one Var node each, shared by the
+        # tree, which equals the tree of twelve separately built nodes
+        want = And(
+            Implies(And(P, Q), R),
+            ImpliedBy(Or(Not(R), Q), P),
+            Iff(P, Or(Not(Q), R)),
+            Not(And(Q, R, P)),
+        )
+        checked = []
+        check = Var.__post_init__
+
+        def counted(self):
+            checked.append(self.name)
+            check(self)
+
+        monkeypatch.setattr(Var, "__post_init__", counted)
+        f = parse_formula("(P & Q -> R) & (~R | Q <- P) & (P <-> ~Q | R) & ~(Q & R & P)")
+        assert sorted(checked) == ["P", "Q", "R"]
+        assert f == want and format_formula(f) == format_formula(want)
+        assert f.args[0].lhs.args[0] is f.args[1].rhs is f.args[2].lhs is f.args[3].arg.args[2]
 
 
 class TestFormatFormula:
@@ -510,6 +533,10 @@ class TestClauseSet:
 # --- clausal conversion ------------------------------------------------------
 
 
+def _fields(s):
+    return s.names, s.codes, s.masks
+
+
 class TestToClausalForm:
     def test_biconditional(self):
         assert to_clausal_form(Iff(P, Q)) == ClauseSet.parse("~P Q\nP ~Q\n")
@@ -568,6 +595,60 @@ class TestToClausalForm:
         s = to_clausal_form(f)  # an even number of "<-> Q" leaves P
         for a in oracles.assignments(["P", "Q"]):
             assert oracles.eval_clause_set(s, a) == a["P"]
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_equals_the_reference_on_seeded_formulas(self, depth):
+        # names, codes and masks field for field, so the clause order too
+        rng = random.Random(depth)
+        for _ in range(500):
+            f = oracles.random_formula(rng, variables=5, depth=depth)
+            assert _fields(to_clausal_form(f)) == _fields(oracles.clausal_form(f)), format_formula(f)
+
+    def test_equals_the_reference_on_chosen_shapes(self):
+        chain = P
+        for _ in range(60):
+            chain = Iff(chain, Q)
+        odd_chain = Iff(chain, Not(R))
+        shapes = [
+            chain,
+            odd_chain,
+            Not(odd_chain),
+            ImpliedBy(P, And(Q, R)),
+            ImpliedBy(Or(P, Q), Not(R)),
+            Not(ImpliedBy(Iff(P, Q), Implies(R, P))),
+            Not(Not(P)),
+            Not(Not(Not(Not(Or(P, Not(Not(Q))))))),
+            Or(P, Not(P)),
+            Or(P, P, Q, P),
+            And(P, P, Or(Q, Not(Q))),
+            And(Or(P, Q), Or(Q, P), Or(Not(P), P)),
+            Iff(P, P),
+            Implies(P, P),
+            parse_formula("(U | ~U) & (Q -> Q) & (R <- R) & (P <-> ~P) & (V & U | ~V & ~U)"),
+        ]
+        for f in shapes:
+            assert _fields(to_clausal_form(f)) == _fields(oracles.clausal_form(f)), format_formula(f)
+
+    def test_a_dnf_ladder_is_refused_before_it_is_built(self, monkeypatch):
+        def ladder(k):  # (A1 & B1) | ... | (Ak & Bk): 2 ** k clauses
+            return parse_formula(" | ".join(f"(A{i} & B{i})" for i in range(1, k + 1)))
+
+        for k in range(1, 11):
+            got, want = to_clausal_form(ladder(k)), oracles.clausal_form(ladder(k))
+            assert _fields(got) == _fields(want) and len(got) == 2**k
+        for module, convert in ((logic, to_clausal_form), (oracles, oracles.clausal_form)):
+            built = []
+
+            def counted(conjunction, parts, join=module._join, built=built):
+                out = join(conjunction, parts)
+                built.append(len(out))
+                return out
+
+            monkeypatch.setattr(module, "_join", counted)
+            with pytest.raises(ParseError) as err:
+                convert(ladder(17))
+            assert str(err.value) == "clausal form would exceed 100000 clauses"
+            assert built == [2] * 17  # each conjunction, and no part of the disjunction
 
 
 class TestNormalizeClauseSet:
