@@ -72,15 +72,25 @@ class Codebook:
             for ch in seq:
                 if ch not in BASES:
                     raise CodebookError(f"code for {var} contains non-base {ch!r}")
-        entries = [(var, seq, reverse_complement(seq)) for var, seq in items.items()]
-        for i, (v1, s1, rc1) in enumerate(entries):
-            for v2, s2, rc2 in entries[i + 1 :]:
-                if s1 == s2:
-                    raise CodebookError(f"{v1} and {v2} share a code")
-                if s1 == rc2:
-                    raise CodebookError(f"code for {v1} is the reverse complement of {v2}'s")
-            if s1 == rc1:
-                raise CodebookError(f"code for {v1} is its own reverse complement")
+        # each code against the codes after it, read from the last code back:
+        # the defect kept is the first code's, with its first partner, as a
+        # scan of every pair in order would name
+        entries = list(items.items())
+        first_after: dict[str, int] = {}  # a code -> the first later entry that holds it
+        defect = None
+        for i in range(len(entries) - 1, -1, -1):
+            var, seq = entries[i]
+            rc = reverse_complement(seq)
+            same, complement = first_after.get(seq), first_after.get(rc)
+            if same is not None and (complement is None or same <= complement):
+                defect = f"{var} and {entries[same][0]} share a code"
+            elif complement is not None:
+                defect = f"code for {var} is the reverse complement of {entries[complement][0]}'s"
+            elif seq == rc:
+                defect = f"code for {var} is its own reverse complement"
+            first_after[seq] = i
+        if defect is not None:
+            raise CodebookError(defect)
         self._codes = items
 
     def variables(self) -> tuple[str, ...]:

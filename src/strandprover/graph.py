@@ -682,14 +682,8 @@ def _edges_of(t: _Index, mask: int) -> frozenset[Edge]:
     return frozenset([e for r, e in enumerate(t.edges) if mask >> r & 1])
 
 
-def _link(t: _Index, decoded: dict[_RankMove, Move], link: tuple[int, _RankMove] | None) -> tuple[int, Move] | None:
-    """The link with its move decoded once per report, as a move recurs on many links."""
-    if link is None:
-        return None
-    i, m = link
-    if m not in decoded:
-        decoded[m] = _decode(t, m)
-    return i, decoded[m]
+def _link(t: _Index, link: tuple[int, _RankMove] | None) -> tuple[int, Move] | None:
+    return None if link is None else (link[0], _decode(t, link[1]))
 
 
 @dataclass
@@ -826,7 +820,7 @@ def explore(g: StrandGraph, max_states: int = MAX_STATES) -> ExploreReport:
     for mask, _, stuck in closures:  # a state is terminal when all its parts are
         terminals = [i for i in terminals if masks[i] & mask in stuck] if stuck else []
     states = _Decoded(masks, partial(_edges_of, ix))
-    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix, {})), terminals, masks)
+    return ExploreReport(g, states, depths, _Decoded(links, partial(_link, ix)), terminals, masks)
 
 
 # --- interchange formats -----------------------------------------------------

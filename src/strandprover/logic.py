@@ -321,8 +321,9 @@ class ClauseSet:
     read: names are its variables in name order; per clause, codes holds its
     literals 2 * rank + negated in written order (the first occurrence wins)
     and masks the bitmask with bit l set for each literal l, on which clauses
-    are told apart.  Clause objects are built only when asked for; a set
-    built from Clauses keeps the caller's.
+    are told apart.  Every way of making a set hands its rows to _coded,
+    which ranks the names and builds this form.  Clause objects are built
+    only when asked for; a set built from Clauses keeps the caller's.
     """
 
     __slots__ = ("names", "codes", "masks", "_clauses")
@@ -333,22 +334,26 @@ class ClauseSet:
             if not isinstance(clause, Clause):
                 raise TypeError(f"not a clause: {clause!r}")
             kept.setdefault(clause)
-        self._clauses: tuple[Clause, ...] | None = tuple(kept)
-        self.names: tuple[str, ...] = tuple(sorted({lit.variable for c in kept for lit in c.literals}))
-        rank = {name: 2 * k for k, name in enumerate(self.names)}
-        self.codes = tuple(tuple([rank[lit.variable] + lit.negated for lit in c.literals]) for c in kept)
-        self.masks = tuple(sum(1 << lit for lit in row) for row in self.codes)
+        variables: dict[str, int] = {}
+        rows = [[2 * variables.setdefault(lit.variable, len(variables)) + lit.negated for lit in c.literals]
+                for c in kept]
+        coded = self._coded(list(variables), rows)
+        self.names, self.codes, self.masks, self._clauses = coded.names, coded.codes, coded.masks, tuple(kept)
 
     @classmethod
-    def _coded(cls, names: list[str], rows: list[list[int]]) -> "ClauseSet":
+    def _coded(cls, names: list[str], rows: list[list[int]], ordered: bool = False) -> "ClauseSet":
         """The set of these rows of codes 2 * k + negated, k a variable's
         index in names, coded again by name order: each row keeps the first
-        of its equal literals, and the first of equal rows stays."""
+        of its equal literals, and the first of equal rows stays.  With
+        ordered, each row's literals and then the rows are sorted by their
+        new codes, so the set does not depend on the order rows were built in."""
         ranked = sorted(names)
         if ranked != names:
             rank = {name: 2 * r for r, name in enumerate(ranked)}
             recode = [rank[name] + negated for name in names for negated in (0, 1)]
             rows = [[recode[lit] for lit in row] for row in rows]
+        if ordered:
+            rows = sorted([sorted(row) for row in rows])
         seen: set[int] = set()
         codes, masks = [], []
         for row in rows:
@@ -545,20 +550,12 @@ def to_clausal_form(f: Formula) -> ClauseSet:
     variables: dict[str, int] = {}
     bodies = _bodies(f, True, {}, variables)
     # every name the walk meets is in some body: no join drops an operand's literal
-    names = sorted(variables)
-    rank = {name: 2 * r for r, name in enumerate(names)}
-    recode = [rank[name] + negated for name in variables for negated in (0, 1)]
     rows = []
     for body in bodies:
         row = []
         while body:
             low = body & -body
-            row.append(recode[low.bit_length() - 1])
+            row.append(low.bit_length() - 1)
             body ^= low
-        row.sort()
-        rows.append(tuple(row))
-    rows.sort()
-    s = object.__new__(ClauseSet)
-    s.names, s.codes, s._clauses = tuple(names), tuple(rows), None
-    s.masks = tuple([sum([1 << lit for lit in row]) for row in rows])
-    return s
+        rows.append(row)
+    return ClauseSet._coded(list(variables), rows, ordered=True)

@@ -33,8 +33,7 @@ class DeductionStep:
 
     def describe(self) -> str:
         """The step as trace_lines prints it."""
-        note = "[input]" if self.is_input else f"[{self.parents[0]} ⊗ {self.parents[1]} on {self.pivot}]"
-        return f"{self.index}: {self.clause} {note}"
+        return f"{self.index}: {_Records.of([self]).lines(' ')[0]}"
 
 
 class _Records(NamedTuple):

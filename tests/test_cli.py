@@ -717,6 +717,7 @@ class TestByteOrderMark:
 
 # --- top level ---------------------------------------------------------------
 
+COMMANDS = ("prove", "compile", "simulate", "compare", "export")
 # one valid line per subcommand
 VALID_LINES = [
     ["prove", "--fixture", "S"],
@@ -745,7 +746,7 @@ ARGV_TABLE = [
     ["compare", "--fixture", "S", "--max-states", "--", "5"], ["compare", "-", "--fixture", "S"],
     ["--", "compare", "--fixture", "S"], ["--version", "compare", "--fixture", "S"], ["-h", "compare"],
     ["--help", "compare"], ["--bogus", "compare", "--fixture", "S"], ["compare", "--fixture", "S", "-h"],
-    *([command, "--help"] for command in ("prove", "compile", "simulate", "compare", "export")),
+    *([command, "--help"] for command in COMMANDS),
     *VALID_LINES,
 ]
 
@@ -792,7 +793,9 @@ class TestTopLevel:
         if isinstance(got[0], int):  # the command ran, from equal namespaces
             main_args, reference_args = namespaces
             assert main_args == reference_args
-            assert main_args.command == argv[0]
+            # the line's first word that names a subcommand: Python 3.13.13's
+            # argparse runs '-- compare ...' as compare, where 3.13.0's exits 2
+            assert main_args.command == next(word for word in argv if word in COMMANDS)
         else:
             assert namespaces == []
 

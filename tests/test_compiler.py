@@ -120,6 +120,43 @@ class TestCodebook:
             with pytest.raises(CodebookError, match="code for P is its own reverse complement"):
                 Codebook(codes)
 
+    def test_names_the_defect_a_scan_of_every_pair_names(self):
+        # the first code with a defect, with its first later partner: a
+        # shared code before a reverse complement at one partner, and both
+        # before the code's own reverse complement
+        def pairwise(codes):
+            entries = [(var, seq, reverse_complement(seq)) for var, seq in codes.items()]
+            for i, (v1, s1, rc1) in enumerate(entries):
+                for v2, s2, rc2 in entries[i + 1:]:
+                    if s1 == s2:
+                        return f"{v1} and {v2} share a code"
+                    if s1 == rc2:
+                        return f"code for {v1} is the reverse complement of {v2}'s"
+                if s1 == rc1:
+                    return f"code for {v1} is its own reverse complement"
+            return None
+
+        rng = random.Random(41)
+        kinds = Counter()
+        for _ in range(2000):
+            # four-base codes from a few words, so most tables hold several defects
+            words = ["".join(rng.choice("ACGT") for _ in range(4)) for _ in range(rng.randint(1, 4))]
+            words += [reverse_complement(w) for w in words[:rng.randint(0, len(words))]]
+            if rng.random() < 0.3:
+                half = rng.choice(words)[:2]
+                words.append(half + reverse_complement(half))  # its own reverse complement
+            codes = {f"x{k}": rng.choice(words) for k in range(rng.randint(1, 6))}
+            want = pairwise(codes)
+            if want is None:
+                assert Codebook(codes).variables() == tuple(sorted(codes))
+                kinds["valid"] += 1
+                continue
+            with pytest.raises(CodebookError) as err:
+                Codebook(codes)
+            assert str(err.value) == want, codes
+            kinds["shared" if "share" in want else "own" if "own" in want else "other's"] += 1
+        assert min(kinds.values()) > 100 and len(kinds) == 4, kinds
+
     def test_rejects_non_bases(self):
         with pytest.raises(CodebookError):
             Codebook({"P": "ACGX"})

@@ -1382,8 +1382,8 @@ class TestLazyReport:
         trace = report.trace_to(k)
         assert len(trace.moves) == report.depths[k] == len(calls)
         assert trace.replay(g) == report.states[k]
-        report.trace_to(k)  # a move is decoded once per report
-        assert len(calls) == report.depths[k]
+        report.trace_to(k)  # a report keeps no decoded move: reading again decodes again
+        assert len(calls) == 2 * report.depths[k]
 
     def test_states_and_parents_read_as_lists(self):
         g = hairpin_and_fourway_graph()

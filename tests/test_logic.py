@@ -493,6 +493,34 @@ class TestClauseSet:
             agree(to_clausal_form(parse_formula(formula)), ClauseSet(Clause(body) for body in bodies))
         assert min(seen.values()) > 10, seen
 
+    def test_every_set_is_coded_once_by_coded(self, monkeypatch):
+        # ClauseSet(...), both readers and clausal form hand their rows to
+        # ClauseSet._coded, once each; ClauseSet(...) keeps the caller's
+        # Clause objects, the first of equal ones
+        clauses = [Clause.parse("~R Q"), Clause.parse("P"), Clause.parse("Q ~R")]
+        want, want_dimacs = ClauseSet.parse("~R Q\nP"), ClauseSet.parse("~x3 x2\nx1")
+        builds = {
+            "ClauseSet": lambda: ClauseSet(clauses),
+            "parse": lambda: ClauseSet.parse("~R Q\nP\nQ ~R\n"),
+            "from_dimacs": lambda: ClauseSet.from_dimacs("p cnf 3 3\n-3 2 0\n1 0\n2 -3 0\n"),
+            "to_clausal_form": lambda: to_clausal_form(parse_formula("(~R | Q) & P & (Q | ~R)")),
+        }
+        coded = ClauseSet._coded.__func__
+        calls = []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls)
+            return coded(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ClauseSet, "_coded", classmethod(counted))
+        for how, build in builds.items():
+            calls.clear()
+            s = build()
+            assert calls == [ClauseSet], how
+            assert s == (want_dimacs if how == "from_dimacs" else want), how
+        s = ClauseSet(clauses)
+        assert s.clauses[0] is clauses[0] and s.clauses[1] is clauses[1] and len(s) == 2
+
     def test_reader_errors_are_unchanged(self):
         cases = [
             (ClauseSet.parse, "P Q\nP ~~Q\n", "line 2: invalid literal '~~Q'"),
