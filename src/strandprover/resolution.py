@@ -59,10 +59,14 @@ class _Records(NamedTuple):
 
     def lines(self, gap: str) -> list[str]:
         """Per step: its clause, gap, then [input] or its parents and pivot."""
-        texts = self.texts
-        return ["{" + ", ".join([texts[lit] for lit in row]) + "}" + gap
-                + ("[input]" if pair is None else f"[{pair[0]} ⊗ {pair[1]} on {texts[pivot]}]")
-                for row, pair, pivot in zip(self.rows, self.parents, self.pivots)]
+        texts, lines = self.texts, []
+        for row, pair, pivot in zip(self.rows, self.parents, self.pivots):
+            clause = ", ".join([texts[lit] for lit in row])
+            if pair is None:
+                lines.append(f"{{{clause}}}{gap}[input]")
+            else:
+                lines.append(f"{{{clause}}}{gap}[{pair[0]} ⊗ {pair[1]} on {texts[pivot]}]")
+        return lines
 
     def steps(self) -> tuple[DeductionStep, ...]:
         """An engine result's steps: an input step holds the set's own Clause."""
@@ -103,13 +107,25 @@ class RefutationResult:
         d = self.__dict__
         if name == "_records" and ("_build" in d or "steps" in d):
             build = d.pop("_build", None)
-            value = build() if build is not None else _Records.of(d["steps"])
+            value = build() if build is not None else self._records_of_steps()
         elif name == "steps" and ("_build" in d or "_records" in d):
             value = self._records.steps()
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         d[name] = value
         return value
+
+    def _records_of_steps(self) -> _Records:
+        """The records of a result built from steps.  render_deduction walks
+        from {} through parents to inputs, which ends only if each parent
+        comes before its step, so a result that breaks this is refused."""
+        for k, step in enumerate(self.steps):
+            for parent in step.parents or ():
+                if not 0 <= parent < k:
+                    raise ValueError(f"step {k} names step {parent} as a parent; a step's parents come before it")
+        if self.is_unsat and not (isinstance(self.empty_step, int) and 0 <= self.empty_step < len(self.steps)):
+            raise ValueError(f"empty step {self.empty_step!r} is not one of the {len(self.steps)} steps")
+        return _Records.of(self.steps)
 
     def __getstate__(self) -> dict:
         return {"verdict": self.verdict, "steps": self.steps, "empty_step": self.empty_step, "model": self.model}
@@ -203,25 +219,35 @@ def refute(
         def build() -> _Records:
             # the steps in order, renumbered from 0; on UNSAT the last is {}.
             # A resolvent's literals are clause i's without the pivot, then
-            # those of clause j that clause i lacks, as Clause.union orders them.
-            renumber: dict[int, int] = {}
+            # those of clause j that clause i lacks, as Clause.union orders
+            # them: while step new is derived, stamp[lit] == new marks clause
+            # i's literals and the pivot's complement
+            renumber = [0] * len(origins)
+            stamp = [-1] * (2 * len(names))
             rows: list[Sequence[int]] = []
             parents: list[tuple[int, int] | None] = []
             pivots: list[int | None] = []
             inputs = []
             for new, old in enumerate(order):
                 renumber[old] = new
-                if origins[old] is None:
+                origin = origins[old]
+                if origin is None:
                     inputs.append(sources[old])
                     rows.append(codes[sources[old]])
                     parents.append(None)
                     pivots.append(None)
                     continue
-                i, j, pivot = origins[old]
+                i, j, pivot = origin
                 i, j = renumber[i], renumber[j]
-                row_i, complement = set(rows[i]), pivot ^ 1
-                rows.append([lit for lit in rows[i] if lit != pivot]
-                            + [lit for lit in rows[j] if lit != complement and lit not in row_i])
+                row = [*rows[i]]
+                for lit in row:
+                    stamp[lit] = new
+                stamp[pivot ^ 1] = new
+                row.remove(pivot)
+                for lit in rows[j]:
+                    if stamp[lit] != new:
+                        row.append(lit)
+                rows.append(row)
                 parents.append((i, j))
                 pivots.append(pivot)
             texts = [text for name in names for text in (name, "~" + name)]
@@ -407,14 +433,19 @@ def render_deduction(result: RefutationResult) -> str:
         raise ValueError("deduction tree exists only for an unsat result")
     records = result._records
     parents, body = records.parents, records.lines("  ")
-    lines: list[str] = []
     # depth-first, first parent before second, on an explicit stack so that
-    # deep proofs do not hit the recursion limit
-    stack = [(result.empty_step, 0)]
+    # deep proofs do not hit the recursion limit.  Each line is written as
+    # its prefix, a newline and its indent, then its body: the two parents
+    # of a step share one prefix, built once per resolvent
+    pieces: list[str] = []
+    stack = [(result.empty_step, "\n")]
     while stack:
-        index, depth = stack.pop()
+        index, prefix = stack.pop()
+        pieces.append(prefix)
+        pieces.append(body[index])
         pair = parents[index]
         if pair is not None:
-            stack += ((pair[1], depth + 1), (pair[0], depth + 1))
-        lines.append("  " * depth + body[index])
-    return "\n".join(lines)
+            prefix += "  "
+            stack += ((pair[1], prefix), (pair[0], prefix))
+    pieces[0] = ""  # no line comes before the root's
+    return "".join(pieces)

@@ -557,6 +557,30 @@ class TestRenderDeduction:
         assert lines[depth + 1] == "  " * depth + f"{{~x{depth}, x{depth - 1}}}  [input]"
         assert lines[-1] == "  {~x1}  [input]"
 
+    # a result built from steps is checked when its steps are first read,
+    # before any text is formatted: before the check, a step naming itself
+    # or a later step as a parent rendered until memory ran out
+
+    @pytest.mark.parametrize("parent", [2, 3])
+    def test_a_parent_that_does_not_come_first_is_refused(self, parent):
+        steps = (DeductionStep(0, C("P")), DeductionStep(1, C("~P")),
+                 DeductionStep(2, Clause(), (0, parent), Literal("P")), DeductionStep(3, C("Q")))
+        result = RefutationResult(UNSAT, steps, empty_step=2)
+        for view in (RefutationResult.trace_lines, render_deduction):
+            with pytest.raises(ValueError, match=rf"^step 2 names step {parent} as a parent; a step's parents come before it$"):
+                view(result)
+
+    def test_an_unsat_result_without_an_empty_step_is_refused(self):
+        steps = (DeductionStep(0, C("P")), DeductionStep(1, C("~P")), DeductionStep(2, Clause(), (0, 1), Literal("P")))
+        with pytest.raises(ValueError, match=r"^empty step None is not one of the 3 steps$"):
+            render_deduction(RefutationResult(UNSAT, steps, empty_step=None))
+
+    @pytest.mark.parametrize("empty_step", [3, -1])
+    def test_an_empty_step_out_of_range_is_refused(self, empty_step):
+        steps = (DeductionStep(0, C("P")), DeductionStep(1, C("~P")), DeductionStep(2, Clause(), (0, 1), Literal("P")))
+        with pytest.raises(ValueError, match=rf"^empty step {empty_step} is not one of the 3 steps$"):
+            render_deduction(RefutationResult(UNSAT, steps, empty_step=empty_step))
+
 
 def formatted_from_objects(result: RefutationResult) -> tuple[str | None, list[str], list[dict]]:
     """The tree, the trace lines and prove's JSON steps formatted from the
@@ -635,6 +659,14 @@ class TestProofText:
             assert result.steps == eager.steps and result == eager
             assert [step.clause.literals for step in result.steps] == [step.clause.literals for step in eager.steps]
         assert verdicts[:2] == [UNSAT, UNSAT] and 40 < verdicts.count(SATURATED) < 160
+
+    def test_a_pigeonhole_tree_matches_an_eager_copy(self):
+        # PHP 7 -> 6: deep indents, and sub-derivations shared by many parents
+        result = refute(oracles.pigeonhole(6))
+        tree = render_deduction(result)
+        eager = RefutationResult(result.verdict, tuple(result.steps), result.empty_step)
+        assert tree == formatted_from_objects(eager)[0]
+        assert (len(eager.steps), tree.count("\n") + 1) == (6542, 37915)
 
     @pytest.mark.parametrize("copier", [
         *(pytest.param(lambda r, p=p: pickle.loads(pickle.dumps(r, p)), id=f"pickle{p}")
