@@ -15,14 +15,11 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .graph import MAX_STATES, Site, StrandGraph, bind_chain, binding_trace, explore, from_process, sites_of
+from .graph import MAX_STATES, Edge, Move, Site, StrandGraph, Trace, bind_chain, explore, from_process, sites_of
 from .logic import Clause, ClauseSet, Literal
-from .process import Domain, Process, Strand
-
-if TYPE_CHECKING:  # Verdict's annotation only
-    from .graph import Trace
+from .process import Process, Strand, _coded_process
 
 BASES = "ACGT"
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
@@ -215,13 +212,11 @@ class CompiledClause:
 
 def clause_process(s: ClauseSet) -> Process:
     """One strand per clause, one long domain per literal, in input order;
-    a negative literal is its variable's complemented domain.  No bases."""
-    strands = []
-    for clause in s:
-        if clause.is_empty():
-            raise CompileError("the empty clause has no strand image")
-        strands.append(Strand(tuple(Domain(lit.variable, complemented=lit.negated) for lit in clause)))
-    return Process(tuple(strands))
+    a negative literal is its variable's complemented domain.  No bases.
+    Coded off the literal codes of s: no strand is built until read."""
+    if not all(s.codes):
+        raise CompileError("the empty clause has no strand image")
+    return _coded_process([[(s.names[lit >> 1], lit & 1, False, None) for lit in row] for row in s.codes])
 
 
 def free_sites(s: ClauseSet) -> list[Site]:
@@ -267,8 +262,8 @@ class Verdict:
     """A hybridization verdict: the outcome, a witness trace, the sites its
     final state leaves free, and the graph judged.  For a bond-free system
     whose toehold labels meet no complement, the SAT witness is the greedy
-    maximum binding (graph.binding_trace), which need not be terminal: its
-    end may still admit a displacement or a migration."""
+    maximum binding (graph.bind_chain) as GB moves, which need not be
+    terminal: its end may still admit a displacement or a migration."""
 
     outcome: str
     witness: Trace
@@ -292,10 +287,12 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
 
     When p has no bond and no toehold label meets its complement, no edge
     ever unbinds, and the verdict is built in closed form from the greedy
-    maximum binding (graph.binding_trace), read off the site labels in
-    O(sites); its UNSAT witness is the one exploration finds first.  Any
-    other process, such as the hairpin, is explored breadth first under
-    max_states; that bound must be positive whichever path runs.
+    maximum binding (graph.bind_chain) as GB moves in rank order, read off
+    the site labels in O(sites); its UNSAT witness is the one exploration
+    finds first.  from_process still indexes every admissible edge, so the
+    verdict costs O(sites + admissible edges).  Any other process, such as
+    the hairpin, is explored breadth first under max_states; that bound must
+    be positive whichever path runs.
     """
     g = from_process(p)
     all_sites = frozenset(g.sites())
@@ -303,8 +300,12 @@ def hybridization_verdict(p: Process, *, max_states: int = MAX_STATES) -> Verdic
         raise ValueError("empty strand system has no hybridization behaviour")
     if max_states <= 0:
         raise ValueError("exploration bounds must be positive")
-    witness = binding_trace(g)
-    if witness is None:
+    ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
+    chain = None if g._mask else bind_chain([ix.labels], ix.toehold_labels)
+    if chain is not None:
+        edges = [Edge(ix.sites[a], ix.sites[b]) for a, b in chain]
+        witness = Trace(frozenset(), tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), frozenset(edges))
+    else:
         report = explore(g, max_states=max_states)
         # every explored state binds each site at most once, so it binds all
         # of them exactly when it has half as many edges as there are sites; a

@@ -396,17 +396,6 @@ def bind_chain(labels: Sequence[Sequence[int]], toeholds: Collection[int] = ()) 
     return chain
 
 
-def binding_trace(g: StrandGraph) -> Trace | None:
-    """The greedy maximum binding of g (bind_chain) as GB moves in rank order;
-    None when g has a current edge or a toehold label meets its complement."""
-    ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
-    chain = None if g._mask else bind_chain([ix.labels], ix.toehold_labels)
-    if chain is None:
-        return None
-    edges = [ix.edges[ix.partners[a][b]] for a, b in chain]
-    return Trace(frozenset(), tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), frozenset(edges))
-
-
 # --- moves -------------------------------------------------------------------
 
 MAX_RING = 4  # longest migration ring, in current edges, that moves() searches: a budget

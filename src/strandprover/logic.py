@@ -425,9 +425,9 @@ class ClauseSet:
     @classmethod
     def from_dimacs(cls, text: str) -> "ClauseSet":
         """DIMACS CNF; variable n becomes 'x<n>'.  A line starting with '%'
-        ends the input, as in the SATLIB benchmark files.  Once the input is
-        read, it must hold as many clauses as its header says, and no
-        variable above the header's count."""
+        ends the input, as in the SATLIB benchmark files.  There is one
+        header.  Once the input is read, it must hold as many clauses as the
+        header says, and no variable above the header's count."""
         variables: dict[str, int] = {}
         known: dict[str, int] = {}  # number token -> its code, -1 for a clause end
         rows: list[list[int]] = []
@@ -441,6 +441,8 @@ class ClauseSet:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
+                if header is not None:
+                    raise ParseError(f"line {lineno}: a second DIMACS header {line!r}")
                 header = _DIMACS_HEADER.fullmatch(line)
                 if not header:
                     raise ParseError(f"line {lineno}: bad DIMACS header {line!r}")

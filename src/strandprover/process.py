@@ -145,13 +145,21 @@ def _coded(rows: list[Sequence[Sequence]]) -> dict:
     return {"_codes": codes, "_names": names, "_bonds": bonds, "_lengths": tuple(map(len, rows))}
 
 
+def _coded_process(rows: list[Sequence[Sequence]]) -> Process:
+    """The Process of these rows of sites, as code_labels reads them, held as
+    its codes: its strands, and their domains, are built when first read."""
+    p = object.__new__(Process)
+    p.__dict__.update(_coded(rows))
+    return p
+
+
 @dataclass(frozen=True)
 class Process:
     """Strands, held as the strand graph reads them: their labels coded
     (code_labels), sites numbered from 0 strand by strand, each bond as its
     two site ids, ascending, and each strand's length.  The toehold and bond
     checks run on the codes.  A process built from strands keeps them; a
-    parsed one builds its strands, and their domains, when first read."""
+    coded one (_coded_process) builds them, and their domains, when first read."""
 
     strands: tuple[Strand, ...]
     _codes: list[int] = field(init=False, repr=False, compare=False)  # site id -> label code
@@ -163,7 +171,7 @@ class Process:
         self.__dict__.update(_coded([strand.domains for strand in self.strands]))
 
     def __getattr__(self, name: str):
-        # only names not yet set come here: the strands of a parsed process
+        # only names not yet set come here: the strands of a coded process
         d = self.__dict__
         if name != "strands" or "_codes" not in d:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -228,9 +236,7 @@ def parse_process(text: str) -> Process:
                 raise ProcessError(f"bad domain token {token!r}")
             row.append(m.group(1, 3, 2, 4))  # name, star, caret, bond: a Domain's fields in order
         rows.append(row)
-    p = object.__new__(Process)
-    p.__dict__.update(_coded(rows))
-    return p
+    return _coded_process(rows)
 
 
 # --- structural congruence ---------------------------------------------------

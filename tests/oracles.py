@@ -15,8 +15,9 @@ from collections import deque
 from functools import partial
 from typing import Iterable, Iterator
 
+from strandprover.compiler import CompileError
 from strandprover.fixtures import FOURWAY, HAIRPIN
-from strandprover.graph import Edge, Site, StrandGraph, from_process
+from strandprover.graph import Edge, Move, Site, StrandGraph, Trace, bind_chain, from_process
 from strandprover.logic import (
     _ATOM_RE,
     And,
@@ -221,6 +222,33 @@ def clausal_form(f: Formula) -> ClauseSet:
     names = sorted({name for body in unique for name, _ in body})
     rank = {name: 2 * k for k, name in enumerate(names)}
     return ClauseSet._coded(names, [[rank[name] + negated for name, negated in body] for body in unique])
+
+
+def clause_process(s: ClauseSet) -> Process:
+    """One strand per clause, one long domain per literal, in input order;
+    a negative literal is its variable's complemented domain.  Built from
+    Clause, Literal, Domain and Strand objects: the reference for the
+    compiler's, which codes the process off the literal codes of s."""
+    strands = []
+    for clause in s:
+        if clause.is_empty():
+            raise CompileError("the empty clause has no strand image")
+        strands.append(Strand(tuple(Domain(lit.variable, complemented=lit.negated) for lit in clause)))
+    return Process(tuple(strands))
+
+
+def binding_trace(g: StrandGraph) -> Trace | None:
+    """The greedy maximum binding of g (bind_chain) as GB moves in rank order;
+    None when g has a current edge or a toehold label meets its complement.
+    Each edge is read off the index's admissible edges: the reference for
+    the closed-form witness of hybridization_verdict, which builds only the
+    edges of the chain."""
+    ix = g._index  # it codes the labels as bind_chain reads them, all sites in one row
+    chain = None if g._mask else bind_chain([ix.labels], ix.toehold_labels)
+    if chain is None:
+        return None
+    edges = [ix.edges[ix.partners[a][b]] for a, b in chain]
+    return Trace(frozenset(), tuple(Move("GB", frozenset(), frozenset([x])) for x in edges), frozenset(edges))
 
 
 def unbindable_sites(g: StrandGraph) -> frozenset[Site]:

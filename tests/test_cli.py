@@ -57,6 +57,14 @@ class TestProve:
         assert code == cli.EXIT_INDETERMINATE and out == ""
         assert "the header declares 1 clauses, the input has 3" in err
 
+    def test_a_second_dimacs_header_is_refused(self, monkeypatch, capsys):
+        import io
+
+        # one header per input: a second is refused, whatever it declares
+        monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 1 1\n1 0\np cnf 9 1\n"))
+        assert run(capsys, "prove", "--input", "-") == (
+            cli.EXIT_INDETERMINATE, "", "error: line 3: a second DIMACS header 'p cnf 9 1'\n")
+
     @pytest.mark.parametrize("command", ["prove", "compare"])
     @pytest.mark.parametrize(
         "text, message",

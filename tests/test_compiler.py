@@ -1,7 +1,10 @@
 """Clause-to-strand compilation, DNA codebooks, and hybridization verdicts."""
 
+import copy
+import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import time
 from collections import Counter
@@ -31,7 +34,7 @@ from strandprover.compiler import (
 from strandprover.fixtures import CLAUSES_S, clause_set_s, fourway, hairpin
 from strandprover.graph import MAX_STATES, ExplorationLimitError, Site, explore, from_process, sites_of
 from strandprover.logic import Clause, ClauseSet, Literal, parse_formula, to_clausal_form
-from strandprover.process import Process, parse_process
+from strandprover.process import Domain, Process, Strand, parse_process
 
 # a hairpin and two four-way junctions, renamed per copy: three components, 22 * 8 * 8 states
 HAIRPIN_AND_FOURWAYS = (
@@ -309,6 +312,75 @@ class TestClauseProcess:
         s = ClauseSet.parse("Z ~alpha\nx682\n")
         assert str(clause_process(s)) == "<Z alpha*> | <x682>"
 
+    def test_it_is_the_reference_process_field_for_field(self):
+        for s in compiled_sets():
+            q = oracles.clause_process(s)
+            p = clause_process(s)
+            assert (p._codes, p._names, p._bonds, p._lengths) == (q._codes, q._names, q._bonds, q._lengths)
+            assert "strands" not in vars(p)
+            # each copy made before its strands are read
+            copies = [
+                pickle.loads(pickle.dumps(clause_process(s))),
+                copy.deepcopy(clause_process(s)),
+                copy.copy(clause_process(s)),
+                dataclasses.replace(clause_process(s)),
+            ]
+            for r in [p, *copies]:
+                assert r == q and q == r and hash(r) == hash(q)
+                assert (repr(r), str(r), r.bonds()) == (repr(q), str(q), q.bonds()), str(s)
+                assert r.strands == q.strands
+
+    def test_an_empty_clause_is_refused_as_the_reference_refuses_it(self):
+        s = ClauseSet([Clause([Literal("P")]), Clause(), Clause([Literal("Q", True)])])
+        for compile_ in (clause_process, oracles.clause_process):
+            with pytest.raises(CompileError, match="^the empty clause has no strand image$"):
+                compile_(s)
+
+    @pytest.mark.parametrize("how", ["parse", "from_dimacs", "to_clausal_form"])
+    def test_no_literal_clause_domain_or_strand_is_built_on_the_way_to_a_verdict(self, monkeypatch, how):
+        rng = random.Random(43)
+        text = "p cnf 30 120\n" + "".join(
+            " ".join(str(v if rng.random() < 0.5 else -v) for v in rng.sample(range(1, 31), 3)) + " 0\n"
+            for _ in range(120)
+        )
+        s = ClauseSet.from_dimacs(text)
+        lines, formula = str(s), " & ".join("(" + " | ".join(map(_literal_text, c)) + ")" for c in s)
+        read = {
+            "parse": lambda: ClauseSet.parse(lines),
+            "from_dimacs": lambda: ClauseSet.from_dimacs(text),
+            "to_clausal_form": lambda: to_clausal_form(parse_formula(formula)),
+        }[how]
+        built = Counter()
+
+        def counting(name, make):
+            def counted(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+
+            return counted
+
+        for kind in (Literal, Domain):
+            monkeypatch.setattr(kind, "__new__", staticmethod(counting(kind.__name__, kind.__new__)))
+            monkeypatch.setattr(kind, "_make", classmethod(counting(kind.__name__, kind._make.__func__)))
+        for kind in (Clause, Strand):
+            monkeypatch.setattr(kind, "__init__", counting(kind.__name__, kind.__init__))
+        verdict = hybridization_verdict(clause_process(read()))
+        assert built == Counter()
+        assert "edges" not in verdict.graph._index.__dict__
+        monkeypatch.undo()
+        assert verdict == hybridization_verdict(oracles.clause_process(read()))
+
+
+def compiled_sets() -> list[ClauseSet]:
+    """Fixture S, two hand-written sets and 300 seeded ones, built through
+    ClauseSet(Clause...), parse, from_dimacs and to_clausal_form."""
+    rng = random.Random(43)
+    sets = [clause_set_s(), ClauseSet.parse("Z ~alpha\nx682\n"), ClauseSet()]
+    while len(sets) < 303:
+        s = oracles.random_clause_set(rng, variables=rng.randint(1, 5), clauses=8, max_len=3)
+        sets += [s, *renderings(rng, s)]
+    return sets
+
 
 class TestFormatFasta:
     def test_fixture_rendering(self):
@@ -505,6 +577,18 @@ class TestClosedForm:
                 compared += 1
                 kinds["anchored " * anchored + explored.outcome] += 1
         assert len(kinds) == 5 and min(kinds.values()) > 0, kinds
+
+    def test_the_witness_is_the_reference_binding_trace(self):
+        kinds = Counter()
+        for s in compiled_sets():
+            if not len(s):
+                continue
+            verdict = hybridization_verdict(clause_process(s))
+            g = from_process(oracles.clause_process(s))
+            assert verdict.witness == oracles.binding_trace(g), str(s)
+            assert verdict.graph == g
+            kinds[verdict.outcome] += 1
+        assert min(kinds.values()) > 10, kinds
 
     def test_only_toehold_or_bond_processes_explore(self, monkeypatch):
         def no_exploring(*args, **kwargs):

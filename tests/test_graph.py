@@ -14,8 +14,10 @@ import pytest
 
 import oracles
 from strandprover import cli
+from strandprover import compiler as compiler_module
 from strandprover import graph as graph_module
 from strandprover import process as pr
+from strandprover.compiler import hybridization_verdict
 from strandprover.fixtures import FOURWAY, HAIRPIN, fourway, hairpin, theorem_graph, theorem_process
 from strandprover.graph import (
     Edge,
@@ -29,7 +31,6 @@ from strandprover.graph import (
     apply_move,
     bind,
     bind_chain,
-    binding_trace,
     displace,
     edge_adjacent,
     explore,
@@ -1467,23 +1468,35 @@ class TestTrace:
         digest = hashlib.sha256("\n".join(terminal_lines).encode()).hexdigest()
         assert digest == "c401d11331d2b52139b3e1661d862e302e5b3de3155a978bdc594eb7884913c7"
 
-    def test_binding_trace_binds_the_greedy_chain(self):
+    def test_the_verdict_witness_binds_the_greedy_chain(self):
         g = theorem_graph()
-        witness = binding_trace(g)
+        witness = hybridization_verdict(theorem_process()).witness
         assert [m.rule for m in witness.moves] == ["GB"] * 5 and not any(m.removed for m in witness.moves)
         assert [next(iter(m.added)) for m in witness.moves] == [Edge(*pair) for pair in coded_bind_chain(g)]
         assert witness.initial == frozenset() and witness.final == THEOREM_A
         assert witness.replay(g) == THEOREM_A
         # a toehold whose complement is absent changes nothing; no complement at all binds nothing
-        lone = from_process(pr.parse_process("<t^ a> | <a*>"))
-        assert binding_trace(lone).final == {E(1, 2, 2, 1)}
-        assert binding_trace(from_process(pr.parse_process("<a> | <b>"))) == Trace(frozenset(), (), frozenset())
+        lone = pr.parse_process("<t^ a> | <a*>")
+        assert hybridization_verdict(lone).witness.final == {E(1, 2, 2, 1)}
+        assert hybridization_verdict(pr.parse_process("<a> | <b>")).witness == Trace(frozenset(), (), frozenset())
 
-    def test_binding_trace_declines_where_an_edge_might_unbind(self):
+    def test_the_verdict_explores_where_an_edge_might_unbind(self, monkeypatch):
         # a current edge, or a toehold label that meets its complement
-        assert binding_trace(theorem_graph().with_current([E(1, 1, 5, 1)])) is None
-        assert binding_trace(from_process(pr.parse_process("<t^ a> | <a* t^*>"))) is None
-        assert binding_trace(from_process(pr.parse_process("<t^> | <a> | <a*> | <t^*>"))) is None
+        explored = []
+        explore_ = compiler_module.explore
+
+        def counted(g, **kwargs):
+            explored.append(g)
+            return explore_(g, **kwargs)
+
+        monkeypatch.setattr(compiler_module, "explore", counted)
+        hybridization_verdict(theorem_process())
+        assert explored == []
+        bonded = "<P!x Q* R> | <U* V R*> | <Q> | <V*> | <P*!x> | <U>"
+        for text in (bonded, "<t^ a> | <a* t^*>", "<t^> | <a> | <a*> | <t^*>"):
+            hybridization_verdict(pr.parse_process(text))
+        assert len(explored) == 3
+        assert explored[0] == theorem_graph().with_current([E(1, 1, 5, 1)])
 
 
 # --- process/graph agreement -------------------------------------------------

@@ -532,6 +532,7 @@ class TestClauseSet:
             (ClauseSet.from_dimacs, "p cnf 1\n1 0\n", "line 1: bad DIMACS header 'p cnf 1'"),
             (ClauseSet.from_dimacs, "p cnf x y\n1 -2 0\n", "line 1: bad DIMACS header 'p cnf x y'"),
             (ClauseSet.from_dimacs, "p cnf 2 -1\n1 -2 0\n", "line 1: bad DIMACS header 'p cnf 2 -1'"),
+            (ClauseSet.from_dimacs, "p cnf 1 1\n1 0\np cnf 9 1\n", "line 3: a second DIMACS header 'p cnf 9 1'"),
         ]
         for read, text, message in cases:
             with pytest.raises(ParseError) as err:
